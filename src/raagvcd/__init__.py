@@ -23,8 +23,8 @@ from .autos import (
     RaagAutomorphism,
     build_generator_set,
     compose,
+    inner_conjugator,
     inner_lattice,
-    is_inner_bounded,
     lift_local,
     project_local,
     verify_commuting,

@@ -1,10 +1,12 @@
 """Automorphisms of a right-angled Artin group as generator-image maps.
 
-Provides composition and bounded innerness certification, the construction
+Provides composition, an exact innerness decision by length descent that
+holds on every defining graph (:func:`inner_conjugator`), the construction
 of the standard commuting generator set (partial conjugations plus
-transvections onto nodes outside the core subgraph), the rank bookkeeping
-that turns that set into a lower-bound witness, and the projection to /
-lift from the free groups on vertex links used in the tree case.
+transvections onto nodes outside the core subgraph) with an innerness
+decision for every commutator, the rank bookkeeping that turns that set
+into a lower-bound witness, and the projection to / lift from the free
+groups on vertex links used in the tree case.
 
 Conventions fixed once here: ``compose(phi, psi)`` applies ``psi`` first,
 and conjugation by a word ``w`` sends ``x`` to ``w x w^-1``.
@@ -28,7 +30,6 @@ from .graph_core import (
 from .words import (
     RaagWord,
     canonical,
-    cyclic_reduce,
     empty_word,
     equal,
     generator,
@@ -209,24 +210,6 @@ def commutator(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism
     return compose_all([phi, psi, phi.inverse(), psi.inverse()])
 
 
-def reduced_words_up_to(g: DefiningGraph, bound: int) -> list[RaagWord]:
-    """All reduced words of length at most ``bound`` (shuffle-duplicates kept)."""
-    letters = [(v, s) for v in sorted(g.nodes) for s in (1, -1)]
-    out: list[RaagWord] = [empty_word(g)]
-    frontier: list[tuple] = [()]
-    for _ in range(bound):
-        new: list[tuple] = []
-        for prefix in frontier:
-            for letter in letters:
-                candidate = prefix + (letter,)
-                w = reduce_word(RaagWord(g, candidate))
-                if len(w.letters) == len(candidate):
-                    new.append(candidate)
-                    out.append(RaagWord(g, candidate))
-        frontier = new
-    return out
-
-
 def _verifies_conjugator(phi: RaagAutomorphism, cand: RaagWord) -> bool:
     g = phi.graph
     cand_inv = cand.inverse()
@@ -237,49 +220,60 @@ def _verifies_conjugator(phi: RaagAutomorphism, cand: RaagWord) -> bool:
     )
 
 
-def is_inner_bounded(phi: RaagAutomorphism, bound: int = 4) -> RaagWord | None:
-    """Find a word ``g`` with ``phi(x) = g x g^-1`` for every generator.
+def _first_letters(w: RaagWord) -> set[tuple[str, int]]:
+    """Letters of a reduced word that shuffle to its front."""
+    adj = w.graph.adjacency
+    letters = w.letters
+    return {
+        (gen, exp)
+        for i, (gen, exp) in enumerate(letters)
+        if all(h == gen or h in adj[gen] for h, _ in letters[:i])
+    }
 
-    Candidates are seeded from the conjugator parts of the cyclic reductions
-    of the images (and their pairwise products), then an exhaustive pass
-    tries every reduced word of length at most ``bound``.  Sound but
-    incomplete: ``None`` certifies only absence up to the bound.
+
+def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
+    """Decide whether ``phi`` is inner: return a word ``g`` with
+    ``phi(x) = g x g^-1`` for every generator, or ``None`` if there is none.
+
+    Greedy length descent on ``L(phi)``, the sum over nodes of the reduced
+    lengths ``|phi(x)|``: while ``phi`` is not the identity, replace it by
+    ``x -> a^-1 phi(x) a`` for the first candidate ``a`` that lowers ``L``,
+    the candidates being the first letters of the images in sorted order.
+    The answer is the product of the chosen letters, verified once against
+    every generator.
+
+    The decision is exact on every defining graph.  If ``phi`` is inner, let
+    ``g`` be a shortest conjugator.  Its first letter ``a`` is not central,
+    or ``a^-1 g`` would be a shorter conjugator.  That letter leads
+    ``phi(x)`` for every ``x`` outside ``st(a)``, so conjugating back by
+    ``a`` shortens each of those images by 2 and lengthens none inside
+    ``st(a)``: some candidate lowers ``L`` until ``phi`` is the identity.
+    Composing with an inner map keeps a map inner and a non-inner map
+    non-inner, so the loop ends after at most ``L/2`` steps, at the
+    identity exactly when ``phi`` is inner.
     """
     g = phi.graph
-    if phi.is_identity():
-        return empty_word(g)
-
-    seeds: list[RaagWord] = []
-    seen: set[tuple] = set()
-
-    def consider(w: RaagWord) -> None:
-        key = canonical(w).letters
-        if key not in seen:
-            seen.add(key)
-            seeds.append(w)
-
-    primary: list[RaagWord] = []
-    for x in phi.moved_nodes():
-        conj, _core = cyclic_reduce(phi.images[x])
-        if conj.letters:
-            primary.append(conj)
-            consider(conj)
-    for c1 in primary:
-        for c2 in primary:
-            consider(reduce_word(c1 * c2))
-
-    for cand in seeds:
-        if _verifies_conjugator(phi, cand):
-            return reduce_word(cand)
-
-    for cand in reduced_words_up_to(g, bound):
-        key = canonical(cand).letters
-        if key in seen:
-            continue
-        seen.add(key)
-        if _verifies_conjugator(phi, cand):
-            return reduce_word(cand)
-    return None
+    images = dict(phi.images)
+    chosen: list[tuple[str, int]] = []
+    while any(images[x].letters != ((x, 1),) for x in g.nodes):
+        length = sum(len(w) for w in images.values())
+        for gen, exp in sorted(set().union(*map(_first_letters, images.values()))):
+            trial = {
+                x: reduce_word(RaagWord(g, ((gen, -exp), *w.letters, (gen, exp))))
+                for x, w in images.items()
+            }
+            if sum(len(w) for w in trial.values()) < length:
+                images = trial
+                chosen.append((gen, exp))
+                break
+        else:
+            return None
+    conjugator = reduce_word(RaagWord(g, tuple(chosen)))
+    if not _verifies_conjugator(phi, conjugator):
+        raise AutomorphismError(
+            f"length descent produced {conjugator}, which fails verification"
+        )
+    return conjugator
 
 
 @dataclass(frozen=True)
@@ -443,19 +437,17 @@ class GeneratorEntry:
 
 @dataclass(frozen=True)
 class CommutationCertificate:
-    """Innerness certificate for one commutator of generators.
+    """Innerness decision for one commutator of generators.
 
     ``exact`` means the commutator is the identity map; otherwise
-    ``conjugator`` realizes it as a conjugation.  ``conjugator is None``
-    only reports failure to certify within the bound, never
-    non-commutation.
+    ``conjugator`` realizes it as a conjugation, and ``conjugator is None``
+    (``certified`` false) means the commutator is not inner.
     """
 
     left: int
     right: int
     conjugator: RaagWord | None
     exact: bool
-    bound: int
 
     @property
     def certified(self) -> bool:
@@ -467,7 +459,6 @@ class CommutationCertificate:
             "conjugator": str(self.conjugator) if self.conjugator else None,
             "exact": self.exact,
             "certified": self.certified,
-            "bound": self.bound,
         }
 
 
@@ -539,8 +530,6 @@ def build_generator_set(
     choices: GeneratorChoices | None = None,
     *,
     certify: bool = True,
-    bound: int = 4,
-    exponent_bound: int = 1,
 ) -> GeneratorSet:
     """Emit the commuting generator set determined by ``choices``.
 
@@ -630,8 +619,8 @@ def build_generator_set(
         inner=None,
     )
     if certify:
-        certs = verify_commuting(gs, bound=bound)
-        inner = inner_lattice(gs, exponent_bound=exponent_bound)
+        certs = verify_commuting(gs)
+        inner = inner_lattice(gs)
         gs = GeneratorSet(
             graph=g,
             choices=choices,
@@ -642,24 +631,16 @@ def build_generator_set(
     return gs
 
 
-def verify_commuting(
-    gs: GeneratorSet, bound: int = 4
-) -> dict[tuple[int, int], CommutationCertificate]:
-    """Certify innerness of every pairwise commutator of the generators."""
+def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCertificate]:
+    """Decide innerness of every pairwise commutator of the generators."""
     autos = gs.automorphisms()
     certs: dict[tuple[int, int], CommutationCertificate] = {}
     for i in range(len(autos)):
         for j in range(i + 1, len(autos)):
             comm = commutator(autos[i], autos[j])
-            if comm.is_identity():
-                certs[(i, j)] = CommutationCertificate(
-                    i, j, empty_word(gs.graph), exact=True, bound=bound
-                )
-                continue
-            conj = is_inner_bounded(comm, bound=bound)
-            certs[(i, j)] = CommutationCertificate(
-                i, j, conj, exact=False, bound=bound
-            )
+            exact = comm.is_identity()
+            conj = empty_word(gs.graph) if exact else inner_conjugator(comm)
+            certs[(i, j)] = CommutationCertificate(i, j, conj, exact)
     return certs
 
 
@@ -692,6 +673,12 @@ def _letter_closure(
     return frozenset(closure), affecting
 
 
+# The inner-lattice search tries each generator exponent in INNER_EXPONENTS
+# and gives up (``complete`` false) after INNER_ASSIGNMENT_LIMIT assignments.
+INNER_EXPONENTS = (-1, 0, 1)
+INNER_ASSIGNMENT_LIMIT = 2_000_000
+
+
 def _apply_power(a: RaagAutomorphism, n: int, w: RaagWord) -> RaagWord:
     step = a if n > 0 else a.inverse()
     for _ in range(abs(n)):
@@ -699,11 +686,7 @@ def _apply_power(a: RaagAutomorphism, n: int, w: RaagWord) -> RaagWord:
     return w
 
 
-def inner_lattice(
-    gs: GeneratorSet,
-    exponent_bound: int = 1,
-    assignment_cap: int = 2_000_000,
-) -> InnerLatticeResult:
+def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
     """Search bounded products of the generators for conjugations by
     ``v0^a w0^b`` (|a|,|b| <= 1) and return the rank of the found pairs.
 
@@ -721,7 +704,7 @@ def inner_lattice(
         x: _letter_closure(gs, x) for x in g.nodes
     }
 
-    budget = [assignment_cap]
+    budget = [INNER_ASSIGNMENT_LIMIT]
     hit_cap = [False]
 
     def conj_target(a: int, b: int) -> RaagWord:
@@ -761,9 +744,7 @@ def inner_lattice(
             free = [i for i in closures[x][1] if i not in assignment]
             if not free:
                 return check_node(x) and dfs(pos + 1)
-            for combo in product(
-                range(-exponent_bound, exponent_bound + 1), repeat=len(free)
-            ):
+            for combo in product(INNER_EXPONENTS, repeat=len(free)):
                 budget[0] -= 1
                 if budget[0] <= 0:
                     return False
@@ -862,41 +843,8 @@ def project_local(phi: RaagAutomorphism, v: str) -> LocalProjection:
 
 
 def local_inner_witness(proj: LocalProjection) -> RaagWord | None:
-    """Exact free-group test: is the local action conjugation by one word?
-
-    In a free group ``h y h^-1`` determines ``h`` up to right multiplication
-    by a power of ``y``, so one moved generator pins the candidate set down
-    to a finite strip which is checked exhaustively.
-    """
-    fg = proj.free_graph
-    names = sorted(proj.images)
-    moved = [y for y in names if reduce_word(proj.images[y]).letters != ((y, 1),)]
-    if not moved:
-        return empty_word(fg)
-    y0 = moved[0]
-    img = reduce_word(proj.images[y0])
-    letters = img.letters
-    if len(letters) % 2 == 0:
-        return None
-    mid = len(letters) // 2
-    if letters[mid] != (y0, 1):
-        return None
-    prefix = letters[:mid]
-    if tuple((g2, -e2) for g2, e2 in reversed(prefix)) != letters[mid + 1 :]:
-        return None
-    longest = max(len(proj.images[y].letters) for y in names)
-    max_shift = longest // 2 + len(prefix) + 2
-    for t in range(-max_shift, max_shift + 1):
-        cand = RaagWord(
-            fg, prefix + tuple((y0, 1 if t > 0 else -1) for _ in range(abs(t)))
-        )
-        cand_inv = cand.inverse()
-        if all(
-            equal(proj.images[y], cand * generator(fg, y) * cand_inv)
-            for y in names
-        ):
-            return reduce_word(cand)
-    return None
+    """Exact test: is the local action conjugation by one free-group word?"""
+    return inner_conjugator(RaagAutomorphism(proj.free_graph, proj.images))
 
 
 def lift_local(

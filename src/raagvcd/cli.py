@@ -3,7 +3,8 @@
 Four commands: ``analyze`` a graph file, ``psigma`` for the free-group
 family, ``ideal-complex`` for the blow-up complexes, and ``verify`` to run
 the invariant suite over a generated corpus.  Exit codes: 0 success,
-1 parse failure, 2 ineligible graph, 3 invariant violation in verify.
+1 parse or usage failure, 2 ineligible graph, 3 invariant violation found
+by verify or an internal invariant broken during analyze.
 """
 from __future__ import annotations
 
@@ -13,11 +14,12 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .autos import build_generator_set, default_choices
+from .autos import AutomorphismError, build_generator_set, default_choices
 from .graph_core import (
     GraphError,
     IneligibleGraphError,
     ParseError,
+    StructureAnomalyError,
     parse_graph,
 )
 from .ideal_edges import (
@@ -81,12 +83,21 @@ def _render_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _internal_error(exc: StructureAnomalyError) -> int:
+    print(f"internal invariant broken: {exc}", file=sys.stderr)
+    return EXIT_VIOLATION
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         text = Path(args.path).read_text(encoding="utf-8")
         g = parse_graph(text)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    base_edge = tuple(args.e0.split(",")) if args.e0 else None
+    if base_edge is not None and len(base_edge) != 2:
+        print(f"error: --e0 expects two nodes A,B, got {args.e0!r}", file=sys.stderr)
         return EXIT_PARSE
     try:
         report = vcd_report(g)
@@ -98,16 +109,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             lambda p: "graph not eligible: " + exc.report.failure_summary(),
         )
         return EXIT_INELIGIBLE
+    except StructureAnomalyError as exc:
+        return _internal_error(exc)
 
     payload = report.to_dict()
     if args.witness:
         core = report.core
         decomposition = report.decomposition
-        base_edge = tuple(args.e0.split(",")) if args.e0 else None
-        choices = default_choices(g, core, decomposition, base_edge=base_edge)
-        gs = build_generator_set(
-            g, core, decomposition, choices, bound=args.bound
-        )
+        try:
+            choices = default_choices(g, core, decomposition, base_edge=base_edge)
+        except AutomorphismError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        try:
+            gs = build_generator_set(g, core, decomposition, choices)
+        except StructureAnomalyError as exc:
+            return _internal_error(exc)
         payload["witness_set"] = gs.to_dict()
     _emit(payload, args.json, _render_report)
     return EXIT_OK
@@ -203,7 +220,7 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify_suite import run_verification
 
-    result = run_verification(max_nodes=args.max_nodes, bound=args.bound)
+    result = run_verification(max_nodes=args.max_nodes)
     if args.json:
         print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
     else:
@@ -232,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build the commuting generator set with certificates",
     )
     analyze.add_argument("--e0", help="base edge as A,B", default=None)
-    analyze.add_argument(
-        "--bound", type=int, default=4, help="conjugator search bound"
-    )
     analyze.set_defaults(func=_cmd_analyze)
 
     psig = sub.add_parser("psigma", help="partially symmetric family")
@@ -256,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the invariant suite over a corpus")
     ver.add_argument("--max-nodes", type=int, default=8)
-    ver.add_argument("--bound", type=int, default=4)
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=_cmd_verify)
 

@@ -89,7 +89,7 @@ def _structural_checks(g: DefiningGraph, result: VerificationResult) -> None:
     )
 
 
-def run_verification(max_nodes: int = 8, bound: int = 4) -> VerificationResult:
+def run_verification(max_nodes: int = 8) -> VerificationResult:
     result = VerificationResult()
 
     trees = list(corpus.eligible_trees(max_nodes))
@@ -181,7 +181,7 @@ def run_verification(max_nodes: int = 8, bound: int = 4) -> VerificationResult:
     )
     for g in small:
         gs = build_generator_set(g, certify=False)
-        certs = verify_commuting(gs, bound=bound)
+        certs = verify_commuting(gs)
         uncertified = [k for k, c in certs.items() if not c.certified]
         result.check(
             f"commutation certificates [{g.num_nodes} nodes]",

@@ -19,6 +19,25 @@ def g_c5l() -> DefiningGraph:
 
 
 @pytest.fixture
+def g_grid() -> DefiningGraph:
+    """3x3 grid: g<row><col> adjacent to its horizontal and vertical neighbors."""
+    edges = []
+    for r in range(3):
+        for c in range(3):
+            if c < 2:
+                edges.append((f"g{r}{c}", f"g{r}{c + 1}"))
+            if r < 2:
+                edges.append((f"g{r}{c}", f"g{r + 1}{c}"))
+    return DefiningGraph.from_edges(edges)
+
+
+@pytest.fixture
+def g_f3() -> DefiningGraph:
+    """Edgeless graph on three nodes: the free group of rank three."""
+    return DefiningGraph(("x", "y", "z"), frozenset())
+
+
+@pytest.fixture
 def g_square() -> DefiningGraph:
     return DefiningGraph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
 

@@ -101,7 +101,7 @@ def test_witness_ranks():
     with Budget("witness generator sets on the three fixtures", 60):
         expectations = []
 
-        gs_p5 = build_generator_set(P5, bound=4)
+        gs_p5 = build_generator_set(P5)
         expectations.append((gs_p5, 7, 2, 5, vcd_report(P5).lower.value))
 
         core = gamma_zero(C5L)
@@ -113,10 +113,10 @@ def test_witness_ranks():
         choices = default_choices(
             C5L, core, dec, base_edge=("v3", "v4"), spanning_tree=tree
         )
-        gs_c5l = build_generator_set(C5L, core, dec, choices, bound=4)
+        gs_c5l = build_generator_set(C5L, core, dec, choices)
         expectations.append((gs_c5l, 3, 0, 3, vcd_report(C5L).lower.value))
 
-        gs_spider = build_generator_set(spider(), bound=4)
+        gs_spider = build_generator_set(spider())
         expectations.append((gs_spider, 11, 2, 9, vcd_report(spider()).lower.value))
 
         for gs, count, inner_rank, outer, lower in expectations:
@@ -133,7 +133,7 @@ def test_commutation_lemma():
         uncertified = 0
         for g in list(eligible_trees(8)) + [C5L]:
             gs = build_generator_set(g, certify=False)
-            certs = verify_commuting(gs, bound=4)
+            certs = verify_commuting(gs)
             total += len(certs)
             uncertified += sum(1 for c in certs.values() if not c.certified)
         assert total > 0

@@ -1,19 +1,30 @@
+import functools
 import random
 
 import pytest
 
 from raagvcd.graph_core import DefiningGraph, gamma_zero, pieces
-from raagvcd.words import empty_word, equal, generator, parse_word, word
+from raagvcd.words import (
+    RaagWord,
+    empty_word,
+    equal,
+    generator,
+    is_trivial,
+    parse_word,
+    reduce_word,
+    word,
+)
 from raagvcd.autos import (
     AutomorphismError,
     LiftError,
     RaagAutomorphism,
     build_generator_set,
     compose,
+    compose_all,
     default_choices,
     identity_automorphism,
     inner_automorphism,
-    is_inner_bounded,
+    inner_conjugator,
     lift_local,
     local_inner_witness,
     partial_conjugation,
@@ -70,7 +81,7 @@ class TestCompose:
 class TestInnerBounded:
     def test_global_conjugation_found_at_bound_one(self, g_p5):
         phi = inner_automorphism(g_p5, generator(g_p5, "b"))
-        found = is_inner_bounded(phi, 1)
+        found = inner_conjugator(phi)
         assert found is not None
         assert str(found) == "b"
 
@@ -78,7 +89,7 @@ class TestInnerBounded:
         # b commutes with everything outside {d, e}, so conjugating just
         # {d, e} by b is global conjugation by b.
         phi = partial_conjugation(g_p5, "b", ["d", "e"])
-        found = is_inner_bounded(phi, 2)
+        found = inner_conjugator(phi)
         assert found is not None
         assert equal(found, generator(g_p5, "b"))
 
@@ -86,17 +97,119 @@ class TestInnerBounded:
         # Conjugating only {e} by c is not inner: a witness would have to
         # centralize a and d simultaneously while moving e.
         phi = partial_conjugation(g_p5, "c", ["e"])
-        assert is_inner_bounded(phi, 4) is None
+        assert inner_conjugator(phi) is None
 
     def test_identity(self, g_p5):
-        assert is_inner_bounded(identity_automorphism(g_p5), 1).is_empty
+        assert inner_conjugator(identity_automorphism(g_p5)).is_empty
 
     def test_seeded_hit_on_longer_conjugator(self, g_c5l):
         w = parse_word(g_c5l, "v3 v1 v2")
         phi = inner_automorphism(g_c5l, w)
-        found = is_inner_bounded(phi, 1)  # seed extraction beats the bound
+        found = inner_conjugator(phi)
         assert found is not None
         assert equal(found, w)
+
+
+@functools.cache
+def _reduced_words(g, bound):
+    """All reduced words of length at most ``bound``, shortest first
+    (shuffle duplicates kept)."""
+    letters = [(v, s) for v in sorted(g.nodes) for s in (1, -1)]
+    out = [empty_word(g)]
+    frontier = [()]
+    for _ in range(bound):
+        frontier = [
+            w
+            for w in (prefix + (letter,) for prefix in frontier for letter in letters)
+            if len(reduce_word(RaagWord(g, w))) == len(w)
+        ]
+        out += [RaagWord(g, w) for w in frontier]
+    return out
+
+
+def _bounded_conjugator(phi, bound):
+    """Reference: the first reduced word of length at most ``bound`` that
+    conjugates every generator to its image, or ``None``."""
+    assert bound <= 3, "exhaustive reference, too slow beyond length 3"
+    g = phi.graph
+    nodes = sorted(g.nodes, key=lambda x: phi.images[x].letters == ((x, 1),))
+    for w in _reduced_words(g, bound):
+        w_inv = w.inverse()
+        if all(
+            is_trivial(w * generator(g, x) * w_inv * phi.images[x].inverse())
+            for x in nodes
+        ):
+            return w
+    return None
+
+
+def _components_outside_star(g, v):
+    unseen = set(g.nodes) - g.link(v) - {v}
+    comps = []
+    while unseen:
+        stack = [min(unseen)]
+        comp = set(stack)
+        unseen -= comp
+        while stack:
+            for nbr in g.link(stack.pop()) & unseen:
+                unseen.discard(nbr)
+                comp.add(nbr)
+                stack.append(nbr)
+        comps.append(comp)
+    return comps
+
+
+def _random_automorphisms(g, rng, count):
+    """Products of one to four factors, each either an inner generator or an
+    elementary automorphism (partial conjugation or transvection)."""
+    inner = [
+        inner_automorphism(g, generator(g, v, e))
+        for v in sorted(g.nodes)
+        for e in (1, -1)
+    ]
+    elementary = []
+    for v in sorted(g.nodes):
+        for comp in _components_outside_star(g, v):
+            elementary.append(partial_conjugation(g, v, comp))
+        for u in sorted(g.nodes):
+            if u != v and g.link(u) <= g.link(v) | {v}:
+                elementary.append(transvection(g, u, v))
+    elementary += [a.inverse() for a in elementary]
+    pools = (inner, elementary)
+    return [
+        compose_all([rng.choice(rng.choice(pools)) for _ in range(rng.randrange(1, 5))])
+        for _ in range(count)
+    ]
+
+
+class TestInnerConjugatorOracle:
+    @pytest.mark.parametrize("graph", ["g_p5", "g_c5l", "g_grid", "g_f3"])
+    def test_agrees_with_bounded_search(self, graph, request):
+        g = request.getfixturevalue(graph)
+        verdicts = set()
+        for phi in _random_automorphisms(g, random.Random(graph), 30):
+            exact = inner_conjugator(phi)
+            bounded = _bounded_conjugator(phi, 3)
+            if bounded is not None:
+                assert exact is not None and equal(exact, bounded)
+            if exact is not None and len(exact) <= 3:
+                assert bounded is not None
+            if exact is None:
+                assert bounded is None
+            assert inner_conjugator(phi) == exact  # deterministic
+            verdicts.add(exact is None)
+        assert verdicts == {True, False}
+
+    def test_long_conjugator_on_grid(self, g_grid):
+        w = parse_word(g_grid, "g00 g11 g22 g02^-1 g20 g11^-1 g01 g12 g21^-1")
+        assert len(reduce_word(w)) >= 8
+        found = inner_conjugator(inner_automorphism(g_grid, w))
+        assert found is not None and equal(found, w)
+
+    def test_p5_partial_conjugation_decided_not_inner(self, g_p5):
+        phi = partial_conjugation(g_p5, "c", {"e"})
+        assert inner_conjugator(phi) is None
+        assert inner_conjugator(compose(phi, phi)) is None
 
 
 class TestGeneratorSet:
@@ -228,13 +341,13 @@ class TestCommutation:
     def test_all_pairs_certified_on_small_trees(self):
         for g in eligible_trees(6):
             gs = build_generator_set(g, certify=False)
-            certs = verify_commuting(gs, bound=4)
+            certs = verify_commuting(gs)
             assert all(c.certified for c in certs.values())
 
     def test_all_pairs_certified_on_nine_node_trees(self):
         for g in eligible_trees(9, min_nodes=9):
             gs = build_generator_set(g, certify=False)
-            certs = verify_commuting(gs, bound=4)
+            certs = verify_commuting(gs)
             assert all(c.certified for c in certs.values())
 
     def test_nested_partial_conjugations_certificate(self, g_p5):
@@ -284,7 +397,7 @@ class TestInnerLattice:
                         diff = compose(step, diff)
                 # Inner rank is zero here, so distinct vectors must stay
                 # distinct even modulo inner automorphisms.
-                assert is_inner_bounded(diff, 2) is None
+                assert inner_conjugator(diff) is None
 
     def test_p5_witness_vectors_verify(self, g_p5):
         gs = build_generator_set(g_p5)
@@ -321,11 +434,11 @@ class TestInnerLattice:
 
         # A difference lying on a lattice witness is inner...
         lattice_vec = gs.inner.witnesses[(1, 0)]
-        assert is_inner_bounded(product_of(lattice_vec), 2) is not None
+        assert inner_conjugator(product_of(lattice_vec)) is not None
         # ...while a difference off the lattice (a lone transvection) is not.
         lone = tuple(1 if i == 3 else 0 for i in range(gs.count))
         assert gs.entries[3].kind.startswith("leaf_transvection")
-        assert is_inner_bounded(product_of(lone), 2) is None
+        assert inner_conjugator(product_of(lone)) is None
 
 
 class TestProjection:

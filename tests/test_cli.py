@@ -110,7 +110,7 @@ class TestVerify:
         from raagvcd import verify_suite
         from raagvcd import cli as cli_module
 
-        def broken(max_nodes, bound):
+        def broken(max_nodes):
             result = verify_suite.VerificationResult()
             result.check("synthetic check", False, "forced")
             return result
@@ -118,3 +118,32 @@ class TestVerify:
         monkeypatch.setattr(verify_suite, "run_verification", broken)
         assert main(["verify"]) == 3
         assert "VIOLATION" in capsys.readouterr().out
+
+
+class TestAnalyzeErrors:
+    @pytest.mark.parametrize("e0", ["a", "a,b,c", "a,zz", "a,b"])
+    def test_bad_base_edge_exits_1(self, p5_file, capsys, e0):
+        # a-b is an edge of P5 but not of its core subgraph.
+        assert main(["analyze", p5_file, "--witness", "--e0", e0]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("vcd_report", []),
+            ("vcd_report", ["--witness"]),
+            ("build_generator_set", ["--witness"]),
+        ],
+    )
+    def test_structure_anomaly_exits_3(
+        self, p5_file, capsys, monkeypatch, target, argv
+    ):
+        from raagvcd import cli as cli_module
+        from raagvcd.graph_core import StructureAnomalyError
+
+        def broken(*args, **kwargs):
+            raise StructureAnomalyError("forced")
+
+        monkeypatch.setattr(cli_module, target, broken)
+        assert main(["analyze", p5_file, *argv]) == 3
+        assert "internal invariant broken: forced" in capsys.readouterr().err
