@@ -10,6 +10,11 @@ groups on vertex links used in the tree case.
 
 Conventions fixed once here: ``compose(phi, psi)`` applies ``psi`` first,
 and conjugation by a word ``w`` sends ``x`` to ``w x w^-1``.
+
+Stored images are always reduced words: the constructor reduces what it is
+given and :func:`compose` keeps the reduced results of ``apply`` without
+reducing them again, so fixed generators are recognised by their letters
+alone.  ``inverse()`` is built once and cached on both maps.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ from .graph_core import (
 )
 from .words import (
     RaagWord,
+    _trusted,
     canonical,
     empty_word,
     equal,
@@ -47,9 +53,13 @@ class LiftError(AutomorphismError):
 
 class RaagAutomorphism:
     """An endomorphism given by generator images, usually with a stored
-    two-sided inverse certifying that it is an automorphism."""
+    two-sided inverse certifying that it is an automorphism.
 
-    __slots__ = ("graph", "images", "inverse_images")
+    Images are stored reduced, and :meth:`inverse` is cached, so
+    ``phi.inverse().inverse() is phi``.
+    """
+
+    __slots__ = ("graph", "images", "inverse_images", "_inverse")
 
     def __init__(
         self,
@@ -60,7 +70,7 @@ class RaagAutomorphism:
         for x, img in images.items():
             if x not in graph.adjacency:
                 raise AutomorphismError(f"image given for non-node {x!r}")
-            if img.graph != graph:
+            if img.graph is not graph and img.graph != graph:
                 raise AutomorphismError("image word over a different graph")
         self.graph = graph
         self.images = MappingProxyType(
@@ -81,40 +91,69 @@ class RaagAutomorphism:
             if inverse_images is not None
             else None
         )
+        self._inverse: RaagAutomorphism | None = None
+
+    @classmethod
+    def _from_reduced(
+        cls,
+        graph: DefiningGraph,
+        images: Mapping[str, RaagWord],
+        inverse_images: Mapping[str, RaagWord] | None,
+    ) -> "RaagAutomorphism":
+        """Wrap read-only image maps that cover every node with words already
+        reduced over ``graph``, without checking or reducing them again."""
+        phi = cls.__new__(cls)
+        phi.graph = graph
+        phi.images = images
+        phi.inverse_images = inverse_images
+        phi._inverse = None
+        return phi
 
     def image_of(self, node: str) -> RaagWord:
         return self.images[node]
 
     def apply(self, w: RaagWord) -> RaagWord:
-        if w.graph != self.graph:
+        if w.graph is not self.graph and w.graph != self.graph:
             raise AutomorphismError("word over a different graph")
         letters: list = []
         for gen, exp in w.letters:
-            img = self.images[gen]
-            letters.extend(
-                img.letters if exp == 1 else img.inverse().letters
-            )
-        return reduce_word(RaagWord(self.graph, tuple(letters)))
+            img = self.images[gen].letters
+            if exp == 1:
+                letters.extend(img)
+            else:
+                letters.extend((h, -e) for h, e in reversed(img))
+        return reduce_word(_trusted(self.graph, tuple(letters)))
 
     def inverse(self) -> "RaagAutomorphism":
-        if self.inverse_images is None:
-            raise AutomorphismError("no stored inverse")
-        return RaagAutomorphism(self.graph, self.inverse_images, self.images)
+        if self._inverse is None:
+            if self.inverse_images is None:
+                raise AutomorphismError("no stored inverse")
+            inv = RaagAutomorphism._from_reduced(
+                self.graph, self.inverse_images, self.images
+            )
+            inv._inverse = self
+            self._inverse = inv
+        return self._inverse
 
     def is_identity(self) -> bool:
-        return all(
-            canonical(img).letters == ((x, 1),) for x, img in self.images.items()
-        )
+        """Whether every generator is fixed.
+
+        Each stored image is reduced, and reduced words for the same element
+        are shuffles of one another, so they have the same letters.  A
+        reduced image therefore equals ``x`` exactly when it is the one-letter
+        word ``x``, and comparing with ``((x, 1),)`` needs no normal form.
+        """
+        return all(img.letters == ((x, 1),) for x, img in self.images.items())
 
     def moved_nodes(self) -> tuple[str, ...]:
+        """Nodes whose image is not the generator itself (exact for the
+        reason given in :meth:`is_identity`)."""
         return tuple(
-            x
-            for x in self.graph.nodes
-            if canonical(self.images[x]).letters != ((x, 1),)
+            x for x in self.graph.nodes if self.images[x].letters != ((x, 1),)
         )
 
     def equals(self, other: "RaagAutomorphism") -> bool:
-        if self.graph != other.graph:
+        if self.graph is not other.graph and self.graph != other.graph:
             return False
         return all(
             equal(self.images[x], other.images[x]) for x in self.graph.nodes
@@ -184,16 +223,19 @@ def transvection(
 
 def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
     """``compose(phi, psi)(x) = phi(psi(x))``: right-to-left application."""
-    if phi.graph != psi.graph:
+    g = phi.graph
+    if psi.graph is not g and psi.graph != g:
         raise AutomorphismError("automorphisms over different graphs")
-    images = {x: phi.apply(psi.images[x]) for x in phi.graph.nodes}
+    images = {x: phi.apply(psi.images[x]) for x in g.nodes}
     inverse_images = None
     if phi.inverse_images is not None and psi.inverse_images is not None:
         psi_inv = psi.inverse()
-        inverse_images = {
-            x: psi_inv.apply(phi.inverse_images[x]) for x in phi.graph.nodes
-        }
-    return RaagAutomorphism(phi.graph, images, inverse_images)
+        inverse_images = MappingProxyType(
+            {x: psi_inv.apply(phi.inverse_images[x]) for x in g.nodes}
+        )
+    return RaagAutomorphism._from_reduced(
+        g, MappingProxyType(images), inverse_images
+    )
 
 
 def compose_all(autos: Sequence[RaagAutomorphism]) -> RaagAutomorphism:

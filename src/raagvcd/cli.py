@@ -83,6 +83,11 @@ def _render_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _internal_error(exc: StructureAnomalyError) -> int:
     print(f"internal invariant broken: {exc}", file=sys.stderr)
     return EXIT_VIOLATION
@@ -93,12 +98,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         text = Path(args.path).read_text(encoding="utf-8")
         g = parse_graph(text)
     except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _input_error(str(exc))
     base_edge = tuple(args.e0.split(",")) if args.e0 else None
     if base_edge is not None and len(base_edge) != 2:
-        print(f"error: --e0 expects two nodes A,B, got {args.e0!r}", file=sys.stderr)
-        return EXIT_PARSE
+        return _input_error(f"--e0 expects two nodes A,B, got {args.e0!r}")
     try:
         report = vcd_report(g)
     except IneligibleGraphError as exc:
@@ -119,8 +122,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         try:
             choices = default_choices(g, core, decomposition, base_edge=base_edge)
         except AutomorphismError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return _input_error(str(exc))
         try:
             gs = build_generator_set(g, core, decomposition, choices)
         except StructureAnomalyError as exc:
@@ -144,8 +146,7 @@ def _cmd_psigma(args: argparse.Namespace) -> int:
             payload["generator_count"] = len(gens)
             payload["outer_rank"] = outer_rank(spec)
     except PsigmaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _input_error(str(exc))
 
     def render(p: dict) -> str:
         lines = [f"PSigma({p['n']},{p['k']}): vcd = {p['vcd']}"]
@@ -164,6 +165,8 @@ def _cmd_psigma(args: argparse.Namespace) -> int:
 
 
 def _cmd_ideal_complex(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        return _input_error(f"--cap must be at least 1, got {args.cap}")
     try:
         h = HalfEdgeSet.standard(args.r, args.s)
         legal_only = not args.full
@@ -186,8 +189,7 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
             cert = morse_collapse_certificate(c, args.r, args.s)
             payload["collapse_certificate"] = cert.to_dict()
     except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _input_error(str(exc))
 
     def render(p: dict) -> str:
         lines = [
@@ -220,6 +222,8 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify_suite import run_verification
 
+    if args.max_nodes < 2:
+        return _input_error(f"--max-nodes must be at least 2, got {args.max_nodes}")
     result = run_verification(max_nodes=args.max_nodes)
     if args.json:
         print(json.dumps(result.to_dict(), sort_keys=True, indent=2))

@@ -6,6 +6,7 @@ import pytest
 from raagvcd.graph_core import DefiningGraph, gamma_zero, pieces
 from raagvcd.words import (
     RaagWord,
+    canonical,
     empty_word,
     equal,
     generator,
@@ -210,6 +211,77 @@ class TestInnerConjugatorOracle:
         phi = partial_conjugation(g_p5, "c", {"e"})
         assert inner_conjugator(phi) is None
         assert inner_conjugator(compose(phi, phi)) is None
+
+
+class TestStoredImages:
+    """Cached inverses and the letter-level identity test."""
+
+    def test_inverse_is_cached_both_ways(self, g_p5):
+        phi = partial_conjugation(g_p5, "b", ["d", "e"])
+        inv = phi.inverse()
+        assert phi.inverse() is inv
+        assert inv.inverse() is phi
+        assert compose(phi, inv).is_identity()
+
+    def test_composite_inverse_is_cached(self, g_c5l):
+        phi = compose(
+            transvection(g_c5l, "u", "v1"), partial_conjugation(g_c5l, "v2", ["u"])
+        )
+        assert phi.inverse() is phi.inverse()
+        assert phi.inverse().inverse() is phi
+        assert phi.has_verified_inverse()
+
+    def test_missing_inverse_still_raises(self, g_p5):
+        phi = RaagAutomorphism(g_p5, {"a": parse_word(g_p5, "a b")})
+        for _ in range(2):
+            with pytest.raises(AutomorphismError):
+                phi.inverse()
+        assert not phi.has_verified_inverse()
+
+    @pytest.mark.parametrize("graph", ["g_p5", "g_c5l", "g_grid"])
+    def test_identity_and_moved_nodes_match_canonical(self, graph, request):
+        g = request.getfixturevalue(graph)
+        rng = random.Random(f"stored-{graph}")
+        autos = _random_automorphisms(g, rng, 40)
+        # Products with their own inverse are the identity, whatever the
+        # letters of the intermediate images were.
+        autos += [compose(phi, phi.inverse()) for phi in autos[:10]]
+        autos += [compose(phi.inverse(), phi) for phi in autos[:10]]
+        verdicts = set()
+        for phi in autos:
+            moved = tuple(
+                x for x in g.nodes if canonical(phi.images[x]).letters != ((x, 1),)
+            )
+            assert phi.moved_nodes() == moved
+            assert phi.is_identity() == (not moved)
+            for x in g.nodes:
+                assert phi.images[x].letters == reduce_word(phi.images[x]).letters
+            verdicts.add(phi.is_identity())
+        assert verdicts == {True, False}
+
+    def test_compose_across_graphs_rejected(self, g_p5, g_c5l):
+        phi = transvection(g_p5, "a", "b")
+        psi = transvection(g_c5l, "u", "v1")
+        with pytest.raises(AutomorphismError):
+            compose(phi, psi)
+        with pytest.raises(AutomorphismError):
+            compose(psi, phi)
+        with pytest.raises(AutomorphismError):
+            phi.apply(generator(g_c5l, "u"))
+        with pytest.raises(AutomorphismError):
+            RaagAutomorphism(g_p5, {"a": generator(g_c5l, "u")})
+
+    def test_structurally_equal_graph_accepted(self, g_p5):
+        twin = DefiningGraph(g_p5.nodes, g_p5.edges)
+        assert twin is not g_p5 and twin == g_p5
+        phi = transvection(g_p5, "a", "b")
+        psi = transvection(twin, "a", "c")
+        both = compose(phi, psi)
+        assert equal(both.image_of("a"), parse_word(g_p5, "a b c"))
+        assert both.equals(compose(psi, phi))
+        assert str(phi.apply(parse_word(twin, "a c"))) == "a b c"
+        mixed = RaagAutomorphism(g_p5, {"a": parse_word(twin, "a b")})
+        assert mixed.equals(phi)
 
 
 class TestGeneratorSet:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,31 @@ class TestIdealComplex:
         assert main(["ideal-complex", "5", "1"]) == 1
 
 
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--max-nodes", "-1"],
+            ["verify", "--max-nodes", "0"],
+            ["verify", "--max-nodes", "1"],
+            ["ideal-complex", "2", "3", "--cap", "-5"],
+            ["ideal-complex", "2", "3", "--cap", "0"],
+        ],
+    )
+    def test_out_of_range_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "at least" in captured.err
+        assert captured.out == ""
+
+    def test_lowest_accepted_values_run(self, capsys):
+        assert main(["verify", "--max-nodes", "2"]) == 0
+        # --cap 1 passes the range check; the complex then exceeds it.
+        assert main(["ideal-complex", "2", "1", "--cap", "1"]) == 1
+        assert "exceeds 1 simplices" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_small_corpus_passes(self, capsys):
         assert main(["verify", "--max-nodes", "5", "--json"]) == 0
@@ -147,3 +173,62 @@ class TestAnalyzeErrors:
         monkeypatch.setattr(cli_module, target, broken)
         assert main(["analyze", p5_file, *argv]) == 3
         assert "internal invariant broken: forced" in capsys.readouterr().err
+
+
+def _edge_text(edges):
+    return "".join(f"edge {a} {b}\n" for a, b in edges)
+
+
+def _spider_5_3_edges():
+    edges = []
+    for leg in range(5):
+        prev = "hub"
+        for step in range(1, 4):
+            edges.append((prev, f"l{leg}_{step}"))
+            prev = f"l{leg}_{step}"
+    return edges
+
+
+def _grid_3x3_edges():
+    edges = []
+    for i in range(3):
+        for j in range(3):
+            if i < 2:
+                edges.append((f"g{i}{j}", f"g{i + 1}{j}"))
+            if j < 2:
+                edges.append((f"g{i}{j}", f"g{i}{j + 1}"))
+    return edges
+
+
+_C5L_EDGES = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v1"), ("v1", "u")]
+
+# sha256 of the stdout of each command; pinned so that speed work in the
+# words and autos layers cannot change a byte of the output.
+GOLDEN_SHA256 = {
+    "spider_5_3": "3e52c44e04bb81594e49387061b2c5ad82364d1fb8bfe21aee7e42301613b500",
+    "grid_3x3": "2ecb9f62f26f547161c0d5763ac3a58e92964c088d12adc60a64fd2dc2e80cf0",
+    "c5l": "c7f478b322a789d5ba8b64bf915c96343538ce7d6a198346cda9e5adb856fbb6",
+    "psigma_10_5": "f25b88afb09a0cfb80b1a98aef71c90763b45c3110a9335f43e59779195e3906",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "name, edges",
+        [
+            ("spider_5_3", _spider_5_3_edges()),
+            ("grid_3x3", _grid_3x3_edges()),
+            ("c5l", _C5L_EDGES),
+        ],
+    )
+    def test_witness_json(self, tmp_path, capsys, name, edges):
+        path = tmp_path / f"{name}.graph"
+        path.write_text(_edge_text(edges))
+        assert main(["analyze", str(path), "--witness", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+    def test_psigma_json(self, capsys):
+        assert main(["psigma", "10", "5", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256["psigma_10_5"]

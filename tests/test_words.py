@@ -4,6 +4,7 @@ import pytest
 
 from raagvcd.graph_core import DefiningGraph
 from raagvcd.words import (
+    RaagWord,
     WordError,
     canonical,
     cyclic_reduce,
@@ -12,7 +13,6 @@ from raagvcd.words import (
     generator,
     parse_word,
     reduce_word,
-    shuffle_cancellable_pairs,
     word,
 )
 
@@ -26,6 +26,25 @@ def free3():
 def random_word(g, rng, length):
     letters = [(n, s) for n in g.nodes for s in (1, -1)]
     return word(g, [rng.choice(letters) for _ in range(length)])
+
+
+def shuffle_cancellable_pairs(w):
+    """All index pairs ``i < j`` whose letters cancel after shuffling: the
+    letters between them all commute with that generator."""
+    adj = w.graph.adjacency
+    letters = w.letters
+    found = []
+    for i, (gen, exp) in enumerate(letters):
+        for j in range(i + 1, len(letters)):
+            g2, e2 = letters[j]
+            if g2 == gen and e2 == -exp:
+                if all(
+                    h == gen or h in adj[gen] for h, _ in letters[i + 1 : j]
+                ):
+                    found.append((i, j))
+            if g2 != gen and g2 not in adj[gen]:
+                break
+    return found
 
 
 def exhaust_randomly(w, rng):
@@ -186,3 +205,41 @@ class TestCyclicReduce:
             again_conj, again_core = cyclic_reduce(core)
             assert again_conj.is_empty
             assert canonical(again_core).letters == canonical(core).letters
+
+
+class TestValidation:
+    """The public constructors still check every letter; only internal
+    paths over letters of already checked words skip it."""
+
+    def test_unknown_node_rejected(self, g_p5):
+        with pytest.raises(WordError):
+            RaagWord(g_p5, (("zz", 1),))
+
+    def test_exponent_two_rejected(self, g_p5):
+        with pytest.raises(WordError):
+            RaagWord(g_p5, (("a", 2),))
+        with pytest.raises(WordError):
+            word(g_p5, [("a", 1), ("b", 2)])
+        with pytest.raises(WordError):
+            generator(g_p5, "a", 2)
+
+    def test_products_across_graphs_rejected(self, g_p5, free3):
+        with pytest.raises(WordError):
+            generator(g_p5, "a") * generator(free3, "x")
+
+    def test_structurally_equal_graph_accepted(self, g_p5):
+        twin = DefiningGraph(g_p5.nodes, g_p5.edges)
+        assert twin is not g_p5
+        product = parse_word(g_p5, "a b") * parse_word(twin, "b^-1 c")
+        assert str(reduce_word(product)) == "a c"
+        assert equal(parse_word(g_p5, "a b"), parse_word(twin, "b a"))
+
+    def test_derived_words_equal_validated_ones(self, g_p5):
+        # Words from internal paths compare and hash like checked words.
+        rng = random.Random(3)
+        for _ in range(50):
+            w = random_word(g_p5, rng, rng.randrange(10))
+            for derived in (reduce_word(w), canonical(w), w.inverse(), w * w):
+                checked = RaagWord(g_p5, derived.letters)
+                assert derived == checked
+                assert hash(derived) == hash(checked)
