@@ -169,6 +169,12 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
         return _input_error(f"--cap must be at least 1, got {args.cap}")
     try:
         h = HalfEdgeSet.standard(args.r, args.s)
+        if h.size < 4:
+            # No ideal edges: the complex is empty, and its reduced homology
+            # (Z in degree -1) has no place in the output.
+            return _input_error(
+                f"ideal-complex needs at least 4 half-edges (2r + s), got {h.size}"
+            )
         legal_only = not args.full
         c = build_complex(h, legal_only=legal_only, max_simplices=args.cap)
         all_edges = enumerate_ideal_edges(h)

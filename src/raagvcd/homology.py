@@ -1,14 +1,39 @@
-"""Reduced integral homology of small simplicial complexes.
+"""Reduced integral homology of simplicial complexes, by coreduction.
 
-Boundary matrices are reduced over the integers: a sparse pass eliminates
-unit pivots (chosen Markowitz-style to limit fill), and whatever survives
-goes through a dense Smith reduction with exact arithmetic.  This yields
-ranks and invariant factors, hence reduced Betti numbers and torsion, with
-no floating point anywhere.
+Cells get integer ids in order of degree.  The empty simplex is the one
+cell of degree -1 and the only face of every vertex, so the chain complex
+built here is the augmented one and its homology is reduced homology.
+
+A queue-based coreduction (Mrozek & Batko, *Coreduction homology
+algorithm*, DCG 41, 2009) removes every cell.  A live cell with exactly one
+live face is removed together with that face; when the queue runs empty,
+the lowest-degree live cell, which then has no live face, is removed as
+critical.  The result is exact over the integers:
+
+* Each step adds to the cells removed so far either a critical cell whose
+  faces are all removed, or a pair (a, b) whose cell b is the only face of
+  a not yet removed.  Every face of b is also a face of another face of a,
+  so the removed cells form a subcomplex after every step.
+* A pair has incidence <da, b> = +-1 because the complex is simplicial, so
+  adding it is an elementary expansion: an elementary chain reduction,
+  which keeps the homology over Z.  The pairs form an acyclic matching
+  whose gradient paths run strictly back in removal order, and by Forman's
+  discrete Morse theory the chain complex is chain homotopy equivalent to
+  the Morse complex on the critical cells.
+* The Morse boundary of a critical q-cell s is the image of ds under the
+  flow: a (q-1)-cell b paired with a coface a becomes b - eps * da, where
+  eps = <da, b>, and a (q-1)-cell paired with a face becomes zero.  The
+  other faces of a were all removed before the pair, so taking the pairs
+  in the order they were formed handles each cell once.
+
+When no two critical cells lie in adjacent degrees every Morse boundary is
+zero and H_q is free of rank c_q, with no matrix work.  Otherwise the small
+Morse boundary matrices go through a dense Smith reduction with exact
+arithmetic.  No floating point is used anywhere.
 """
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -33,106 +58,6 @@ class HomologySummary:
             "torsion": [list(t) for t in self.torsion],
             "trivial": self.trivial,
         }
-
-
-class _SparseMatrix:
-    """Row-major sparse integer matrix supporting unit-pivot elimination."""
-
-    def __init__(self, n_rows: int, n_cols: int):
-        self.rows: dict[int, dict[int, int]] = {}
-        self.col_index: dict[int, set[int]] = {}
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-
-    def set(self, r: int, c: int, val: int) -> None:
-        if val == 0:
-            return
-        self.rows.setdefault(r, {})[c] = val
-        self.col_index.setdefault(c, set()).add(r)
-
-    def _discard(self, r: int, c: int) -> None:
-        row = self.rows.get(r)
-        if row is not None and c in row:
-            del row[c]
-            if not row:
-                del self.rows[r]
-        rows_in_col = self.col_index.get(c)
-        if rows_in_col is not None:
-            rows_in_col.discard(r)
-            if not rows_in_col:
-                del self.col_index[c]
-
-    def add_multiple(
-        self, target: int, source: int, factor: int
-    ) -> list[tuple[int, int]]:
-        """row[target] += factor * row[source]; returns entries that became unit."""
-        new_units: list[tuple[int, int]] = []
-        if factor == 0:
-            return new_units
-        source_row = self.rows.get(source, {})
-        for c, val in list(source_row.items()):
-            current = self.rows.get(target, {}).get(c, 0)
-            new = current + factor * val
-            if new == 0:
-                self._discard(target, c)
-            else:
-                self.rows.setdefault(target, {})[c] = new
-                self.col_index.setdefault(c, set()).add(target)
-                if new in (1, -1) and current not in (1, -1):
-                    new_units.append((target, c))
-        return new_units
-
-    def _cost(self, r: int, c: int) -> int:
-        return (len(self.rows[r]) - 1) * (len(self.col_index[c]) - 1)
-
-    def eliminate_unit_pivots(self) -> int:
-        """Clear rows/columns through +-1 pivots; returns pivots eliminated.
-
-        A unit pivot lets its column be cleared by row operations, after
-        which the pivot row clears for free; both are removed.  Pivots come
-        off a lazily revalidated min-heap on the fill estimate
-        (row_nnz - 1) * (col_nnz - 1), which keeps fill-in tame on boundary
-        matrices.
-        """
-        heap: list[tuple[int, int, int]] = []
-        for r, row in self.rows.items():
-            for c, val in row.items():
-                if val in (1, -1):
-                    heap.append((self._cost(r, c), r, c))
-        heapq.heapify(heap)
-
-        eliminated = 0
-        while heap:
-            cost, r, c = heapq.heappop(heap)
-            row = self.rows.get(r)
-            if row is None or c not in row or row[c] not in (1, -1):
-                continue
-            current = self._cost(r, c)
-            if current > cost:
-                heapq.heappush(heap, (current, r, c))
-                continue
-            val = row[c]
-            for other in list(self.col_index.get(c, ())):
-                if other == r:
-                    continue
-                other_val = self.rows[other][c]
-                # other_val - (other_val * val) * val == 0 exactly since |val| == 1
-                for unit in self.add_multiple(other, r, -other_val * val):
-                    heapq.heappush(heap, (self._cost(*unit), *unit))
-            for col in list(self.rows.get(r, {})):
-                self._discard(r, col)
-            eliminated += 1
-        return eliminated
-
-    def dense_remainder(self) -> list[list[int]]:
-        live_rows = sorted(self.rows)
-        live_cols = sorted({c for row in self.rows.values() for c in row})
-        col_pos = {c: i for i, c in enumerate(live_cols)}
-        out = [[0] * len(live_cols) for _ in live_rows]
-        for i, r in enumerate(live_rows):
-            for c, val in self.rows[r].items():
-                out[i][col_pos[c]] = val
-        return out
 
 
 def _dense_smith_diagonal(mat: list[list[int]]) -> list[int]:
@@ -206,34 +131,13 @@ def reduce_boundary(
     n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]
 ) -> BoundaryReduction:
     """Rank and invariant factors (>1) of an integer matrix."""
-    sparse = _SparseMatrix(n_rows, n_cols)
+    mat = [[0] * n_cols for _ in range(n_rows)]
     for (r, c), val in entries.items():
-        sparse.set(r, c, val)
-    rank = sparse.eliminate_unit_pivots()
-    remainder = sparse.dense_remainder()
-    diag = _dense_smith_diagonal(remainder)
-    factors = _invariant_factors(diag)
-    rank += len(factors)
+        mat[r][c] = val
+    factors = _invariant_factors(_dense_smith_diagonal(mat))
     return BoundaryReduction(
-        rank=rank, torsion=tuple(d for d in factors if d > 1)
+        rank=len(factors), torsion=tuple(d for d in factors if d > 1)
     )
-
-
-def boundary_entries(
-    faces: Sequence[tuple[int, ...]], cells: Sequence[tuple[int, ...]]
-) -> dict[tuple[int, int], int]:
-    """Signed incidence of q-cells over their (q-1)-faces.
-
-    Cells are sorted vertex tuples; the i-th face omits the i-th vertex and
-    carries sign (-1)^i.
-    """
-    face_index = {f: i for i, f in enumerate(faces)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, cell in enumerate(cells):
-        for i in range(len(cell)):
-            face = cell[:i] + cell[i + 1 :]
-            entries[(face_index[face], j)] = -1 if i % 2 else 1
-    return entries
 
 
 def reduced_homology_of_chain(
@@ -241,30 +145,105 @@ def reduced_homology_of_chain(
 ) -> HomologySummary:
     """Reduced homology of a simplicial complex given per-dimension cells.
 
-    ``simplices_by_dim[q]`` lists the q-simplices as sorted vertex tuples.
-    The augmentation map to the empty simplex is included, so degree 0
-    reports components minus one.
+    ``simplices_by_dim[q]`` lists the q-simplices as sorted vertex tuples,
+    closed under taking faces.  Degree 0 reports components minus one.  The
+    empty complex is refused: its reduced homology is Z in degree -1, which
+    the summary has no place for.
     """
+    if not simplices_by_dim or not simplices_by_dim[0]:
+        raise ValueError("the empty complex has reduced homology Z in degree -1")
+    # faces[c] lists the faces of cell c in order; the i-th has sign (-1)**i.
+    faces: list[list[int]] = [[]]
+    cofaces: list[list[int]] = [[]]
+    index: dict[tuple[int, ...], int] = {(): 0}
+    for level in simplices_by_dim:
+        ids: dict[tuple[int, ...], int] = {}
+        for simplex in level:
+            cell = ids[simplex] = len(faces)
+            fs = [index[simplex[:i] + simplex[i + 1 :]] for i in range(len(simplex))]
+            faces.append(fs)
+            cofaces.append([])
+            for f in fs:
+                cofaces[f].append(cell)
+        index = ids
+
+    n = len(faces)
+    live = bytearray(b"\x01") * n
+    n_live = [len(fs) for fs in faces]
+    pairs: list[tuple[int, int]] = []  # (a, b): b was the only live face of a
+    critical: list[int] = []
+    queue = deque([1])  # the first vertex pairs with the empty simplex
+    lowest = 0
+    while True:
+        while queue:
+            a = queue.popleft()
+            if not live[a] or n_live[a] != 1:
+                continue
+            b = next(f for f in faces[a] if live[f])
+            live[a] = live[b] = 0
+            pairs.append((a, b))
+            for c in cofaces[a] + cofaces[b]:
+                n_live[c] -= 1
+                if n_live[c] == 1:
+                    queue.append(c)
+        while lowest < n and not live[lowest]:
+            lowest += 1
+        if lowest == n:
+            break
+        live[lowest] = 0
+        critical.append(lowest)
+        for c in cofaces[lowest]:
+            n_live[c] -= 1
+            if n_live[c] == 1:
+                queue.append(c)
+
     dims = len(simplices_by_dim)
-    counts = [len(simplices_by_dim[q]) for q in range(dims)]
-
-    reductions: list[BoundaryReduction] = []
-    # Augmentation: one row, a column of ones per vertex.
-    aug = {(0, j): 1 for j in range(counts[0])} if counts[0] else {}
-    reductions.append(reduce_boundary(1, counts[0], aug))
+    by_degree: list[list[int]] = [[] for _ in range(dims)]
+    for c in critical:
+        by_degree[len(faces[c]) - 1].append(c)
+    # reductions[q] reduces the Morse boundary from degree q to degree q - 1.
+    reductions = [BoundaryReduction(0, ())] * (dims + 1)
     for q in range(1, dims):
-        entries = boundary_entries(
-            simplices_by_dim[q - 1], simplices_by_dim[q]
-        )
-        reductions.append(reduce_boundary(counts[q - 1], counts[q], entries))
-
-    betti: list[int] = []
-    torsion: list[tuple[int, ...]] = []
-    for q in range(dims):
-        rank_q = reductions[q].rank
-        rank_next = reductions[q + 1].rank if q + 1 < dims else 0
-        betti.append(counts[q] - rank_q - rank_next)
-        torsion.append(reductions[q + 1].torsion if q + 1 < dims else ())
+        if by_degree[q] and by_degree[q - 1]:
+            reductions[q] = _morse_boundary(
+                faces, pairs, by_degree[q], by_degree[q - 1]
+            )
     return HomologySummary(
-        reduced_betti=tuple(betti), torsion=tuple(torsion)
+        reduced_betti=tuple(
+            len(by_degree[q]) - reductions[q].rank - reductions[q + 1].rank
+            for q in range(dims)
+        ),
+        torsion=tuple(reductions[q + 1].torsion for q in range(dims)),
     )
+
+
+def _morse_boundary(
+    faces: list[list[int]],
+    pairs: list[tuple[int, int]],
+    sources: list[int],
+    targets: list[int],
+) -> BoundaryReduction:
+    """Reduce the Morse boundary from critical ``sources`` to ``targets``."""
+    q = len(faces[targets[0]])  # cells of the target degree have q faces
+    # flow[c] is the image of cell c in the critical cells of its degree.
+    flow: dict[int, dict[int, int]] = {t: {t: 1} for t in targets}
+    for a, b in pairs:
+        if len(faces[b]) != q:
+            continue
+        fs = faces[a]
+        eps = -1 if fs.index(b) % 2 else 1
+        image: dict[int, int] = {}
+        for i, f in enumerate(fs):
+            if f != b and f in flow:
+                coeff = eps if i % 2 else -eps
+                for t, v in flow[f].items():
+                    image[t] = image.get(t, 0) + coeff * v
+        flow[b] = {t: v for t, v in image.items() if v}
+    row = {t: i for i, t in enumerate(targets)}
+    entries: dict[tuple[int, int], int] = {}
+    for j, s in enumerate(sources):
+        for i, f in enumerate(faces[s]):
+            for t, v in flow.get(f, {}).items():
+                key = (row[t], j)
+                entries[key] = entries.get(key, 0) + (-v if i % 2 else v)
+    return reduce_boundary(len(targets), len(sources), entries)

@@ -289,10 +289,7 @@ def reduced_homology(
             f"{c.total_simplices} simplices exceeds the homology cap "
             f"{max_simplices}"
         )
-    chain = [
-        tuple(simplex for simplex in level) for level in c.simplices_by_dim
-    ]
-    return reduced_homology_of_chain(chain)
+    return reduced_homology_of_chain(c.simplices_by_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,18 @@ class TestIdealComplex:
     def test_cap_error(self, capsys):
         assert main(["ideal-complex", "5", "1"]) == 1
 
+    @pytest.mark.parametrize("r,s", [(0, 3), (1, 1), (1, 0), (0, 1)])
+    def test_fewer_than_four_half_edges_exits_1(self, capsys, recwarn, r, s):
+        # The empty complex has reduced homology Z in degree -1, so no
+        # "trivial" answer may be printed for it.
+        assert main(["ideal-complex", str(r), str(s), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "at least 4 half-edges" in captured.err
+        assert "Warning" not in captured.err
+        assert len(recwarn) == 0
+
 
 class TestFlagRanges:
     @pytest.mark.parametrize(

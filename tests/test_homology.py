@@ -1,8 +1,18 @@
-"""Chain-level checks of the Smith reduction against hand-computable spaces."""
+"""Chain-level checks of the homology routes against hand-computable spaces
+and against a dense reduction of the full boundary matrices."""
 
+import random
 from itertools import combinations
 
-from raagvcd.homology import reduce_boundary, reduced_homology_of_chain
+import pytest
+
+from raagvcd import homology
+from raagvcd.homology import (
+    BoundaryReduction,
+    HomologySummary,
+    reduce_boundary,
+    reduced_homology_of_chain,
+)
 
 
 def chain_from_facets(facets):
@@ -16,6 +26,68 @@ def chain_from_facets(facets):
     for s in simplices:
         by_dim.setdefault(len(s) - 1, []).append(s)
     return [sorted(by_dim[q]) for q in range(max(by_dim) + 1)]
+
+
+def dense_reference(chain):
+    """Reduced homology from the full boundary matrices plus the
+    augmentation row, each reduced by ``reduce_boundary``."""
+    counts = [len(level) for level in chain]
+    augmentation = {(0, j): 1 for j in range(counts[0])}
+    reductions = [reduce_boundary(1, counts[0], augmentation)]
+    for q in range(1, len(chain)):
+        row = {face: i for i, face in enumerate(chain[q - 1])}
+        entries = {}
+        for j, cell in enumerate(chain[q]):
+            for i in range(len(cell)):
+                entries[(row[cell[:i] + cell[i + 1 :]], j)] = -1 if i % 2 else 1
+        reductions.append(reduce_boundary(counts[q - 1], counts[q], entries))
+    reductions.append(BoundaryReduction(0, ()))
+    return HomologySummary(
+        reduced_betti=tuple(
+            counts[q] - reductions[q].rank - reductions[q + 1].rank
+            for q in range(len(chain))
+        ),
+        torsion=tuple(reductions[q + 1].torsion for q in range(len(chain))),
+    )
+
+
+def grid_surface(twist):
+    """The 9-vertex torus on a 3x3 grid; with ``twist`` the top edge is
+    glued to the bottom reversed, which gives a Klein bottle."""
+
+    def label(x, y):
+        if y == 3:
+            y = 0
+            if twist:
+                x = (3 - x) % 3
+        return (x % 3) * 3 + y
+
+    facets = []
+    for x in range(3):
+        for y in range(3):
+            facets.append((label(x, y), label(x + 1, y), label(x + 1, y + 1)))
+            facets.append((label(x, y), label(x, y + 1), label(x + 1, y + 1)))
+    return facets
+
+
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
+]
+
+
+@pytest.fixture
+def morse_calls(monkeypatch):
+    """Record the shape of every matrix that reaches the dense Smith step."""
+    calls = []
+    original = homology.reduce_boundary
+
+    def counting(n_rows, n_cols, entries):
+        calls.append((n_rows, n_cols))
+        return original(n_rows, n_cols, entries)
+
+    monkeypatch.setattr(homology, "reduce_boundary", counting)
+    return calls
 
 
 def test_circle():
@@ -40,18 +112,62 @@ def test_sphere_boundary_of_tetrahedron():
     assert all(not t for t in hom.torsion)
 
 
-def test_projective_plane_torsion():
+def test_projective_plane_torsion(morse_calls):
     # Minimal 6-vertex triangulation (antipodal icosahedron quotient):
     # every pair of vertices is an edge, ten faces, Euler characteristic 1.
-    facets = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
-    ]
-    chain = chain_from_facets(facets)
+    chain = chain_from_facets(RP2_FACETS)
     assert len(chain[1]) == 15
     hom = reduced_homology_of_chain(chain)
     assert hom.reduced_betti == (0, 0, 0)
     assert hom.torsion[1] == (2,)
+    # Torsion needs critical cells in adjacent degrees.  The coreduction
+    # leaves one critical edge and one critical triangle, no more.
+    assert morse_calls == [(1, 1)]
+    assert dense_reference(chain) == hom
+
+
+def test_torus(morse_calls):
+    chain = chain_from_facets(grid_surface(twist=False))
+    assert [len(level) for level in chain] == [9, 27, 18]
+    hom = reduced_homology_of_chain(chain)
+    assert hom.reduced_betti == (0, 2, 1)
+    assert all(not t for t in hom.torsion)
+    assert morse_calls == [(2, 1)]
+    assert dense_reference(chain) == hom
+
+
+def test_klein_bottle_torsion(morse_calls):
+    chain = chain_from_facets(grid_surface(twist=True))
+    assert [len(level) for level in chain] == [9, 27, 18]
+    hom = reduced_homology_of_chain(chain)
+    # H_1 = Z + Z/2, H_2 = 0.
+    assert hom.reduced_betti == (0, 1, 0)
+    assert hom.torsion == ((), (2,), ())
+    assert morse_calls == [(2, 1)]
+    assert dense_reference(chain) == hom
+
+
+def test_matches_dense_reference_on_random_complexes(morse_calls):
+    rng = random.Random(20091)
+    through_morse = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        facets = [
+            rng.sample(range(n), rng.randint(1, min(4, n)))
+            for _ in range(rng.randint(1, 10))
+        ]
+        chain = chain_from_facets(facets)
+        before = len(morse_calls)
+        hom = reduced_homology_of_chain(chain)
+        through_morse += len(morse_calls) > before
+        assert hom == dense_reference(chain), facets
+    assert through_morse > 0
+
+
+def test_empty_complex_refused():
+    # Its reduced homology is Z in degree -1, which the summary cannot hold.
+    with pytest.raises(ValueError):
+        reduced_homology_of_chain([[]])
 
 
 def test_invariant_factors_of_triangular_matrix():

@@ -1,5 +1,8 @@
+from math import factorial
+
 import pytest
 
+from raagvcd import homology
 from raagvcd.ideal_edges import (
     HalfEdgeSet,
     IdealEdge,
@@ -24,6 +27,17 @@ def double_factorial_tree_count(m: int) -> int:
         out *= k
         k -= 2
     return out
+
+
+@pytest.fixture
+def no_matrix_work(monkeypatch):
+    """Fail if the homology reaches the dense Smith step: on these complexes
+    the coreduction leaves no critical cells in adjacent degrees."""
+
+    def refuse(n_rows, n_cols, entries):
+        raise AssertionError("Morse boundary needed a matrix reduction")
+
+    monkeypatch.setattr(homology, "reduce_boundary", refuse)
 
 
 class TestEnumeration:
@@ -165,11 +179,24 @@ class TestHomology:
         assert hom.trivial
 
     @pytest.mark.parametrize("r,s", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
-    def test_legal_complexes_homology_trivial(self, r, s):
+    def test_legal_complexes_homology_trivial(self, r, s, no_matrix_work):
         c = build_complex(
             HalfEdgeSet.standard(r, s), legal_only=True, max_simplices=200000
         )
         assert reduced_homology(c, max_simplices=200000).trivial
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_full_complex_is_wedge_of_spheres(self, m, no_matrix_work):
+        # Tree space on m leaves is a wedge of (m-2)! spheres of dimension
+        # m-4 (Robinson & Whitehouse 1996).
+        c = build_complex(HalfEdgeSet.standard(0, m), max_simplices=200000)
+        assert c.counts()[0] == 2 ** (m - 1) - m - 1
+        assert len(c.simplices_by_dim[-1]) == double_factorial_tree_count(m)
+        hom = reduced_homology(c, max_simplices=200000)
+        expected = [0] * (m - 3)
+        expected[m - 4] = factorial(m - 2)
+        assert hom.reduced_betti == tuple(expected)
+        assert all(not t for t in hom.torsion)
 
     def test_homology_cap(self):
         c = build_complex(HalfEdgeSet.standard(3, 2), legal_only=True)
