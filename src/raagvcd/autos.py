@@ -14,7 +14,25 @@ and conjugation by a word ``w`` sends ``x`` to ``w x w^-1``.
 Stored images are always reduced words: the constructor reduces what it is
 given and :func:`compose` keeps the reduced results of ``apply`` without
 reducing them again, so fixed generators are recognised by their letters
-alone.  ``inverse()`` is built once and cached on both maps.
+alone.  Reduced words for one element are shuffles of one another, so a
+reduced image equals ``x`` exactly when it is the one-letter word ``x``.
+
+Each map keeps its *support*, the nodes it moves in graph order, computed
+once from those letters.  Work is done over supports only, and skipping
+the other nodes is exact because each of them is sent to the one-letter
+word ``x``:
+
+* ``compose(phi, psi)`` maps only ``psi``'s support through ``phi``; any
+  other ``x`` has ``psi(x) = x``, so ``phi(psi(x))`` is ``phi``'s stored
+  image of ``x``.
+* ``equals`` compares the union of the two supports; outside it both
+  images are ``x``.
+* ``respects_relations`` checks the edges that meet the support; the
+  images of an edge with both ends fixed are its ends, which commute.
+
+``inverse()`` is built once and cached on both maps.  A composite records
+its two factors instead of building inverse images, and builds
+``compose(psi.inverse(), phi.inverse())`` on first call.
 """
 from __future__ import annotations
 
@@ -55,11 +73,14 @@ class RaagAutomorphism:
     """An endomorphism given by generator images, usually with a stored
     two-sided inverse certifying that it is an automorphism.
 
-    Images are stored reduced, and :meth:`inverse` is cached, so
+    Images are stored reduced, the support (moved nodes, in graph order) is
+    computed once, and :meth:`inverse` is cached, so
     ``phi.inverse().inverse() is phi``.
     """
 
-    __slots__ = ("graph", "images", "inverse_images", "_inverse")
+    __slots__ = (
+        "graph", "images", "_inverse_images", "_inverse", "_support", "_factors"
+    )
 
     def __init__(
         self,
@@ -79,7 +100,7 @@ class RaagAutomorphism:
                 for x in graph.nodes
             }
         )
-        self.inverse_images = (
+        self._inverse_images = (
             MappingProxyType(
                 {
                     x: reduce_word(inverse_images[x])
@@ -92,6 +113,8 @@ class RaagAutomorphism:
             else None
         )
         self._inverse: RaagAutomorphism | None = None
+        self._support = _scan_support(graph, self.images)
+        self._factors: tuple[RaagAutomorphism, RaagAutomorphism] | None = None
 
     @classmethod
     def _from_reduced(
@@ -99,14 +122,18 @@ class RaagAutomorphism:
         graph: DefiningGraph,
         images: Mapping[str, RaagWord],
         inverse_images: Mapping[str, RaagWord] | None,
+        support: tuple[str, ...] | None = None,
     ) -> "RaagAutomorphism":
         """Wrap read-only image maps that cover every node with words already
-        reduced over ``graph``, without checking or reducing them again."""
+        reduced over ``graph``, without checking or reducing them again.
+        ``support`` is scanned from ``images`` unless the caller knows it."""
         phi = cls.__new__(cls)
         phi.graph = graph
         phi.images = images
-        phi.inverse_images = inverse_images
+        phi._inverse_images = inverse_images
         phi._inverse = None
+        phi._support = _scan_support(graph, images) if support is None else support
+        phi._factors = None
         return phi
 
     def image_of(self, node: str) -> RaagWord:
@@ -124,44 +151,62 @@ class RaagAutomorphism:
                 letters.extend((h, -e) for h, e in reversed(img))
         return reduce_word(_trusted(self.graph, tuple(letters)))
 
+    @property
+    def inverse_images(self) -> Mapping[str, RaagWord] | None:
+        """The images of the inverse, or ``None`` if there is no inverse; a
+        composite builds its inverse on first read."""
+        if self._inverse_images is None and self._factors is not None:
+            self.inverse()
+        return self._inverse_images
+
+    def _invertible(self) -> bool:
+        """Whether :meth:`inverse` would succeed, without building it."""
+        return self._inverse_images is not None or self._factors is not None
+
     def inverse(self) -> "RaagAutomorphism":
         if self._inverse is None:
-            if self.inverse_images is None:
+            if self._inverse_images is not None:
+                inv = RaagAutomorphism._from_reduced(
+                    self.graph, self._inverse_images, self.images
+                )
+            elif self._factors is not None:
+                phi, psi = self._factors
+                inv = compose(psi.inverse(), phi.inverse())
+                inv._factors = self._factors = None
+                inv._inverse_images = self.images
+                self._inverse_images = inv.images
+            else:
                 raise AutomorphismError("no stored inverse")
-            inv = RaagAutomorphism._from_reduced(
-                self.graph, self.inverse_images, self.images
-            )
             inv._inverse = self
             self._inverse = inv
         return self._inverse
 
     def is_identity(self) -> bool:
-        """Whether every generator is fixed.
-
-        Each stored image is reduced, and reduced words for the same element
-        are shuffles of one another, so they have the same letters.  A
-        reduced image therefore equals ``x`` exactly when it is the one-letter
-        word ``x``, and comparing with ``((x, 1),)`` needs no normal form.
-        """
-        return all(img.letters == ((x, 1),) for x, img in self.images.items())
+        """Whether every generator is fixed: the support is empty."""
+        return not self._support
 
     def moved_nodes(self) -> tuple[str, ...]:
-        """Nodes whose image is not the generator itself (exact for the
-        reason given in :meth:`is_identity`)."""
-        return tuple(
-            x for x in self.graph.nodes if self.images[x].letters != ((x, 1),)
-        )
+        """Nodes whose image is not the generator itself, in graph order."""
+        return self._support
 
     def equals(self, other: "RaagAutomorphism") -> bool:
+        """Equality as maps, decided by :func:`equal` on every node either
+        map moves; every other node is sent to itself by both."""
         if self.graph is not other.graph and self.graph != other.graph:
             return False
-        return all(
-            equal(self.images[x], other.images[x]) for x in self.graph.nodes
+        nodes = self._support + tuple(
+            x for x in other._support if x not in self._support
         )
+        return all(equal(self.images[x], other.images[x]) for x in nodes)
 
     def respects_relations(self) -> bool:
-        """Adjacent generators must have commuting images."""
+        """Adjacent generators must have commuting images.  An edge with
+        both ends fixed maps to itself, so only edges at the support are
+        checked."""
+        moved = set(self._support)
         for e in self.graph.edges:
+            if moved.isdisjoint(e):
+                continue
             x, y = sorted(e)
             if not equal(
                 self.images[x] * self.images[y], self.images[y] * self.images[x]
@@ -170,7 +215,7 @@ class RaagAutomorphism:
         return True
 
     def has_verified_inverse(self) -> bool:
-        if self.inverse_images is None:
+        if not self._invertible():
             return False
         inv = self.inverse()
         return compose(self, inv).is_identity() and compose(inv, self).is_identity()
@@ -178,6 +223,12 @@ class RaagAutomorphism:
     def __repr__(self) -> str:
         moved = {x: str(self.images[x]) for x in self.moved_nodes()}
         return f"RaagAutomorphism({moved or 'identity'})"
+
+
+def _scan_support(
+    graph: DefiningGraph, images: Mapping[str, RaagWord]
+) -> tuple[str, ...]:
+    return tuple(x for x in graph.nodes if images[x].letters != ((x, 1),))
 
 
 def identity_automorphism(g: DefiningGraph) -> RaagAutomorphism:
@@ -222,20 +273,28 @@ def transvection(
 
 
 def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
-    """``compose(phi, psi)(x) = phi(psi(x))``: right-to-left application."""
+    """``compose(phi, psi)(x) = phi(psi(x))``: right-to-left application.
+
+    Only ``psi``'s support is mapped through ``phi``; every other node
+    keeps ``phi``'s stored image.  The inverse is built on first use, as
+    ``compose(psi.inverse(), phi.inverse())``.
+    """
     g = phi.graph
     if psi.graph is not g and psi.graph != g:
         raise AutomorphismError("automorphisms over different graphs")
-    images = {x: phi.apply(psi.images[x]) for x in g.nodes}
-    inverse_images = None
-    if phi.inverse_images is not None and psi.inverse_images is not None:
-        psi_inv = psi.inverse()
-        inverse_images = MappingProxyType(
-            {x: psi_inv.apply(phi.inverse_images[x]) for x in g.nodes}
-        )
-    return RaagAutomorphism._from_reduced(
-        g, MappingProxyType(images), inverse_images
+    images = phi.images.copy()
+    for x in psi._support:
+        images[x] = phi.apply(psi.images[x])
+    maybe_moved = set(phi._support).union(psi._support)
+    support = tuple(
+        x for x in g.nodes if x in maybe_moved and images[x].letters != ((x, 1),)
     )
+    result = RaagAutomorphism._from_reduced(
+        g, MappingProxyType(images), None, support
+    )
+    if phi._invertible() and psi._invertible():
+        result._factors = (phi, psi)
+    return result
 
 
 def compose_all(autos: Sequence[RaagAutomorphism]) -> RaagAutomorphism:

@@ -37,6 +37,11 @@ EXIT_PARSE = 1
 EXIT_INELIGIBLE = 2
 EXIT_VIOLATION = 3
 
+# Upper guards on flags whose cost grows without bound: ``psigma 100 1``
+# takes about 1.3 s and ``verify --max-nodes 12`` about 2 s.
+MAX_PSIGMA_RANK = 100
+MAX_VERIFY_NODES = 12
+
 
 def _emit(payload: dict, as_json: bool, text_renderer: Callable[[dict], str]) -> None:
     if as_json:
@@ -133,6 +138,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_psigma(args: argparse.Namespace) -> int:
+    if args.n > MAX_PSIGMA_RANK:
+        return _input_error(f"psigma N must be at most {MAX_PSIGMA_RANK}, got {args.n}")
     try:
         spec = PsigmaSpec(args.n, args.k)
         payload: dict = {
@@ -230,6 +237,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.max_nodes < 2:
         return _input_error(f"--max-nodes must be at least 2, got {args.max_nodes}")
+    if args.max_nodes > MAX_VERIFY_NODES:
+        return _input_error(
+            f"--max-nodes must be at most {MAX_VERIFY_NODES}, got {args.max_nodes}"
+        )
     result = run_verification(max_nodes=args.max_nodes)
     if args.json:
         print(json.dumps(result.to_dict(), sort_keys=True, indent=2))

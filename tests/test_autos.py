@@ -284,6 +284,152 @@ class TestStoredImages:
         assert mixed.equals(phi)
 
 
+def _dense_compose(phi, psi):
+    """Reference: every node's image mapped through ``phi``."""
+    return {x: phi.apply(psi.images[x]) for x in phi.graph.nodes}
+
+
+def _dense_equals(phi, psi):
+    """Reference: ``equal`` on every node."""
+    return all(equal(phi.images[x], psi.images[x]) for x in phi.graph.nodes)
+
+
+def _dense_respects_relations(phi):
+    """Reference: every edge's images commute."""
+    img = phi.images
+    return all(
+        equal(img[x] * img[y], img[y] * img[x])
+        for x, y in (sorted(e) for e in phi.graph.edges)
+    )
+
+
+def _support_sample(g, rng):
+    """Seeded products of generators, inner automorphisms among them, plus
+    identities written both directly and as products."""
+    autos = _random_automorphisms(g, rng, 30)
+    autos += [inner_automorphism(g, generator(g, v)) for v in sorted(g.nodes)[:2]]
+    autos += [identity_automorphism(g), compose(autos[0], autos[0].inverse())]
+    return autos
+
+
+class TestSupportOracle:
+    """The support-based compose, equals and respects_relations against
+    all-nodes references."""
+
+    GRAPHS = ["g_p5", "g_c5l", "g_grid", "g_f3"]
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_compose_matches_dense(self, graph, request):
+        g = request.getfixturevalue(graph)
+        rng = random.Random(f"compose-{graph}")
+        autos = _support_sample(g, rng)
+        for _ in range(60):
+            phi, psi = rng.choice(autos), rng.choice(autos)
+            both = compose(phi, psi)
+            dense = _dense_compose(phi, psi)
+            for x in g.nodes:
+                assert both.images[x].letters == dense[x].letters
+            assert both.moved_nodes() == tuple(
+                x for x in g.nodes if canonical(dense[x]).letters != ((x, 1),)
+            )
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_equals_matches_dense(self, graph, request):
+        g = request.getfixturevalue(graph)
+        rng = random.Random(f"equals-{graph}")
+        autos = _support_sample(g, rng)
+        identity = identity_automorphism(g)
+        pairs = [(a, identity) for a in autos] + [(identity, a) for a in autos]
+        pairs += [(a, compose(a, identity)) for a in autos]
+        for _ in range(60):
+            phi, psi = rng.choice(autos), rng.choice(autos)
+            pairs += [(phi, psi), (compose(phi, psi), compose(psi, phi))]
+        verdicts = set()
+        for a, b in pairs:
+            verdict = _dense_equals(a, b)
+            assert a.equals(b) == verdict
+            assert b.equals(a) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_respects_relations_matches_dense(self, graph, request):
+        g = request.getfixturevalue(graph)
+        rng = random.Random(f"relations-{graph}")
+        maps = _support_sample(g, rng)
+        letters = [(v, s) for v in g.nodes for s in (1, -1)]
+        for _ in range(40):
+            x = rng.choice(g.nodes)
+            img = word(g, [rng.choice(letters) for _ in range(rng.randrange(1, 4))])
+            maps.append(RaagAutomorphism(g, {x: img}))
+        verdicts = set()
+        for phi in maps:
+            verdict = _dense_respects_relations(phi)
+            assert phi.respects_relations() == verdict
+            verdicts.add(verdict)
+        assert verdicts == ({True} if not g.edges else {True, False})
+
+    def test_compose_applies_only_psi_support(self, g_grid, monkeypatch):
+        phi = partial_conjugation(g_grid, "g11", ["g00"])
+        psi = transvection(g_grid, "g22", "g21")
+        calls = []
+        real_apply = RaagAutomorphism.apply
+
+        def counting_apply(self, w):
+            calls.append(self)
+            return real_apply(self, w)
+
+        monkeypatch.setattr(RaagAutomorphism, "apply", counting_apply)
+        both = compose(phi, psi)
+        assert calls == [phi]  # psi moves g22 only; no inverse is built
+        monkeypatch.undo()
+        assert both.moved_nodes() == ("g00", "g22")
+
+
+class TestLazyInverse:
+    def _pair(self, g):
+        return (
+            compose(transvection(g, "u", "v1"), partial_conjugation(g, "v2", ["u"])),
+            partial_conjugation(g, "u", ["v2", "v3", "v4", "v5"]),
+        )
+
+    def test_composite_inverse_is_product_of_inverses(self, g_c5l):
+        phi, psi = self._pair(g_c5l)
+        both = compose(phi, psi)
+        assert not both.equals(compose(psi, phi))  # the order matters
+        expected = compose(psi.inverse(), phi.inverse())
+        assert both.inverse().equals(expected)
+        assert _dense_equals(both.inverse(), expected)
+        assert both.inverse().inverse() is both
+        assert compose(both, both.inverse()).is_identity()
+
+    def test_inverse_images_readable_on_composite(self, g_c5l):
+        phi, psi = self._pair(g_c5l)
+        both = compose(phi, psi)
+        inv_images = both.inverse_images
+        assert inv_images is not None
+        assert set(inv_images) == set(g_c5l.nodes)
+        inv = both.inverse()
+        assert all(inv_images[x] == inv.images[x] for x in g_c5l.nodes)
+        assert inv.inverse_images is both.images
+
+    def test_has_verified_inverse_on_composites(self, g_c5l, g_grid):
+        phi, psi = self._pair(g_c5l)
+        assert compose(phi, psi).has_verified_inverse()
+        assert compose_all([phi, psi, phi.inverse(), psi]).has_verified_inverse()
+        for a in _random_automorphisms(g_grid, random.Random("lazy"), 20):
+            assert a.has_verified_inverse()
+
+    def test_factor_without_inverse_still_raises(self, g_p5):
+        bare = RaagAutomorphism(g_p5, {"a": parse_word(g_p5, "a b")})
+        stored = transvection(g_p5, "a", "b")
+        for both in (compose(bare, stored), compose(stored, bare)):
+            assert both.inverse_images is None
+            assert not both.has_verified_inverse()
+            with pytest.raises(AutomorphismError):
+                both.inverse()
+
+
 class TestGeneratorSet:
     def test_p5_matches_worked_example(self, g_p5):
         gs = build_generator_set(g_p5)

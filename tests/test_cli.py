@@ -136,6 +136,53 @@ class TestFlagRanges:
         assert "exceeds 1 simplices" in capsys.readouterr().err
 
 
+class TestUpperCaps:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Fail the test if a capped command starts its work."""
+        from raagvcd import cli as cli_module
+        from raagvcd import verify_suite
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the range check")
+
+        monkeypatch.setattr(cli_module, "psigma_generators", forbidden)
+        monkeypatch.setattr(cli_module, "psigma_vcd", forbidden)
+        monkeypatch.setattr(verify_suite, "run_verification", forbidden)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psigma", "101", "1"],
+            ["psigma", "101", "0", "--json"],
+            ["psigma", "100000", "1"],
+            ["verify", "--max-nodes", "13"],
+            ["verify", "--max-nodes", "1000", "--json"],
+        ],
+    )
+    def test_above_cap_exits_1(self, capsys, no_work, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "at most" in captured.err
+        assert captured.out == ""
+
+    def test_caps_accepted(self, capsys, monkeypatch):
+        from raagvcd import verify_suite
+
+        assert main(["psigma", "100", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["vcd"] == 197
+        seen = []
+
+        def stub(max_nodes):
+            seen.append(max_nodes)
+            return verify_suite.VerificationResult()
+
+        monkeypatch.setattr(verify_suite, "run_verification", stub)
+        assert main(["verify", "--max-nodes", "12"]) == 0
+        assert seen == [12]
+
+
 class TestVerify:
     def test_small_corpus_passes(self, capsys):
         assert main(["verify", "--max-nodes", "5", "--json"]) == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from raagvcd.corpus import spider
 from raagvcd.graph_core import DefiningGraph
 from raagvcd.words import (
     RaagWord,
@@ -179,6 +180,175 @@ class TestCanonical:
                 else:
                     stack.append(letter)
             assert reduce_word(w).letters == tuple(stack)
+
+
+def greedy_canonical_letters(graph, letters):
+    """Reference: the quadratic-scan greedy the heap form replaced.  Among
+    the letters that commute with everything before them, emit the least
+    (positive before inverse, earliest on ties), and repeat."""
+    adj = graph.adjacency
+    remaining = list(letters)
+    out = []
+    while remaining:
+        best_i, best_key = -1, None
+        for i, (gen, exp) in enumerate(remaining):
+            if any(h != gen and h not in adj[gen] for h, _ in remaining[:i]):
+                continue
+            if best_key is None or (gen, -exp) < best_key:
+                best_key, best_i = (gen, -exp), i
+        out.append(remaining.pop(best_i))
+    return out
+
+
+def _grid_3x3():
+    return DefiningGraph.from_edges(
+        [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(3) for c in range(2)]
+        + [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(2) for c in range(3)]
+    )
+
+
+def _c5l():
+    return DefiningGraph.from_edges(
+        [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v1"), ("v1", "u")]
+    )
+
+
+ORACLE_GRAPHS = {
+    "grid": _grid_3x3,
+    "spider_5_3": lambda: spider(5, 3),
+    "c5l": _c5l,
+    "f6": lambda: DefiningGraph(tuple(f"x{i}" for i in range(1, 7)), frozenset()),
+}
+
+
+class TestCanonicalOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_heap_matches_greedy(self, name):
+        g = ORACLE_GRAPHS[name]()
+        rng = random.Random(f"canonical-{name}")
+        lengths = set()
+        for _ in range(40):
+            w = random_word(g, rng, rng.randrange(301))
+            reduced = reduce_word(w)
+            expected = tuple(greedy_canonical_letters(g, reduced.letters))
+            assert canonical(w).letters == expected
+            assert canonical(reduced).letters == expected
+            lengths.add(len(reduced) // 50)
+        assert len(lengths) >= 3  # short, medium and long reduced words
+
+    def test_many_ready_letters(self):
+        # Ready letters commute pairwise, so a triangle-free graph never has
+        # more than two at once; a 4-clique with a pendant node fills the
+        # heap with up to four.
+        clique = ["a", "b", "c", "d"]
+        g = DefiningGraph.from_edges(
+            [(p, q) for i, p in enumerate(clique) for q in clique[i + 1 :]] + [("a", "e")]
+        )
+        rng = random.Random(8)
+        for _ in range(30):
+            reduced = reduce_word(random_word(g, rng, rng.randrange(301)))
+            assert canonical(reduced).letters == tuple(
+                greedy_canonical_letters(g, reduced.letters)
+            )
+
+
+@pytest.fixture
+def hyp():
+    return pytest.importorskip("hypothesis")
+
+
+PROPERTY_GRAPHS = [*ORACLE_GRAPHS.values(), lambda: DefiningGraph.from_edges(
+    [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+)]
+
+
+def _letters(st, g, max_size):
+    """Strategy: letter lists over the nodes of ``g``."""
+    return st.lists(
+        st.tuples(st.sampled_from(g.nodes), st.sampled_from((1, -1))), max_size=max_size
+    )
+
+
+def _words(st, max_size=40):
+    """Strategy: a word over one of the property graphs."""
+
+    @st.composite
+    def draw(draw_from):
+        g = draw_from(st.sampled_from(PROPERTY_GRAPHS))()
+        return word(g, draw_from(_letters(st, g, max_size)))
+
+    return draw()
+
+
+def _shuffle(w, rnd, steps=30):
+    """Swap adjacent letters of commuting (or equal) generators at random."""
+    adj = w.graph.adjacency
+    letters = list(w.letters)
+    for _ in range(steps if len(letters) > 1 else 0):
+        i = rnd.randrange(len(letters) - 1)
+        g1, g2 = letters[i][0], letters[i + 1][0]
+        if g1 == g2 or g2 in adj[g1]:
+            letters[i], letters[i + 1] = letters[i + 1], letters[i]
+    return word(w.graph, letters)
+
+
+class TestProperties:
+    """Hypothesis properties of the word layer (skipped without Hypothesis)."""
+
+    def test_reduce_idempotent_and_shuffle_invariant_in_length(self, hyp):
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(_words(st), st.randoms(use_true_random=False))
+        def prop(w, rnd):
+            r = reduce_word(w)
+            assert reduce_word(r).letters == r.letters
+            assert len(reduce_word(_shuffle(w, rnd))) == len(r)
+
+        prop()
+
+    def test_canonical_invariant_under_shuffles(self, hyp):
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(_words(st), st.randoms(use_true_random=False))
+        def prop(w, rnd):
+            reduced = reduce_word(w)
+            assert canonical(_shuffle(w, rnd)).letters == canonical(w).letters
+            assert canonical(_shuffle(reduced, rnd)).letters == canonical(w).letters
+
+        prop()
+
+    def test_equal_matches_canonical_forms(self, hyp):
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(_words(st, 12), st.data())
+        def prop(u, data):
+            g = u.graph
+            if data.draw(st.booleans()):
+                # An equal word: shuffle and insert a cancelling pair.
+                v = _shuffle(u, data.draw(st.randoms(use_true_random=False)))
+                pos = data.draw(st.integers(0, len(v)))
+                x = data.draw(st.sampled_from(g.nodes))
+                v = word(g, v.letters[:pos] + ((x, 1), (x, -1)) + v.letters[pos:])
+            else:
+                v = word(g, data.draw(_letters(st, g, 12)))
+            assert equal(u, v) == (canonical(u).letters == canonical(v).letters)
+
+        prop()
+
+    def test_str_parse_round_trip(self, hyp):
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=200, deadline=None)
+        @hyp.given(_words(st))
+        def prop(w):
+            # The empty word prints as "1", which parses as a node name.
+            hyp.assume(not w.is_empty)
+            assert parse_word(w.graph, str(w)).letters == w.letters
+
+        prop()
 
 
 class TestCyclicReduce:
