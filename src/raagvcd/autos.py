@@ -4,9 +4,10 @@ Provides composition, an exact innerness decision by length descent that
 holds on every defining graph (:func:`inner_conjugator`), the construction
 of the standard commuting generator set (partial conjugations plus
 transvections onto nodes outside the core subgraph) with an innerness
-decision for every commutator, the rank bookkeeping that turns that set
-into a lower-bound witness, and the projection to / lift from the free
-groups on vertex links used in the tree case.
+decision for every commutator, the exact inner rank (one integer solve,
+:func:`inner_lattice`) that turns that set into a lower-bound witness, and
+the projection to / lift from the free groups on vertex links used in the
+tree case.
 
 Conventions fixed once here: ``compose(phi, psi)`` applies ``psi`` first,
 and conjugation by a word ``w`` sends ``x`` to ``w x w^-1``.
@@ -37,7 +38,6 @@ its two factors instead of building inverse images, and builds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -46,6 +46,7 @@ from .graph_core import (
     DefiningGraph,
     GraphError,
     PieceDecomposition,
+    StructureAnomalyError,
     domination_order,
     gamma_zero,
     pieces,
@@ -565,8 +566,9 @@ class CommutationCertificate:
 
 @dataclass(frozen=True)
 class InnerLatticeResult:
-    """Exponent pairs (a, b) such that conjugation by ``v0^a w0^b`` was
-    found inside the generated subgroup, with the realizing vectors."""
+    """Exponent pairs (a, b) such that conjugation by ``v0^a w0^b`` lies
+    in the generated subgroup, with the realizing vectors.  The decision is
+    exact, so ``complete`` is always true."""
 
     rank: int
     witnesses: Mapping[tuple[int, int], tuple[int, ...]]
@@ -745,154 +747,169 @@ def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCerti
     return certs
 
 
-def _letter_closure(
-    gs: GeneratorSet, start: str
-) -> tuple[frozenset[str], tuple[int, ...]]:
-    """Letters reachable from ``start`` under repeated substitution, and the
-    generators that move any of them."""
-    autos = gs.automorphisms()
-    moved: list[frozenset[str]] = [frozenset(a.moved_nodes()) for a in autos]
-    closure = {start}
-    changed = True
-    while changed:
-        changed = False
-        for idx, a in enumerate(autos):
-            for x in list(closure & moved[idx]):
-                for letter, _ in a.images[x].letters:
-                    if letter not in closure:
-                        closure.add(letter)
-                        changed = True
-                inv = a.inverse_images
-                if inv is not None:
-                    for letter, _ in inv[x].letters:
-                        if letter not in closure:
-                            closure.add(letter)
-                            changed = True
-    affecting = tuple(
-        idx for idx in range(len(autos)) if moved[idx] & closure
-    )
-    return frozenset(closure), affecting
+def _lattice_invariant(phi: RaagAutomorphism) -> dict[tuple, int]:
+    """The additive invariant ``c(phi)`` that :func:`inner_lattice` solves
+    over, as a sparse map from key to value.
+
+    For each node ``x`` that ``phi`` moves, the reduced image must hold the
+    letter ``x`` exactly once, with exponent +1; anything else is an
+    unreadable image and raises :class:`StructureAnomalyError`.  Every other
+    letter ``h`` of the image adds its exponent under ``(x, h)``, and, when
+    ``h`` is outside ``st(x)``, also under ``(x, h, "L")`` or
+    ``(x, h, "R")`` by its side of ``x``.  Reduced words for one element are
+    shuffles of one another and ``h`` never passes ``x``, so the sides are
+    well defined.
+    """
+    adj = phi.graph.adjacency
+    out: dict[tuple, int] = {}
+    for x in phi.moved_nodes():
+        letters = phi.images[x].letters
+        at = [i for i, (h, _) in enumerate(letters) if h == x]
+        if len(at) != 1 or letters[at[0]][1] != 1:
+            raise StructureAnomalyError(
+                f"image {phi.images[x]} of {x!r} does not hold {x!r} exactly "
+                "once with exponent +1"
+            )
+        for i, (h, e) in enumerate(letters):
+            if h == x:
+                continue
+            keys = [(x, h)]
+            if h not in adj[x]:
+                keys.append((x, h, "L" if i < at[0] else "R"))
+            for key in keys:
+                out[key] = out.get(key, 0) + e
+    return {key: v for key, v in out.items() if v}
 
 
-# The inner-lattice search tries each generator exponent in INNER_EXPONENTS
-# and gives up (``complete`` false) after INNER_ASSIGNMENT_LIMIT assignments.
-INNER_EXPONENTS = (-1, 0, 1)
-INNER_ASSIGNMENT_LIMIT = 2_000_000
+def _solve_over_z(
+    columns: Sequence[Mapping[tuple, int]], rhs: Sequence[Mapping[tuple, int]]
+) -> list[tuple[int, ...] | None]:
+    """For each right-hand side ``b``, the integer vector ``e`` with
+    ``sum_i e[i] * columns[i] == b``, or ``None`` if there is none.
 
+    One elimination with integer row operations serves every right-hand
+    side: a column takes a pivot row with entry +-1 when it has one, and
+    otherwise the rows are combined by Euclid's algorithm until one holds
+    the gcd.  Both keep the set of integer solutions, so back substitution
+    that divides exactly finds the solution whenever there is one.  The
+    columns must be independent, which makes that solution unique; if they
+    are not, :class:`StructureAnomalyError` is raised.
+    """
+    n = len(columns)
+    rows_by_key: dict[tuple, dict[int, int]] = {}
+    for j, col in enumerate((*columns, *rhs)):
+        for key, v in col.items():
+            rows_by_key.setdefault(key, {})[j] = v
+    rows = list(rows_by_key.values())
 
-def _apply_power(a: RaagAutomorphism, n: int, w: RaagWord) -> RaagWord:
-    step = a if n > 0 else a.inverse()
-    for _ in range(abs(n)):
-        w = step.apply(w)
-    return w
+    def subtract(row: dict[int, int], q: int, pivot: dict[int, int]) -> None:
+        for j, v in pivot.items():
+            w = row.get(j, 0) - q * v
+            if w:
+                row[j] = w
+            else:
+                row.pop(j, None)
+
+    pivots: list[dict[int, int]] = []
+    for j in range(n):
+        hits = [r for r in rows if j in r]
+        if not hits:
+            raise StructureAnomalyError(
+                f"inner-lattice columns are dependent: column {j} has no pivot"
+            )
+        while True:
+            pivot = next((r for r in hits if r[j] in (1, -1)), None)
+            if pivot is None:
+                pivot = min(hits, key=lambda r: abs(r[j]))
+            for r in hits:
+                if r is not pivot:
+                    subtract(r, r[j] // pivot[j], pivot)
+            hits = [r for r in hits if j in r]
+            if len(hits) == 1:
+                break
+        pivots.append(pivot)
+        rows = [r for r in rows if r is not pivot]
+
+    def back_substitute(k: int) -> tuple[int, ...] | None:
+        if any(k in r for r in rows):
+            return None  # inconsistent in a row with no pivot
+        e = [0] * n
+        for j in reversed(range(n)):
+            pivot = pivots[j]
+            s = pivot.get(k, 0) - sum(
+                v * e[i] for i, v in pivot.items() if j < i < n
+            )
+            if s % pivot[j]:
+                return None
+            e[j] = s // pivot[j]
+        return tuple(e)
+
+    return [back_substitute(k) for k in range(n, n + len(rhs))]
 
 
 def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
-    """Search bounded products of the generators for conjugations by
-    ``v0^a w0^b`` (|a|,|b| <= 1) and return the rank of the found pairs.
+    """Decide which conjugations by ``v0^a w0^b``, for ``(a, b)`` in
+    (1, 0), (0, 1), (1, 1) and (1, -1), lie in the subgroup ``H`` generated
+    by the generator set, and return the rank of those pairs.
 
-    The search assigns exponents per generator with constraint propagation
-    over nodes: the image of a node under the product only depends on the
-    exponents of the generators moving letters in its substitution closure.
-    Every found vector is re-verified by full composition.
+    The decision is one linear solve over the integers.  The invariant ``c``
+    of :func:`_lattice_invariant` is additive on ``H``:
+
+    * every letter other than ``x`` in the image of ``x`` under a generator
+      is a core node (the partial-conjugation targets, the leaf targets and
+      the dominating targets all are), and every generator sends each core
+      node to a conjugate of itself by core letters;
+    * so ``H`` keeps the class in ``H_1`` of every word in core letters.
+      For ``x`` outside the core, ``P(Q(x)) = P(u) P(x) P(v)`` when
+      ``Q(x) = u x v``, with ``P(u)`` and ``u`` of one class and no ``x`` in
+      either, and letters outside ``st(x)`` never cross ``x`` while the word
+      reduces: ``c(PQ) = c(P) + c(Q)`` at ``x``;
+    * for ``x`` in the core, every ``P`` in ``H`` sends ``x`` to
+      ``g x g^-1`` with ``g`` in core letters, and ``g_PQ = P(g_Q) g_P``
+      modulo the centraliser ``<st(x)>``.  Killing ``st(x)`` minus ``x``
+      makes ``x`` a free factor, so a readable image ``u x v`` has the class
+      of ``g`` on ``u`` and minus it on ``v`` outside ``st(x)``, and the
+      totals at ``x`` are zero: again additive.
+
+    So if conjugation by ``t`` equals ``P(e)``, the product of generator
+    powers with exponent vector ``e``, then ``c(conj t) = A e`` with the
+    columns ``c(a_i)`` of the generators.  The columns must be independent
+    (checked), so ``e`` is the only candidate; it is kept only if the full
+    composition equals conjugation by ``t``.  ``complete`` is always true.
     """
     g = gs.graph
     v0, w0 = gs.choices.base_edge
     autos = gs.automorphisms()
-    n = len(autos)
-
-    closures: dict[str, tuple[frozenset[str], tuple[int, ...]]] = {
-        x: _letter_closure(gs, x) for x in g.nodes
-    }
-
-    budget = [INNER_ASSIGNMENT_LIMIT]
-    hit_cap = [False]
-
-    def conj_target(a: int, b: int) -> RaagWord:
-        letters: list = []
-        letters.extend((v0, 1 if a > 0 else -1) for _ in range(abs(a)))
-        letters.extend((w0, 1 if b > 0 else -1) for _ in range(abs(b)))
-        return RaagWord(g, tuple(letters))
-
-    def solve(a: int, b: int) -> tuple[int, ...] | None:
-        t = conj_target(a, b)
-        t_inv = t.inverse()
-
-        # Nodes no generator can reach must already satisfy the target.
-        for x in g.nodes:
-            if not closures[x][1]:
-                if not equal(generator(g, x), t * generator(g, x) * t_inv):
-                    return None
-
-        constrained = sorted(
-            (x for x in g.nodes if closures[x][1]),
-            key=lambda x: (len(closures[x][1]), x),
+    pairs = ((1, 0), (0, 1), (1, 1), (1, -1))
+    targets = [
+        inner_automorphism(
+            g, RaagWord(g, ((v0, 1),) * a + ((w0, 1 if b > 0 else -1),) * abs(b))
         )
-        assignment: dict[int, int] = {}
-
-        def check_node(x: str) -> bool:
-            w = generator(g, x)
-            for idx in closures[x][1]:
-                e = assignment[idx]
-                if e:
-                    w = _apply_power(autos[idx], e, w)
-            return equal(w, t * generator(g, x) * t_inv)
-
-        def dfs(pos: int) -> bool:
-            if pos == len(constrained):
-                return True
-            x = constrained[pos]
-            free = [i for i in closures[x][1] if i not in assignment]
-            if not free:
-                return check_node(x) and dfs(pos + 1)
-            for combo in product(INNER_EXPONENTS, repeat=len(free)):
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    return False
-                for i, e in zip(free, combo):
-                    assignment[i] = e
-                if check_node(x) and dfs(pos + 1):
-                    return True
-                for i in free:
-                    del assignment[i]
-            return False
-
-        if not dfs(0):
-            if budget[0] <= 0:
-                hit_cap[0] = True
-            return None
-        vector = tuple(assignment.get(i, 0) for i in range(n))
-        # Safety: re-verify by composing the full product.
-        factors = [
-            _power_automorphism(autos[i], vector[i])
-            for i in range(n)
-            if vector[i]
-        ]
-        full = compose_all(list(reversed(factors))) if factors else identity_automorphism(g)
-        if not full.equals(inner_automorphism(g, t)):
-            raise AutomorphismError(
-                "inner-lattice backtracking produced a vector that fails "
-                "full-composition verification"
-            )
-        return vector
+        for a, b in pairs
+    ]
+    solutions = _solve_over_z(
+        [_lattice_invariant(a) for a in autos],
+        [_lattice_invariant(t) for t in targets],
+    )
 
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        vec = solve(a, b)
-        if vec is not None:
-            witnesses[(a, b)] = vec
+    for pair, target, vector in zip(pairs, targets, solutions):
+        if vector is None:
+            continue
+        factors = [_power_automorphism(a, e) for a, e in zip(autos, vector) if e]
+        full = compose_all(factors[::-1]) if factors else identity_automorphism(g)
+        if full.equals(target):
+            witnesses[pair] = vector
 
-    pairs = list(witnesses)
-    if not pairs:
+    found = list(witnesses)
+    if not found:
         rank = 0
-    elif any(
-        p[0] * q[1] - p[1] * q[0] != 0 for p in pairs for q in pairs
-    ):
+    elif any(p[0] * q[1] - p[1] * q[0] != 0 for p in found for q in found):
         rank = 2
     else:
         rank = 1
 
-    return InnerLatticeResult(rank=rank, witnesses=witnesses, complete=not hit_cap[0])
+    return InnerLatticeResult(rank=rank, witnesses=witnesses, complete=True)
 
 
 def _power_automorphism(a: RaagAutomorphism, n: int) -> RaagAutomorphism:

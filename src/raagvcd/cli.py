@@ -9,6 +9,7 @@ by verify or an internal invariant broken during analyze.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -104,6 +105,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         g = parse_graph(text)
     except (OSError, ParseError) as exc:
         return _input_error(str(exc))
+    except UnicodeDecodeError as exc:
+        return _input_error(f"{args.path}: not UTF-8 text ({exc})")
     base_edge = tuple(args.e0.split(",")) if args.e0 else None
     if base_edge is not None and len(base_edge) != 2:
         return _input_error(f"--e0 expects two nodes A,B, got {args.e0!r}")
@@ -251,8 +254,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.ok else EXIT_VIOLATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2,
+    which this command reserves for an ineligible graph."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="raagvcd",
         description=(
             "Dimension bounds for outer automorphism groups of "
@@ -297,9 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of :func:`main` in a process and
+    reused by later calls (parsing leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

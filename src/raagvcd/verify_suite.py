@@ -2,16 +2,16 @@
 
 Runs every structural identity and bound formula over exhaustively
 generated trees and the deterministic cycle fixtures, plus generator-set
-counts and commutation certificates on the small end of the corpus.  Any
-violation is collected rather than raised so the caller can report all of
-them at once.
+counts, witness outer ranks and commutation certificates on the small end
+of the corpus.  Any violation is collected rather than raised so the
+caller can report all of them at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import corpus
-from .autos import build_generator_set, verify_commuting
+from .autos import build_generator_set, inner_lattice, verify_commuting
 from .graph_core import (
     DefiningGraph,
     GraphError,
@@ -160,6 +160,7 @@ def run_verification(max_nodes: int = 8) -> VerificationResult:
             continue
         try:
             gs = build_generator_set(g, certify=False)
+            outer = gs.count - inner_lattice(gs).rank
         except GraphError as exc:
             result.check("generator set on tree", False, str(exc))
             continue
@@ -170,6 +171,12 @@ def run_verification(max_nodes: int = 8) -> VerificationResult:
             f"generator count [{g.num_nodes}-node tree]",
             gs.count == expected,
             f"{gs.count} != {expected}",
+        )
+        lower = vcd_report(g).lower.value
+        result.check(
+            f"witness outer rank = lower bound [{g.num_nodes}-node tree]",
+            outer == lower,
+            f"{outer} != {lower}",
         )
 
     small = [g for g in trees if g.num_nodes <= 6]

@@ -104,7 +104,13 @@ def word(graph: DefiningGraph, letters: Iterable[Letter]) -> RaagWord:
 
 
 def parse_word(graph: DefiningGraph, text: str) -> RaagWord:
-    """Parse whitespace-separated letters ``x`` / ``x^-1`` (powers expand)."""
+    """Parse whitespace-separated letters ``x`` / ``x^-1`` (powers expand).
+
+    A lone ``1`` is the empty word, as ``str`` prints it, unless the graph
+    has a node named ``1``; then it is that generator.
+    """
+    if text.split() == ["1"] and "1" not in graph.adjacency:
+        return empty_word(graph)
     letters: list[Letter] = []
     for token in text.split():
         if "^" in token:

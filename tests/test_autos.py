@@ -1,9 +1,18 @@
+import dataclasses
 import functools
+import itertools
 import random
 
 import pytest
 
-from raagvcd.graph_core import DefiningGraph, gamma_zero, pieces
+from raagvcd import autos as autos_module
+from raagvcd.graph_core import (
+    DefiningGraph,
+    StructureAnomalyError,
+    gamma_zero,
+    pieces,
+    validate,
+)
 from raagvcd.words import (
     RaagWord,
     canonical,
@@ -23,9 +32,12 @@ from raagvcd.autos import (
     compose,
     compose_all,
     default_choices,
+    _lattice_invariant,
+    _solve_over_z,
     identity_automorphism,
     inner_automorphism,
     inner_conjugator,
+    inner_lattice,
     lift_local,
     local_inner_witness,
     partial_conjugation,
@@ -33,7 +45,12 @@ from raagvcd.autos import (
     transvection,
     verify_commuting,
 )
-from raagvcd.corpus import eligible_trees
+from raagvcd.corpus import (
+    cycle_tree_fixtures,
+    eligible_trees,
+    square_free_non_trees,
+    squares_with_trees,
+)
 
 
 def c5l_choices(g):
@@ -657,6 +674,252 @@ class TestInnerLattice:
         lone = tuple(1 if i == 3 else 0 for i in range(gs.count))
         assert gs.entries[3].kind.startswith("leaf_transvection")
         assert inner_conjugator(product_of(lone)) is None
+
+
+def dfs_inner_lattice(gs):
+    """The exponent search that ``inner_lattice`` replaced, kept as a test
+    reference: exponents in {-1, 0, 1} per generator, assigned node by node
+    over each node's letter closure, every found vector re-verified by full
+    composition.  Returns ``(rank, witnesses)``; the search never reached
+    its cap of two million assignments on the graphs tested here."""
+    g = gs.graph
+    v0, w0 = gs.choices.base_edge
+    autos = gs.automorphisms()
+    moved = [frozenset(a.moved_nodes()) for a in autos]
+
+    def closure_of(start):
+        closure, changed = {start}, True
+        while changed:
+            changed = False
+            for idx, a in enumerate(autos):
+                for x in list(closure & moved[idx]):
+                    for img in (a.images[x], a.inverse_images[x]):
+                        for letter, _ in img.letters:
+                            if letter not in closure:
+                                closure.add(letter)
+                                changed = True
+        return tuple(i for i in range(len(autos)) if moved[i] & closure)
+
+    affecting = {x: closure_of(x) for x in g.nodes}
+    budget = [2_000_000]
+
+    def apply_power(a, n, w):
+        step = a if n > 0 else a.inverse()
+        for _ in range(abs(n)):
+            w = step.apply(w)
+        return w
+
+    def solve(a, b):
+        t = RaagWord(g, ((v0, 1),) * a + ((w0, 1 if b > 0 else -1),) * abs(b))
+        t_inv = t.inverse()
+        for x in g.nodes:
+            if not affecting[x] and not equal(
+                generator(g, x), t * generator(g, x) * t_inv
+            ):
+                return None
+        constrained = sorted(
+            (x for x in g.nodes if affecting[x]), key=lambda x: (len(affecting[x]), x)
+        )
+        assignment = {}
+
+        def check_node(x):
+            w = generator(g, x)
+            for idx in affecting[x]:
+                if assignment[idx]:
+                    w = apply_power(autos[idx], assignment[idx], w)
+            return equal(w, t * generator(g, x) * t_inv)
+
+        def dfs(pos):
+            if pos == len(constrained):
+                return True
+            x = constrained[pos]
+            free = [i for i in affecting[x] if i not in assignment]
+            if not free:
+                return check_node(x) and dfs(pos + 1)
+            for combo in itertools.product((-1, 0, 1), repeat=len(free)):
+                budget[0] -= 1
+                assert budget[0] > 0, "reference search hit its cap"
+                assignment.update(zip(free, combo))
+                if check_node(x) and dfs(pos + 1):
+                    return True
+                for i in free:
+                    del assignment[i]
+            return False
+
+        if not dfs(0):
+            return None
+        vector = tuple(assignment.get(i, 0) for i in range(len(autos)))
+        product = identity_automorphism(g)
+        for e, auto in zip(vector, autos):
+            step = auto if e > 0 else auto.inverse()
+            for _ in range(abs(e)):
+                product = compose(step, product)
+        assert product.equals(inner_automorphism(g, t))
+        return vector
+
+    witnesses = {}
+    for pair in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        vec = solve(*pair)
+        if vec is not None:
+            witnesses[pair] = vec
+    found = list(witnesses)
+    if any(p[0] * q[1] - p[1] * q[0] for p in found for q in found):
+        rank = 2
+    else:
+        rank = 1 if found else 0
+    return rank, witnesses
+
+
+def _random_eligible_graphs(seed, count, sizes):
+    """Seeded connected triangle-free graphs that pass validation: a random
+    spanning tree plus random chords that close no triangle."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(sizes)
+        nodes = [f"r{i}" for i in range(n)]
+        edges = {frozenset((nodes[i], nodes[rng.randrange(i)])) for i in range(1, n)}
+        for _ in range(rng.randrange(4)):
+            a, b = rng.sample(nodes, 2)
+            e = frozenset((a, b))
+            adj_a = {v for f in edges if a in f for v in f if v != a}
+            adj_b = {v for f in edges if b in f for v in f if v != b}
+            if e not in edges and not adj_a & adj_b:
+                edges.add(e)
+        g = DefiningGraph.from_edges(sorted(tuple(sorted(e)) for e in edges))
+        if validate(g).eligible:
+            out.append(g)
+    return out
+
+
+def _oracle_graphs():
+    graphs = list(eligible_trees(8))
+    graphs += cycle_tree_fixtures() + square_free_non_trees() + squares_with_trees()
+    graphs += _random_eligible_graphs("inner-lattice", 40, (6, 7))
+    return graphs
+
+
+class TestInnerLatticeOracle:
+    """The integer solve against the exponent search it replaced."""
+
+    def _assert_agrees(self, g):
+        gs = build_generator_set(g, certify=False)
+        result = inner_lattice(gs)
+        assert result.complete
+        assert (result.rank, result.witnesses) == dfs_inner_lattice(gs)
+        return result
+
+    def test_agrees_with_search_on_corpus(self):
+        graphs = _oracle_graphs()
+        assert len(graphs) > 100
+        ranks = [self._assert_agrees(g).rank for g in graphs]
+        assert set(ranks) == {0, 1, 2}
+
+    @pytest.mark.parametrize("graph", ["g_spider", "g_grid", "g_c5l"])
+    def test_agrees_with_search_on_fixtures(self, graph, request):
+        self._assert_agrees(request.getfixturevalue(graph))
+
+    def test_vectors_outside_the_search_range(self, g_p5):
+        # On P5 the generators commute exactly, and conjugation by c is
+        # conj[c](a) . conj[c](e).  Trading conj[c](e) for
+        # conj[c](e) . conj[c](a)^-1 changes basis; conjugation by c then
+        # needs conj[c](a) squared, beyond the search's exponents.
+        gs = build_generator_set(g_p5, certify=False)
+        assert [e.describe() for e in gs.entries[:3]] == [
+            "conj[c](a)", "conj[b](d,e)", "conj[c](e)"
+        ]
+        first, third = gs.entries[0].automorphism, gs.entries[2].automorphism
+        traded = dataclasses.replace(
+            gs,
+            entries=gs.entries[:2]
+            + (dataclasses.replace(gs.entries[2], automorphism=compose(third, first.inverse())),)
+            + gs.entries[3:],
+        )
+        zeros = (0,) * 4
+        result = inner_lattice(traded)
+        assert result.rank == 2
+        assert result.witnesses == {
+            (1, 0): (0, 1, 0) + zeros,
+            (0, 1): (2, 0, 1) + zeros,
+            (1, 1): (2, 1, 1) + zeros,
+            (1, -1): (-2, 1, -1) + zeros,
+        }
+        assert dfs_inner_lattice(traded) == (1, {(1, 0): (0, 1, 0) + zeros})
+
+
+class TestIntegerSolve:
+    def test_unit_pivots(self):
+        cols = [{"a": 1, "b": 2}, {"b": 1, "c": -1}]
+        rhs = [{"a": 2, "b": 1, "c": 3}, {"a": 1}, {"a": 1, "b": 2, "c": 1}]
+        assert _solve_over_z(cols, rhs) == [(2, -3), None, None]
+
+    def test_gcd_pivots(self):
+        # A unimodular matrix with no entry +-1: Euclid's route is needed.
+        cols = [{"a": 2, "b": 3}, {"a": 5, "b": 7}]
+        assert _solve_over_z(cols, [{"a": -4, "b": -5}]) == [(3, -2)]
+        # One column: divisible, not divisible, inconsistent.
+        col = [{"a": 4, "b": 6}]
+        assert _solve_over_z(col, [{"a": 8, "b": 12}, {"a": 2, "b": 3}, {"a": 4, "b": 7}]) == [
+            (2,), None, None
+        ]
+
+    @pytest.mark.parametrize(
+        "cols", [[{"a": 1}, {"a": 2}], [{"a": 1}, {}], [{"a": 2, "b": 2}, {"a": 3, "b": 3}]]
+    )
+    def test_dependent_columns_raise(self, cols):
+        with pytest.raises(StructureAnomalyError, match="dependent"):
+            _solve_over_z(cols, [{"a": 1}])
+
+
+class TestLatticeInvariant:
+    def test_partial_conjugation_and_transvections(self, g_p5):
+        # conj[b] on {a}: a -> b a b^-1, and b is in st(a).
+        assert _lattice_invariant(partial_conjugation(g_p5, "b", ["a"])) == {}
+        assert _lattice_invariant(partial_conjugation(g_p5, "c", ["a"])) == {
+            ("a", "c", "L"): 1,
+            ("a", "c", "R"): -1,
+        }
+        assert _lattice_invariant(transvection(g_p5, "a", "c", "left")) == {
+            ("a", "c"): 1,
+            ("a", "c", "L"): 1,
+        }
+        assert _lattice_invariant(transvection(g_p5, "a", "b")) == {("a", "b"): 1}
+
+    @pytest.mark.parametrize("image", ["a^-1", "c", "a c a", "1"])
+    def test_unreadable_image_raises(self, g_p5, image):
+        phi = RaagAutomorphism(g_p5, {"a": parse_word(g_p5, image)})
+        with pytest.raises(StructureAnomalyError, match="exactly once"):
+            _lattice_invariant(phi)
+
+
+class TestLatticeChecksExit3:
+    """A broken inner-lattice input ends ``analyze --witness`` with exit 3."""
+
+    def _run(self, tmp_path):
+        from raagvcd.cli import main
+
+        path = tmp_path / "p5.graph"
+        path.write_text("edge a b\nedge b c\nedge c d\nedge d e\n")
+        return main(["analyze", str(path), "--witness", "--json"])
+
+    def test_dependent_columns(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(autos_module, "_lattice_invariant", lambda phi: {("a", "b"): 1})
+        assert self._run(tmp_path) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal invariant broken" in captured.err
+        assert "dependent" in captured.err
+
+    def test_unreadable_generator_image(self, tmp_path, capsys, monkeypatch):
+        # Leaf "transvections" that invert the leaf: automorphisms that
+        # respect the relations, but their images are not readable.
+        def inversion(g, node, target, side="right"):
+            inv = {node: generator(g, node, -1)}
+            return RaagAutomorphism(g, inv, inv)
+
+        monkeypatch.setattr(autos_module, "transvection", inversion)
+        assert self._run(tmp_path) == 3
+        assert "exactly once" in capsys.readouterr().err
 
 
 class TestProjection:

@@ -204,8 +204,81 @@ class TestVerify:
         assert main(["verify"]) == 3
         assert "VIOLATION" in capsys.readouterr().out
 
+    def test_witness_outer_rank_checked(self, capsys, monkeypatch):
+        from raagvcd import verify_suite
+        from raagvcd.autos import InnerLatticeResult
+
+        assert main(["verify", "--max-nodes", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "ok: witness outer rank = lower bound [6-node tree]" in lines
+        monkeypatch.setattr(
+            verify_suite, "inner_lattice", lambda gs: InnerLatticeResult(1, {}, True)
+        )
+        assert main(["verify", "--max-nodes", "6"]) == 3
+        out = capsys.readouterr().out
+        assert "VIOLATION: witness outer rank = lower bound [6-node tree]" in out
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1 (2 means an ineligible graph)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze"], "the following arguments are required: path"),
+            (["psigma", "x", "1"], "invalid int value: 'x'"),
+            (["verify", "--max-nodes", "8.5"], "invalid int value: '8.5'"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: command"),
+            (["psigma", "3", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: raagvcd")
+        assert "error: " in captured.err and message in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: raagvcd" in capsys.readouterr().out
+
+    def test_parser_reused_without_state(self, p5_file, capsys):
+        # main() builds its parser once; flags of one call must not leak
+        # into the next.
+        assert main(["analyze", p5_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] == 5
+        assert main(["analyze", p5_file]) == 0
+        assert "exact dimension: 5" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["analyze"])
+        capsys.readouterr()
+        assert main(["psigma", "3", "1"]) == 0
+        assert "outer rank: 3" in capsys.readouterr().out
+
+    def test_build_parser_gives_a_fresh_parser(self):
+        from raagvcd.cli import build_parser
+
+        assert build_parser() is not build_parser()
+        assert build_parser().parse_args(["verify"]).max_nodes == 8
+
 
 class TestAnalyzeErrors:
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.graph"
+        path.write_bytes("edge a b\nedge b c\nedge c d\n# caf\xe9\n".encode("latin-1"))
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("e0", ["a", "a,b,c", "a,zz", "a,b"])
     def test_bad_base_edge_exits_1(self, p5_file, capsys, e0):
         # a-b is an edge of P5 but not of its core subgraph.

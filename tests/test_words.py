@@ -88,6 +88,17 @@ class TestReduce:
     def test_power_expansion(self, g_p5):
         assert len(parse_word(g_p5, "a^3 b^-2")) == 5
 
+    def test_lone_one_is_the_empty_word(self, g_p5):
+        assert str(empty_word(g_p5)) == "1"
+        assert parse_word(g_p5, " 1 ").is_empty
+        with pytest.raises(WordError):
+            parse_word(g_p5, "1 a")  # "1" only stands alone
+
+    def test_node_named_one_is_a_letter(self):
+        g = DefiningGraph.from_edges([("1", "2"), ("2", "3")])
+        assert parse_word(g, "1").letters == (("1", 1),)
+        assert parse_word(g, "1^-1 2").letters == (("1", -1), ("2", 1))
+
 
 class TestEqual:
     def test_edge_relation(self, g_p5):
@@ -344,8 +355,9 @@ class TestProperties:
         @hyp.settings(max_examples=200, deadline=None)
         @hyp.given(_words(st))
         def prop(w):
-            # The empty word prints as "1", which parses as a node name.
-            hyp.assume(not w.is_empty)
+            # The empty word prints as "1", which parses back to it on
+            # every graph without a node named "1" (all of these).
+            assert "1" not in w.graph.adjacency
             assert parse_word(w.graph, str(w)).letters == w.letters
 
         prop()
