@@ -26,6 +26,7 @@ from .graph_core import (
 from .ideal_edges import (
     HalfEdgeSet,
     build_complex,
+    check_half_edge_cap,
     enumerate_ideal_edges,
     morse_collapse_certificate,
     reduced_homology,
@@ -178,6 +179,9 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
     if args.cap < 1:
         return _input_error(f"--cap must be at least 1, got {args.cap}")
     try:
+        if args.r >= 0 and args.s >= 0:
+            # Before any half-edge name is built: 2r + s can be huge.
+            check_half_edge_cap(2 * args.r + args.s)
         h = HalfEdgeSet.standard(args.r, args.s)
         if h.size < 4:
             # No ideal edges: the complex is empty, and its reduced homology

@@ -1,8 +1,11 @@
 """Reduced integral homology of simplicial complexes, by coreduction.
 
-Cells get integer ids in order of degree.  The empty simplex is the one
-cell of degree -1 and the only face of every vertex, so the chain complex
-built here is the augmented one and its homology is reduced homology.
+Simplices come in as vertex bitmasks, and cells get integer ids in order
+of degree.  A face clears one set bit, so finding it is one integer
+operation and one dictionary lookup.  The empty simplex (mask 0) is the
+one cell of degree -1 and the only face of every vertex, so the chain
+complex built here is the augmented one and its homology is reduced
+homology.
 
 A queue-based coreduction (Mrozek & Batko, *Coreduction homology
 algorithm*, DCG 41, 2009) removes every cell.  A live cell with exactly one
@@ -140,32 +143,50 @@ def reduce_boundary(
     )
 
 
+def _face_lists(
+    simplices_by_dim: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Number the cells and list the faces and cofaces of each.
+
+    Cell 0 is the empty simplex (mask 0); the others follow level by level
+    in the given order.  The i-th face of a simplex clears its i-th lowest
+    set bit and has sign (-1)**i, the orientation of the simplex as an
+    increasing vertex sequence.
+    """
+    faces: list[list[int]] = [[]]
+    cofaces: list[list[int]] = [[]]
+    index: dict[int, int] = {0: 0}
+    for level in simplices_by_dim:
+        start = len(faces)
+        ids = dict(zip(level, range(start, start + len(level))))
+        cofaces += [[] for _ in level]
+        for cell, simplex in enumerate(level, start):
+            fs = []
+            m = simplex
+            while m:
+                low = m & -m
+                m ^= low
+                f = index[simplex ^ low]
+                fs.append(f)
+                cofaces[f].append(cell)
+            faces.append(fs)
+        index = ids
+    return faces, cofaces
+
+
 def reduced_homology_of_chain(
-    simplices_by_dim: Sequence[Sequence[tuple[int, ...]]],
+    simplices_by_dim: Sequence[Sequence[int]],
 ) -> HomologySummary:
     """Reduced homology of a simplicial complex given per-dimension cells.
 
-    ``simplices_by_dim[q]`` lists the q-simplices as sorted vertex tuples,
-    closed under taking faces.  Degree 0 reports components minus one.  The
-    empty complex is refused: its reduced homology is Z in degree -1, which
-    the summary has no place for.
+    ``simplices_by_dim[q]`` lists the q-simplices as vertex bitmasks (bit
+    ``v`` set for vertex ``v``), closed under taking faces.  Degree 0
+    reports components minus one.  The empty complex is refused: its
+    reduced homology is Z in degree -1, which the summary has no place for.
     """
     if not simplices_by_dim or not simplices_by_dim[0]:
         raise ValueError("the empty complex has reduced homology Z in degree -1")
-    # faces[c] lists the faces of cell c in order; the i-th has sign (-1)**i.
-    faces: list[list[int]] = [[]]
-    cofaces: list[list[int]] = [[]]
-    index: dict[tuple[int, ...], int] = {(): 0}
-    for level in simplices_by_dim:
-        ids: dict[tuple[int, ...], int] = {}
-        for simplex in level:
-            cell = ids[simplex] = len(faces)
-            fs = [index[simplex[:i] + simplex[i + 1 :]] for i in range(len(simplex))]
-            faces.append(fs)
-            cofaces.append([])
-            for f in fs:
-                cofaces[f].append(cell)
-        index = ids
+    faces, cofaces = _face_lists(simplices_by_dim)
 
     n = len(faces)
     live = bytearray(b"\x01") * n

@@ -17,11 +17,19 @@ base vertex, checking every descending link is a cone and recursing into
 the one-smaller structure at the maximal-size vertices; a passing
 certificate establishes contractibility independently of the homology
 computation.
+
+Everything on this path is an integer bitmask: an ideal edge carries the
+mask of its inside over the half-edges, compatibility is a subset or
+covering test on two masks, a simplex is the mask of its vertex indices,
+and the certificate replays the collapse on masks of vertices.  Frozensets
+and vertex tuples appear only at the API edges (``inside``,
+``maximal_simplices``, failure messages).
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -42,7 +50,10 @@ class HalfEdgeSet:
     """Half-edges at a node: ``pairs`` of inverse halves plus ``singles``.
 
     The basepoint is the first half of the first pair when pairs exist,
-    otherwise the first single.
+    otherwise the first single.  Half-edge ``k`` in the order pairs (both
+    halves) then singles owns bit ``1 << k``; a set of half-edges is coded
+    as the sum of its bits, and ``bit``, ``full`` and ``pair_masks`` are
+    computed once per set.
     """
 
     pairs: tuple[tuple[str, str], ...]
@@ -72,17 +83,31 @@ class HalfEdgeSet:
     def s(self) -> int:
         return len(self.singles)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return 2 * self.r + self.s
 
-    @property
+    @cached_property
     def universe(self) -> frozenset[str]:
-        return frozenset(
-            h for p in self.pairs for h in p
-        ) | frozenset(self.singles)
+        return frozenset(self.bit)
 
-    @property
+    @cached_property
+    def bit(self) -> dict[str, int]:
+        """Half-edge -> its bit."""
+        ids = [h for p in self.pairs for h in p] + list(self.singles)
+        return {h: 1 << k for k, h in enumerate(ids)}
+
+    @cached_property
+    def full(self) -> int:
+        """The mask of all half-edges."""
+        return (1 << self.size) - 1
+
+    @cached_property
+    def pair_masks(self) -> tuple[int, ...]:
+        """The mask of both halves of each pair."""
+        return tuple(self.bit[x] | self.bit[y] for x, y in self.pairs)
+
+    @cached_property
     def basepoint(self) -> str:
         return self.pairs[0][0] if self.pairs else self.singles[0]
 
@@ -97,19 +122,29 @@ class HalfEdgeSet:
 
 @dataclass(frozen=True)
 class IdealEdge:
-    """A bipartition of the half-edges, stored by its basepoint side."""
+    """A bipartition of the half-edges, stored by its basepoint side.
+
+    ``mask`` codes ``inside`` in the bits of ``h``; it is computed while the
+    bipartition is checked and takes no part in equality or hashing.
+    """
 
     h: HalfEdgeSet
     inside: frozenset[str]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        universe = self.h.universe
-        if not self.inside <= universe:
-            raise IdealEdgeError("inside contains unknown half-edges")
-        if self.h.basepoint not in self.inside:
+        bit = self.h.bit
+        mask = 0
+        for x in self.inside:
+            b = bit.get(x)
+            if b is None:
+                raise IdealEdgeError("inside contains unknown half-edges")
+            mask |= b
+        if not mask & bit[self.h.basepoint]:
             raise IdealEdgeError("inside must contain the basepoint")
-        if len(self.inside) < 2 or len(universe - self.inside) < 2:
+        if not 2 <= len(self.inside) <= self.h.size - 2:
             raise IdealEdgeError("both sides need at least two half-edges")
+        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:
@@ -120,9 +155,7 @@ class IdealEdge:
         return self.h.universe - self.inside
 
     def pairs_split(self) -> int:
-        return sum(
-            1 for x, y in self.h.pairs if (x in self.inside) != (y in self.inside)
-        )
+        return _pairs_split(self.h, self.mask)
 
     @property
     def legal(self) -> bool:
@@ -132,14 +165,29 @@ class IdealEdge:
         return "{" + ",".join(sorted(self.inside)) + "}"
 
 
+def _pairs_split(h: HalfEdgeSet, mask: int) -> int:
+    """How many pairs of ``h`` the inside ``mask`` separates."""
+    split = 0
+    for pm in h.pair_masks:
+        both = mask & pm
+        if both and both != pm:
+            split += 1
+    return split
+
+
+def _same_structure(h: HalfEdgeSet, k: HalfEdgeSet) -> None:
+    if h is not k and h != k:
+        raise IdealEdgeError("ideal edges over different half-edge sets")
+
+
 def compatible(alpha: IdealEdge, beta: IdealEdge) -> bool:
     """Non-crossing test: some side of one is disjoint from some side of
     the other (equivalently nested insides, or insides covering everything,
     since both insides share the basepoint)."""
-    if alpha.h != beta.h:
-        raise IdealEdgeError("ideal edges over different half-edge sets")
-    a, b = alpha.inside, beta.inside
-    return a <= b or b <= a or (a | b) == alpha.h.universe
+    _same_structure(alpha.h, beta.h)
+    a, b = alpha.mask, beta.mask
+    both = a & b
+    return both == a or both == b or (a | b) == alpha.h.full
 
 
 def enumerate_ideal_edges(h: HalfEdgeSet, legal_only: bool = False) -> list[IdealEdge]:
@@ -165,13 +213,14 @@ def enumerate_ideal_edges(h: HalfEdgeSet, legal_only: bool = False) -> list[Idea
 class SimplicialComplex:
     """A flag complex on ideal-edge vertices, stored dimension by dimension.
 
-    ``simplices_by_dim[q]`` holds the q-simplices as increasing tuples of
-    vertex indices.
+    ``simplices_by_dim[q]`` holds the q-simplices as vertex bitmasks (bit
+    ``i`` stands for ``vertices[i]``), in the order they were built: each
+    simplex extends its parent by a vertex above the parent's highest one.
     """
 
     h: HalfEdgeSet
     vertices: tuple[IdealEdge, ...]
-    simplices_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
+    simplices_by_dim: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -185,18 +234,17 @@ class SimplicialComplex:
         return tuple(len(level) for level in self.simplices_by_dim)
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
+        """The facets as increasing tuples of vertex indices."""
         masks = _compatibility_masks(self.vertices)
         out: list[tuple[int, ...]] = []
         full = (1 << len(self.vertices)) - 1
         for level in self.simplices_by_dim:
             for simplex in level:
-                simplex_mask = 0
                 common = full
-                for i in simplex:
-                    simplex_mask |= 1 << i
+                for i in _bit_indices(simplex):
                     common &= masks[i]
-                if common & ~simplex_mask == 0:
-                    out.append(simplex)
+                if common & ~simplex == 0:
+                    out.append(_bit_indices(simplex))
         return out
 
     def to_dict(self) -> dict:
@@ -214,19 +262,63 @@ class SimplicialComplex:
         }
 
 
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _compatibility_masks(vertices: Sequence[IdealEdge]) -> list[int]:
-    n = len(vertices)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if compatible(vertices[i], vertices[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+    """Bit ``j`` of entry ``i`` is set when vertices ``i != j`` are
+    compatible.
+
+    Built from ``holding[k]``, the vertices whose inside holds half-edge
+    ``k``: the insides around vertex ``i`` hold all of its inside, those
+    nested in it hold no half-edge outside it, and those covering the rest
+    with it hold every half-edge outside it.
+    """
+    if not vertices:
+        return []
+    h = vertices[0].h
+    for v in vertices[1:]:
+        _same_structure(h, v.h)
+    masks = [v.mask for v in vertices]
+    every = (1 << len(masks)) - 1
+    holding = [0] * h.size
+    for i, m in enumerate(masks):
+        for k in range(h.size):
+            if m >> k & 1:
+                holding[k] |= 1 << i
+    out = []
+    for i, m in enumerate(masks):
+        around = cover = every
+        touched = 0
+        for k in range(h.size):
+            if m >> k & 1:
+                around &= holding[k]
+            else:
+                touched |= holding[k]
+                cover &= holding[k]
+        out.append((around | (every ^ touched) | cover) & ~(1 << i))
+    return out
 
 
 MAX_HALF_EDGES = 10
 DEFAULT_SIMPLEX_CAP = 20000
+
+
+def check_half_edge_cap(size: int) -> None:
+    """Refuse ``size`` half-edges beyond ``MAX_HALF_EDGES``.  Callers that
+    take ``r`` and ``s`` from outside check ``2r + s`` before building any
+    half-edge name."""
+    if size > MAX_HALF_EDGES:
+        raise SizeCapError(
+            f"{size} half-edges exceeds the enumeration cap {MAX_HALF_EDGES}"
+        )
 
 
 def build_complex(
@@ -237,47 +329,45 @@ def build_complex(
     """Flag complex on all (or only legal) ideal edges.
 
     Enumeration is capped at ``MAX_HALF_EDGES`` half-edges and
-    ``max_simplices`` total simplices.
+    ``max_simplices`` total simplices.  Each simplex carries the mask of
+    the common neighbours above its highest vertex, and every set bit of
+    that mask gives one simplex of the next dimension.
     """
-    if h.size > MAX_HALF_EDGES:
-        raise SizeCapError(
-            f"{h.size} half-edges exceeds the enumeration cap {MAX_HALF_EDGES}"
-        )
+    check_half_edge_cap(h.size)
     vertices = tuple(enumerate_ideal_edges(h, legal_only))
     n = len(vertices)
     masks = _compatibility_masks(vertices)
 
-    levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
+    level = [1 << i for i in range(n)]
+    levels: list[list[int]] = [level]
     total = n
-    current = [((i,), masks[i] & _bits_above(i, n)) for i in range(n)]
-    while current:
-        next_level: list[tuple[tuple[int, ...], int]] = []
-        for simplex, cand in current:
+    # Candidates of a vertex: its neighbours above it.
+    cands = [(masks[i] >> (i + 1)) << (i + 1) for i in range(n)]
+    while True:
+        next_level: list[int] = []
+        next_cands: list[int] = []
+        for simplex, cand in zip(level, cands):
+            if not cand:
+                continue
+            total += cand.bit_count()
+            if total > max_simplices:
+                raise SizeCapError(f"complex exceeds {max_simplices} simplices")
             m = cand
             while m:
-                low = m & (-m)
+                low = m & -m
                 m ^= low
-                j = low.bit_length() - 1
-                bigger = simplex + (j,)
-                total += 1
-                if total > max_simplices:
-                    raise SizeCapError(
-                        f"complex exceeds {max_simplices} simplices"
-                    )
-                next_level.append((bigger, cand & masks[j] & _bits_above(j, n)))
+                # m now holds exactly the candidates above the new vertex.
+                next_level.append(simplex | low)
+                next_cands.append(m & masks[low.bit_length() - 1])
         if not next_level:
             break
-        levels.append([s for s, _ in next_level])
-        current = next_level
+        levels.append(next_level)
+        level, cands = next_level, next_cands
     return SimplicialComplex(
         h=h,
         vertices=vertices,
         simplices_by_dim=tuple(tuple(level) for level in levels),
     )
-
-
-def _bits_above(i: int, n: int) -> int:
-    return ((1 << n) - 1) ^ ((1 << (i + 1)) - 1)
 
 
 def reduced_homology(
@@ -435,87 +525,110 @@ def morse_collapse_certificate(
         raise IdealEdgeError(
             f"complex has structure ({c.h.r},{c.h.s}), not ({r},{s})"
         )
-    legal = enumerate_ideal_edges(c.h, legal_only=True)
-    if set(c.vertices) != set(legal):
+    legal: dict[tuple[int, int], list[IdealEdge]] = {}
+    if set(c.vertices) != set(_legal_edges(c.h, legal)):
         raise IdealEdgeError("certificate requires the legal complex")
-    return _certify(c.h, {})
+    return _certify(c.h, {}, legal)
+
+
+def _legal_edges(
+    h: HalfEdgeSet, legal: dict[tuple[int, int], list[IdealEdge]]
+) -> list[IdealEdge]:
+    """The legal ideal edges of the first half-edge set with the structure
+    ``(h.r, h.s)`` met in one certificate, which enumerates each structure
+    once.  Their masks are those of ``h`` too: bits follow the pairs, then
+    the singles, and the basepoint is bit 0, so which masks are legal
+    depends on the structure alone."""
+    key = (h.r, h.s)
+    if key not in legal:
+        legal[key] = enumerate_ideal_edges(h, legal_only=True)
+    return legal[key]
 
 
 def _certify(
-    h: HalfEdgeSet, memo: dict[tuple[int, int], MorseCertificate]
+    h: HalfEdgeSet,
+    memo: dict[tuple[int, int], MorseCertificate],
+    legal: dict[tuple[int, int], list[IdealEdge]],
 ) -> MorseCertificate:
+    """Replay the collapse of one structure on vertex bitmasks: ``near[i]``
+    holds vertex ``i`` and every vertex compatible with it."""
     key = (h.r, h.s)
     if key in memo:
         return memo[key]
 
-    vertices = enumerate_ideal_edges(h, legal_only=True)
-    index = {v: i for i, v in enumerate(vertices)}
+    # Each structure is enumerated just before it is first certified, so
+    # these are the edges of h itself.
+    vertices = _legal_edges(h, legal)
+    assert vertices[0].h == h
+    near = _compatibility_masks(vertices)
+    index = {}
+    for i, v in enumerate(vertices):
+        near[i] |= 1 << i
+        index[v.mask] = i
     a = h.basepoint
     partner = h.partner(a)
     assert partner is not None
     cone_extra = partner if h.s == 0 else h.singles[0]
     base = IdealEdge(h, frozenset((a, cone_extra)))
-    if base not in index:
+    if base.mask not in index:
         raise IdealEdgeError("base ideal edge is missing from the legal complex")
 
-    in_star = {
-        v: (v == base or compatible(v, base)) for v in vertices
-    }
-
-    def height(v: IdealEdge) -> int:
-        return 0 if in_star[v] else v.size
-
+    # Heights: 0 on the base star, the size elsewhere.  below[k] holds the
+    # vertices of height < k, sized[k] those off the star of size k.
+    star = near[index[base.mask]]
     outside = sorted(
-        (v for v in vertices if not in_star[v]), key=lambda v: (v.size, str(v))
+        (i for i in range(len(vertices)) if not star >> i & 1),
+        key=lambda i: (vertices[i].size, str(vertices[i])),
     )
     max_size = h.size - 2
+    sized = [0] * (max_size + 1)
+    for i in outside:
+        sized[vertices[i].size] |= 1 << i
+    below = [star] * (max_size + 1)
+    for k in range(1, max_size + 1):
+        below[k] = below[k - 1] | sized[k - 1]
 
     failures: list[str] = []
     ties = 0
     checked = 0
     sub: MorseCertificate | None = None
 
-    for alpha in outside:
+    for i in outside:
+        alpha = vertices[i]
+        k = alpha.size
         checked += 1
-        if h.s >= 1 and alpha.size == max_size:
-            link = [v for v in vertices if v != alpha and compatible(v, alpha)]
-            for beta in link:
-                if height(beta) >= height(alpha):
-                    failures.append(
-                        f"link of maximal {alpha} contains non-descending {beta}"
-                    )
-            sub_ok, sub = _check_maximal_link(h, alpha, link, memo)
+        if h.s >= 1 and k == max_size:
+            link = near[i] ^ (1 << i)
+            for j in _bit_indices(link & ~below[k]):
+                failures.append(
+                    f"link of maximal {alpha} contains non-descending {vertices[j]}"
+                )
+            sub_ok, sub = _check_maximal_link(h, alpha, vertices, link, memo, legal)
             if not sub_ok:
                 failures.append(
                     f"link of maximal {alpha} does not match the smaller structure"
                 )
             continue
 
-        try:
-            apex = IdealEdge(h, alpha.inside | {cone_extra})
-        except IdealEdgeError:
+        apex_mask = alpha.mask | h.bit[cone_extra]
+        if not 2 <= apex_mask.bit_count() <= h.size - 2:
             failures.append(f"apex of {alpha} is not a valid bipartition")
             continue
-        if not apex.legal or apex not in index:
+        apex = index.get(apex_mask)
+        if _pairs_split(h, apex_mask) > 1 or apex is None:
             failures.append(f"apex of {alpha} is not a legal vertex")
             continue
-        if not in_star[apex]:
+        if not star >> apex & 1:
             failures.append(f"apex of {alpha} lies outside the base star")
-        if not compatible(apex, alpha):
+        if not near[apex] >> i & 1:
             failures.append(f"apex of {alpha} is not compatible with it")
-        for beta in vertices:
-            if beta == alpha or beta == apex:
-                continue
-            if not compatible(beta, alpha):
-                continue
-            if height(beta) > height(alpha):
-                continue
-            if height(beta) == height(alpha):
-                ties += 1
-            if not compatible(beta, apex):
-                failures.append(
-                    f"descending neighbor {beta} of {alpha} misses the apex"
-                )
+        # Compatible with alpha, neither alpha nor the apex, height <= k.
+        descending = near[i] & (below[k] | sized[k]) & ~(1 << i | 1 << apex)
+        ties += (descending & sized[k]).bit_count()
+        for j in _bit_indices(descending & ~near[apex]):
+            failures.append(
+                f"descending neighbor {vertices[j]} of {alpha} misses the apex"
+            )
 
     cert = MorseCertificate(
         r=h.r,
@@ -534,11 +647,14 @@ def _certify(
 def _check_maximal_link(
     h: HalfEdgeSet,
     alpha: IdealEdge,
-    link: list[IdealEdge],
+    vertices: list[IdealEdge],
+    link: int,
     memo: dict[tuple[int, int], MorseCertificate],
-) -> tuple[bool, MorseCertificate]:
-    """Identify the link of a maximal-size vertex with the legal complex on
-    one fewer single and certify that structure recursively.
+    legal: dict[tuple[int, int], list[IdealEdge]],
+) -> tuple[bool, MorseCertificate | None]:
+    """Identify the link of a maximal-size vertex (the vertices in the
+    bitmask ``link``) with the legal complex on one fewer single and
+    certify that structure recursively.
 
     The two outside half-edges collapse to a fresh half-edge which inherits
     a pair slot exactly when one of them was half of a pair.
@@ -548,7 +664,7 @@ def _check_maximal_link(
     pair_halves = {x for p in h.pairs for x in p}
     carried = [z for z in out if z in pair_halves]
     if len(carried) > 1:
-        return False, _certify(h, memo)  # illegal vertex slipped through
+        return False, None  # illegal vertex slipped through
     new_pairs: list[tuple[str, str]] = []
     for x, y in h.pairs:
         if x in out or y in out:
@@ -563,12 +679,12 @@ def _check_maximal_link(
     new_pairs.sort(key=lambda p: (h.basepoint not in p, p))
     derived = HalfEdgeSet(pairs=tuple(new_pairs), singles=tuple(new_singles))
     if derived.basepoint != h.basepoint:
-        return False, _certify(derived, memo)
+        return False, _certify(derived, memo, legal)
 
     def push(v: IdealEdge) -> IdealEdge | None:
-        if v.inside <= alpha.inside:
+        if v.mask & ~alpha.mask == 0:
             inside = v.inside
-        elif (v.inside | alpha.inside) == h.universe:
+        elif (v.mask | alpha.mask) == h.full:
             inside = (v.inside & alpha.inside) | {collapsed}
         else:
             return None
@@ -577,16 +693,16 @@ def _check_maximal_link(
         except IdealEdgeError:
             return None
 
-    mapped: dict[IdealEdge, IdealEdge] = {}
-    for v in link:
+    members = [vertices[j] for j in _bit_indices(link)]
+    images: list[IdealEdge] = []
+    for v in members:
         image = push(v)
         if image is None or not image.legal:
-            return False, _certify(derived, memo)
-        mapped[v] = image
-    expected = set(enumerate_ideal_edges(derived, legal_only=True))
-    if set(mapped.values()) != expected or len(mapped) != len(expected):
-        return False, _certify(derived, memo)
-    for v, w in combinations(link, 2):
-        if compatible(v, w) != compatible(mapped[v], mapped[w]):
-            return False, _certify(derived, memo)
-    return True, _certify(derived, memo)
+            return False, _certify(derived, memo, legal)
+        images.append(image)
+    expected = {w.mask for w in _legal_edges(derived, legal)}
+    if {w.mask for w in images} != expected or len(images) != len(expected):
+        return False, _certify(derived, memo, legal)
+    if _compatibility_masks(members) != _compatibility_masks(images):
+        return False, _certify(derived, memo, legal)
+    return True, _certify(derived, memo, legal)

@@ -3,12 +3,15 @@
 Runs every structural identity and bound formula over exhaustively
 generated trees and the deterministic cycle fixtures, plus generator-set
 counts, witness outer ranks and commutation certificates on the small end
-of the corpus.  Any violation is collected rather than raised so the
-caller can report all of them at once.
+of the corpus, and the blow-up complexes on up to eight half-edges: the
+full ones against the tree-space oracle, the legal ones for trivial
+homology and a collapse certificate.  Any violation is collected rather
+than raised so the caller can report all of them at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 from . import corpus
 from .autos import build_generator_set, inner_lattice, verify_commuting
@@ -17,6 +20,12 @@ from .graph_core import (
     GraphError,
     gamma_zero,
     pieces,
+)
+from .ideal_edges import (
+    HalfEdgeSet,
+    build_complex,
+    morse_collapse_certificate,
+    reduced_homology,
 )
 from .vcd_bounds import TAG_TREE, tag_cycle, unique_cycle_length, vcd_report
 
@@ -87,6 +96,61 @@ def _structural_checks(g: DefiningGraph, result: VerificationResult) -> None:
         excess == decomposition.count - 1,
         f"{excess} != {decomposition.count - 1}",
     )
+
+
+def _double_factorial(n: int) -> int:
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+def _blowup_checks(result: VerificationResult) -> None:
+    # The full complex on m half-edges is the space of trivalent trees with
+    # m leaves: a wedge of (m-2)! spheres of dimension m-4 (Robinson &
+    # Whitehouse 1996), one vertex per split and one facet per tree.
+    for m in range(4, 8):
+        label = f"tree-space oracle [full complex, {m} half-edges]"
+        try:
+            c = build_complex(HalfEdgeSet.standard(0, m))
+            hom = reduced_homology(c)
+            facets = len(c.maximal_simplices())
+        except GraphError as exc:
+            result.check(label, False, str(exc))
+            continue
+        betti = [0] * (m - 3)
+        betti[m - 4] = factorial(m - 2)
+        vertices = 2 ** (m - 1) - m - 1
+        trees = _double_factorial(2 * m - 5)
+        result.check(
+            label,
+            list(hom.reduced_betti) == betti
+            and not any(hom.torsion)
+            and len(c.vertices) == vertices
+            and facets == trees,
+            f"betti {list(hom.reduced_betti)} torsion {list(hom.torsion)} "
+            f"vertices {len(c.vertices)} facets {facets}; expected betti "
+            f"{betti}, {vertices} vertices, {trees} facets",
+        )
+    # Legal complexes are contractible; the certificate shows it without
+    # the homology.
+    for r in (2, 3):
+        for s in range(9 - 2 * r):
+            label = f"legal complex ({r},{s}) acyclic and certified collapsible"
+            try:
+                c = build_complex(HalfEdgeSet.standard(r, s), legal_only=True)
+                hom = reduced_homology(c)
+                cert = morse_collapse_certificate(c, r, s)
+            except GraphError as exc:
+                result.check(label, False, str(exc))
+                continue
+            result.check(
+                label,
+                hom.trivial and cert.ok and cert.ties == 0,
+                f"homology {hom.to_dict()} certificate ok={cert.ok} "
+                f"ties={cert.ties} failures={list(cert.failures)}",
+            )
 
 
 def run_verification(max_nodes: int = 8) -> VerificationResult:
@@ -196,4 +260,5 @@ def run_verification(max_nodes: int = 8) -> VerificationResult:
             f"{len(uncertified)} uncertified pairs",
         )
 
+    _blowup_checks(result)
     return result

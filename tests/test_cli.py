@@ -167,6 +167,25 @@ class TestUpperCaps:
         assert "at most" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "r,s", [(5, 1), (0, 11), (1000000, 0), (10**30, 10**30)]
+    )
+    def test_half_edge_cap_before_any_half_edge(self, capsys, monkeypatch, r, s):
+        # 2r + s is checked before the half-edge names are built, so a huge
+        # count exits at once instead of building millions of names.
+        from raagvcd.ideal_edges import HalfEdgeSet
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("half-edges built before the cap check")
+
+        monkeypatch.setattr(HalfEdgeSet, "standard", staticmethod(forbidden))
+        assert main(["ideal-complex", str(r), str(s), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {2 * r + s} half-edges exceeds the enumeration cap 10\n"
+        )
+        assert captured.out == ""
+
     def test_caps_accepted(self, capsys, monkeypatch):
         from raagvcd import verify_suite
 
@@ -217,6 +236,22 @@ class TestVerify:
         assert main(["verify", "--max-nodes", "6"]) == 3
         out = capsys.readouterr().out
         assert "VIOLATION: witness outer rank = lower bound [6-node tree]" in out
+
+
+    def test_blowup_family_checked(self, capsys, monkeypatch):
+        from raagvcd import verify_suite
+        from raagvcd.homology import HomologySummary
+
+        assert main(["verify", "--max-nodes", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "ok: tree-space oracle [full complex, 7 half-edges]" in lines
+        assert "ok: legal complex (3,2) acyclic and certified collapsible" in lines
+        wrong = HomologySummary(reduced_betti=(1, 0), torsion=((), ()))
+        monkeypatch.setattr(verify_suite, "reduced_homology", lambda c: wrong)
+        assert main(["verify", "--max-nodes", "4"]) == 3
+        out = capsys.readouterr().out
+        assert "VIOLATION: tree-space oracle [full complex, 6 half-edges]" in out
+        assert "VIOLATION: legal complex (2,4) acyclic" in out
 
 
 class TestUsageErrors:

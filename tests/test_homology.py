@@ -16,16 +16,29 @@ from raagvcd.homology import (
 
 
 def chain_from_facets(facets):
-    """Close a facet list under faces and group by dimension."""
+    """Close a facet list under faces and group by dimension, as vertex
+    bitmasks."""
     simplices = set()
     for f in facets:
         f = tuple(sorted(f))
         for size in range(1, len(f) + 1):
-            simplices.update(combinations(f, size))
+            for face in combinations(f, size):
+                simplices.add(sum(1 << v for v in face))
     by_dim = {}
     for s in simplices:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    return [sorted(by_dim[q]) for q in range(max(by_dim) + 1)]
+        by_dim.setdefault(s.bit_count() - 1, []).append(s)
+    # Lexicographic order of the increasing vertex tuples.
+    return [sorted(by_dim[q], key=vertex_tuple) for q in range(max(by_dim) + 1)]
+
+
+def vertex_tuple(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def faces_of(mask):
+    """The faces of a simplex given as a bitmask: the i-th clears the i-th
+    lowest set bit."""
+    return [mask ^ (1 << v) for v in vertex_tuple(mask)]
 
 
 def dense_reference(chain):
@@ -38,8 +51,8 @@ def dense_reference(chain):
         row = {face: i for i, face in enumerate(chain[q - 1])}
         entries = {}
         for j, cell in enumerate(chain[q]):
-            for i in range(len(cell)):
-                entries[(row[cell[:i] + cell[i + 1 :]], j)] = -1 if i % 2 else 1
+            for i, face in enumerate(faces_of(cell)):
+                entries[(row[face], j)] = -1 if i % 2 else 1
         reductions.append(reduce_boundary(counts[q - 1], counts[q], entries))
     reductions.append(BoundaryReduction(0, ()))
     return HomologySummary(
@@ -101,7 +114,7 @@ def test_filled_triangle_contractible():
 
 
 def test_two_points():
-    hom = reduced_homology_of_chain([[(0,), (1,)]])
+    hom = reduced_homology_of_chain([[0b01, 0b10]])
     assert hom.reduced_betti == (1,)
 
 
