@@ -29,15 +29,7 @@ from .autos import (
     project_local,
     verify_commuting,
 )
-from .psigma import (
-    ExponentVector,
-    PsigmaSpec,
-    apply_exponents,
-    inner_decision,
-    outer_rank,
-    psigma_generators,
-    psigma_vcd,
-)
+from .psigma import PsigmaSpec, outer_rank, psigma_generators, psigma_vcd
 from .ideal_edges import (
     HalfEdgeSet,
     IdealEdge,

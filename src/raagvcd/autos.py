@@ -5,7 +5,8 @@ holds on every defining graph (:func:`inner_conjugator`), the construction
 of the standard commuting generator set (partial conjugations plus
 transvections onto nodes outside the core subgraph) with an innerness
 decision for every commutator, the exact inner rank (one integer solve,
-:func:`inner_lattice`) that turns that set into a lower-bound witness, and
+:func:`inner_vectors`, which :func:`inner_lattice` and the partially
+symmetric family share) that turns that set into a lower-bound witness, and
 the projection to / lift from the free groups on vertex links used in the
 tree case.
 
@@ -847,6 +848,40 @@ def _solve_over_z(
     return [back_substitute(k) for k in range(n, n + len(rhs))]
 
 
+def inner_vectors(
+    autos: Sequence[RaagAutomorphism], targets: Sequence[RaagAutomorphism]
+) -> list[tuple[int, ...] | None]:
+    """For each target, the exponent vector ``e`` such that the composite
+    applying ``autos[0]^e[0]`` first and ``autos[-1]^e[-1]`` last equals
+    it, or ``None`` if there is none.
+
+    The caller vouches that :func:`_lattice_invariant` is additive on the
+    subgroup the maps generate and on the targets.  Then a target equal to
+    a product has ``c(target) = sum_i e[i] c(autos[i])``.  The columns
+    ``c(autos[i])`` must be independent (:func:`_solve_over_z` raises
+    :class:`StructureAnomalyError` otherwise), so ``e`` is the only
+    candidate, and it is kept only if the full composition equals the
+    target.
+    """
+    solutions = _solve_over_z(
+        [_lattice_invariant(a) for a in autos],
+        [_lattice_invariant(t) for t in targets],
+    )
+    out: list[tuple[int, ...] | None] = []
+    for target, vector in zip(targets, solutions):
+        if vector is not None:
+            # Bracketed from the last factor, each compose maps only one
+            # factor's support.
+            full = identity_automorphism(target.graph)
+            for a, e in reversed(list(zip(autos, vector))):
+                if e:
+                    full = compose(full, _power_automorphism(a, e))
+            if not full.equals(target):
+                vector = None
+        out.append(vector)
+    return out
+
+
 def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
     """Decide which conjugations by ``v0^a w0^b``, for ``(a, b)`` in
     (1, 0), (0, 1), (1, 1) and (1, -1), lie in the subgroup ``H`` generated
@@ -873,13 +908,11 @@ def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
 
     So if conjugation by ``t`` equals ``P(e)``, the product of generator
     powers with exponent vector ``e``, then ``c(conj t) = A e`` with the
-    columns ``c(a_i)`` of the generators.  The columns must be independent
-    (checked), so ``e`` is the only candidate; it is kept only if the full
-    composition equals conjugation by ``t``.  ``complete`` is always true.
+    columns ``c(a_i)`` of the generators; :func:`inner_vectors` solves for
+    ``e`` and re-checks it.  ``complete`` is always true.
     """
     g = gs.graph
     v0, w0 = gs.choices.base_edge
-    autos = gs.automorphisms()
     pairs = ((1, 0), (0, 1), (1, 1), (1, -1))
     targets = [
         inner_automorphism(
@@ -887,19 +920,10 @@ def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
         )
         for a, b in pairs
     ]
-    solutions = _solve_over_z(
-        [_lattice_invariant(a) for a in autos],
-        [_lattice_invariant(t) for t in targets],
-    )
-
-    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for pair, target, vector in zip(pairs, targets, solutions):
-        if vector is None:
-            continue
-        factors = [_power_automorphism(a, e) for a, e in zip(autos, vector) if e]
-        full = compose_all(factors[::-1]) if factors else identity_automorphism(g)
-        if full.equals(target):
-            witnesses[pair] = vector
+    solutions = inner_vectors(gs.automorphisms(), targets)
+    witnesses = {
+        pair: vector for pair, vector in zip(pairs, solutions) if vector is not None
+    }
 
     found = list(witnesses)
     if not found:

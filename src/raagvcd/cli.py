@@ -4,7 +4,7 @@ Four commands: ``analyze`` a graph file, ``psigma`` for the free-group
 family, ``ideal-complex`` for the blow-up complexes, and ``verify`` to run
 the invariant suite over a generated corpus.  Exit codes: 0 success,
 1 parse or usage failure, 2 ineligible graph, 3 invariant violation found
-by verify or an internal invariant broken during analyze.
+by verify or an internal invariant broken during analyze or psigma.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .ideal_edges import (
     HalfEdgeSet,
     build_complex,
     check_half_edge_cap,
-    enumerate_ideal_edges,
     morse_collapse_certificate,
     reduced_homology,
 )
@@ -155,9 +154,11 @@ def _cmd_psigma(args: argparse.Namespace) -> int:
             gens = psigma_generators(spec)
             payload["generators"] = [name for name, _ in gens]
             payload["generator_count"] = len(gens)
-            payload["outer_rank"] = outer_rank(spec)
+            payload["outer_rank"] = outer_rank(spec, gens)
     except PsigmaError as exc:
         return _input_error(str(exc))
+    except StructureAnomalyError as exc:
+        return _internal_error(exc)
 
     def render(p: dict) -> str:
         lines = [f"PSigma({p['n']},{p['k']}): vcd = {p['vcd']}"]
@@ -191,13 +192,18 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
             )
         legal_only = not args.full
         c = build_complex(h, legal_only=legal_only, max_simplices=args.cap)
-        all_edges = enumerate_ideal_edges(h)
+        # The ideal edges are the splits of the m half-edges into two sides
+        # of at least two each, 2^(m-1) - m - 1 of them; the complex's
+        # vertices are all of them with --full and the legal ones without.
+        legal_edges = (
+            sum(1 for v in c.vertices if v.legal) if args.full else len(c.vertices)
+        )
         payload = {
             "r": args.r,
             "s": args.s,
             "half_edges": h.size,
-            "ideal_edges": len(all_edges),
-            "legal_ideal_edges": sum(1 for e in all_edges if e.legal),
+            "ideal_edges": 2 ** (h.size - 1) - h.size - 1,
+            "legal_ideal_edges": legal_edges,
             "complex": "full" if args.full else "legal",
             "counts": list(c.counts()),
             "dim": c.dim,

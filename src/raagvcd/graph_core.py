@@ -116,9 +116,6 @@ class DefiningGraph:
     def link(self, v: str) -> frozenset[str]:
         return self.adjacency[v]
 
-    def adjacent(self, a: str, b: str) -> bool:
-        return b in self.adjacency[a]
-
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
 
@@ -321,15 +318,6 @@ class DominationOrder:
     def leq(self, v: str, w: str) -> bool:
         return self.graph.link(v) <= self.graph.link(w)
 
-    def equivalent(self, v: str, w: str) -> bool:
-        return self.graph.link(v) == self.graph.link(w)
-
-    def class_of(self, v: str) -> frozenset[str]:
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        raise KeyError(v)
-
     def dominators(self, v: str) -> frozenset[str]:
         return frozenset(w for w in self.graph.nodes if w != v and self.leq(v, w))
 
@@ -379,9 +367,6 @@ class CoreSubgraph:
 
     def valence(self, v: str) -> int:
         return self.graph.degree(v)
-
-    def core_valence(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def unique_maximal_valence(self, v: str) -> int:
         return len(self.graph.link(v) & self.unique_maximal)
@@ -462,9 +447,6 @@ class PieceDecomposition:
 
     def is_hub(self, v: str) -> bool:
         return v in self.hubs
-
-    def pieces_containing(self, v: str) -> tuple[frozenset[frozenset[str]], ...]:
-        return tuple(p for p in self.pieces if any(v in e for e in p))
 
 
 def _biconnected_edge_groups(g: DefiningGraph) -> list[frozenset[frozenset[str]]]:

@@ -5,20 +5,17 @@ the first ``k`` of the generators ``x1..xn`` to conjugates of themselves.
 Its dimension is ``2n - k - 2`` for ``k >= 1`` (and ``2n - 3`` for
 ``k = 0``); the witness is an explicit commuting family of ``2n - k - 1``
 automorphisms whose only inner members are the powers of conjugation by
-``x1``.  Everything is exact: commutation and innerness are decided by free
-reduction, no search involved.
-
-Convention for this module: conjugation by ``w`` sends ``x`` to
-``w^-1 x w``, matching the displayed generator images.
+``x1``.  Everything is exact: commutation is decided by free reduction, and
+the inner part by the integer solve that also serves Out(A_Gamma)
+(:func:`raagvcd.autos.inner_vectors`), no search involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
-from .graph_core import DefiningGraph, GraphError
+from .graph_core import DefiningGraph, GraphError, StructureAnomalyError
 from .words import RaagWord, generator
-from .autos import RaagAutomorphism, compose
+from .autos import RaagAutomorphism, compose, inner_automorphism, inner_vectors
 
 
 class PsigmaError(GraphError):
@@ -43,12 +40,6 @@ class PsigmaSpec:
     def free_graph(self) -> DefiningGraph:
         return free_group_graph(self.n)
 
-    def generator_names(self) -> list[str]:
-        names = [f"gamma_{i}" for i in range(2, self.k + 1)]
-        for i in range(self.k + 1, self.n + 1):
-            names.extend((f"lambda_{i}", f"rho_{i}"))
-        return names
-
 
 def free_group_graph(n: int) -> DefiningGraph:
     """The edgeless defining graph whose group is the free group F_n."""
@@ -63,52 +54,6 @@ def psigma_vcd(n: int, k: int) -> int:
     return 2 * spec.n - 3
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Exponents for the commuting family.
-
-    ``a[i]`` (for 1 < i <= k) powers the conjugating generator at ``x_i``;
-    ``b[i]``/``c[i]`` (for k < i <= n) power the left/right multiplications
-    at ``x_i``.  Component count is ``2n - k - 1``.
-    """
-
-    spec: PsigmaSpec
-    a: Mapping[int, int] = field(default_factory=dict)
-    b: Mapping[int, int] = field(default_factory=dict)
-    c: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        n, k = self.spec.n, self.spec.k
-        if not set(self.a) <= set(range(2, k + 1)):
-            raise PsigmaError(f"a-indices must lie in 2..{k}")
-        high = set(range(k + 1, n + 1))
-        if not set(self.b) <= high or not set(self.c) <= high:
-            raise PsigmaError(f"b/c-indices must lie in {k + 1}..{n}")
-
-    def component_count(self) -> int:
-        n, k = self.spec.n, self.spec.k
-        return (k - 1) + 2 * (n - k)
-
-    def as_tuple(self) -> tuple[int, ...]:
-        n, k = self.spec.n, self.spec.k
-        parts = [self.a.get(i, 0) for i in range(2, k + 1)]
-        for i in range(k + 1, n + 1):
-            parts.append(self.b.get(i, 0))
-            parts.append(self.c.get(i, 0))
-        return tuple(parts)
-
-    def add(self, other: "ExponentVector") -> "ExponentVector":
-        if other.spec != self.spec:
-            raise PsigmaError("exponent vectors over different specs")
-        n, k = self.spec.n, self.spec.k
-        return ExponentVector(
-            self.spec,
-            {i: self.a.get(i, 0) + other.a.get(i, 0) for i in range(2, k + 1)},
-            {i: self.b.get(i, 0) + other.b.get(i, 0) for i in range(k + 1, n + 1)},
-            {i: self.c.get(i, 0) + other.c.get(i, 0) for i in range(k + 1, n + 1)},
-        )
-
-
 def _x(g: DefiningGraph, i: int, exp: int = 1) -> RaagWord:
     return generator(g, f"x{i}", exp)
 
@@ -119,7 +64,8 @@ def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:
 
     Requires ``k >= 1``; for ``k = 0`` the family is not defined (only the
     dimension formula applies).  All pairs commute exactly in Aut(F_n),
-    which the constructor verifies by free reduction.
+    which the constructor verifies by free reduction; a failure raises
+    :class:`StructureAnomalyError`.
     """
     if spec.k < 1:
         raise PsigmaError("generator family requires k >= 1")
@@ -158,99 +104,45 @@ def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:
             first = compose(phi, psi)
             second = compose(psi, phi)
             if not first.equals(second):
-                raise PsigmaError("generator family failed exact commutation")
+                raise StructureAnomalyError(
+                    "generator family failed exact commutation"
+                )
     return out
 
 
-def apply_exponents(spec: PsigmaSpec, vec: ExponentVector) -> RaagAutomorphism:
-    """The product automorphism of the family at the given exponents.
+def outer_rank(spec: PsigmaSpec, family: list[tuple[str, RaagAutomorphism]]) -> int:
+    """Rank of the image of ``family`` (as :func:`psigma_generators`
+    returns it for ``spec``) in Out(F_n); equals the dimension.
 
-    ``x1`` is fixed; ``x_i -> x1^-a_i x_i x1^a_i`` in the fixed range and
-    ``x_i -> x1^b_i x_i x1^c_i`` in the free range.  Because the family
-    commutes this equals the composite of generator powers in any order.
-    """
-    if vec.spec != spec:
-        raise PsigmaError("exponent vector over a different spec")
-    g = spec.free_graph
-    images: dict[str, RaagWord] = {}
-    inverse_images: dict[str, RaagWord] = {}
-    for i in range(2, spec.k + 1):
-        m = vec.a.get(i, 0)
-        images[f"x{i}"] = _pow(g, 1, -m) * _x(g, i) * _pow(g, 1, m)
-        inverse_images[f"x{i}"] = _pow(g, 1, m) * _x(g, i) * _pow(g, 1, -m)
-    for i in range(spec.k + 1, spec.n + 1):
-        bi = vec.b.get(i, 0)
-        ci = vec.c.get(i, 0)
-        images[f"x{i}"] = _pow(g, 1, bi) * _x(g, i) * _pow(g, 1, ci)
-        inverse_images[f"x{i}"] = _pow(g, 1, -bi) * _x(g, i) * _pow(g, 1, -ci)
-    return RaagAutomorphism(g, images, inverse_images)
-
-
-def _pow(g: DefiningGraph, i: int, exp: int) -> RaagWord:
-    sign = 1 if exp > 0 else -1
-    return RaagWord(g, tuple((f"x{i}", sign) for _ in range(abs(exp))))
-
-
-def inner_decision(spec: PsigmaSpec, vec: ExponentVector) -> int | None:
-    """Exactly which power of conjugation by ``x1`` the vector realizes.
-
-    Returns ``m`` iff the product equals ``x -> x1^-m x x1^m``, which
-    happens precisely when every ``a_i = m``, every ``b_i = -m`` and every
-    ``c_i = m``; otherwise ``None``.  No search: pure pattern matching on
-    the exponents, re-verified against the actual automorphism.
-    """
-    n, k = spec.n, spec.k
-    candidates: set[int] = set()
-    candidates.update(vec.a.get(i, 0) for i in range(2, k + 1))
-    candidates.update(-vec.b.get(i, 0) for i in range(k + 1, n + 1))
-    candidates.update(vec.c.get(i, 0) for i in range(k + 1, n + 1))
-    if not candidates:
-        candidates = {0}
-    if len(candidates) != 1:
-        return None
-    m = candidates.pop()
-    ok = all(vec.a.get(i, 0) == m for i in range(2, k + 1)) and all(
-        vec.b.get(i, 0) == -m and vec.c.get(i, 0) == m
-        for i in range(k + 1, n + 1)
-    )
-    if not ok:
-        return None
-    g = spec.free_graph
-    phi = apply_exponents(spec, vec)
-    conj = RaagAutomorphism(
-        g,
-        {x: _pow(g, 1, -m) * generator(g, x) * _pow(g, 1, m) for x in g.nodes},
-    )
-    if not phi.equals(conj):
-        raise PsigmaError("inner pattern matched but the maps differ")
-    return m
-
-
-def outer_rank(spec: PsigmaSpec) -> int:
-    """Rank of the family modulo the inner line; equals the dimension.
-
-    The exponent lattice has rank ``2n - k - 1``; the inner elements form
-    the line through the pattern vector (all ``a_i = 1``, ``b_i = -1``,
-    ``c_i = 1``), certified by :func:`inner_decision`, so the quotient has
-    rank one less.  Requires ``k >= 1``: for ``k = 0`` there is no inner
-    line in this family and the operation refuses.
+    One exact integer solve (:func:`raagvcd.autos.inner_vectors`) decides
+    the inner part.  The solve is exact here because every member fixes
+    ``x1`` and sends ``x_i`` to ``x1^a x_i x1^b``: under composition the
+    left and right exponents at each ``x_i`` add, so the invariant it
+    solves over is additive on the family.  The solve also checks that the
+    members' invariants are independent, so the family spans a free abelian
+    group of rank ``len(family)``.  An inner map that fixes ``x1`` is conjugation
+    by a power of ``x1``, so the inner part has rank at most one; it is
+    exactly one when ``x -> x1^-1 x x1`` is a product of the family (every
+    ``gamma`` to the power 1, every ``lambda`` to -1, every ``rho`` to +1),
+    and the outer rank is ``len(family) - 1``.
+    Dependent members, a missing inner line or a rank that disagrees with
+    :func:`psigma_vcd` raise :class:`StructureAnomalyError`.  Requires
+    ``k >= 1``: for ``k = 0`` there is no family and the operation refuses.
     """
     if spec.k < 1:
         raise PsigmaError("outer rank via the inner line requires k >= 1")
-    n, k = spec.n, spec.k
-    line = ExponentVector(
-        spec,
-        {i: 1 for i in range(2, k + 1)},
-        {i: -1 for i in range(k + 1, n + 1)},
-        {i: 1 for i in range(k + 1, n + 1)},
+    g = spec.free_graph
+    (line,) = inner_vectors(
+        [phi for _, phi in family], [inner_automorphism(g, _x(g, 1, -1))]
     )
-    if inner_decision(spec, line) != 1:
-        raise PsigmaError("inner line generator failed its own certification")
-    lattice_rank = (k - 1) + 2 * (n - k)
-    rank = lattice_rank - 1
-    if rank != psigma_vcd(n, k):
-        raise PsigmaError(
+    if line is None:
+        raise StructureAnomalyError(
+            "conjugation x -> x1^-1 x x1 is not a product of the family"
+        )
+    rank = len(family) - 1
+    if rank != psigma_vcd(spec.n, spec.k):
+        raise StructureAnomalyError(
             f"outer rank {rank} disagrees with the dimension formula "
-            f"{psigma_vcd(n, k)}"
+            f"{psigma_vcd(spec.n, spec.k)}"
         )
     return rank

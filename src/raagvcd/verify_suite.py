@@ -3,10 +3,11 @@
 Runs every structural identity and bound formula over exhaustively
 generated trees and the deterministic cycle fixtures, plus generator-set
 counts, witness outer ranks and commutation certificates on the small end
-of the corpus, and the blow-up complexes on up to eight half-edges: the
-full ones against the tree-space oracle, the legal ones for trivial
-homology and a collapse certificate.  Any violation is collected rather
-than raised so the caller can report all of them at once.
+of the corpus, the outer rank of the partially symmetric family against
+its dimension formula for n <= 8, and the blow-up complexes on up to eight
+half-edges: the full ones against the tree-space oracle, the legal ones for
+trivial homology and a collapse certificate.  Any violation is collected
+rather than raised so the caller can report all of them at once.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .ideal_edges import (
     morse_collapse_certificate,
     reduced_homology,
 )
+from .psigma import PsigmaSpec, outer_rank, psigma_generators, psigma_vcd
 from .vcd_bounds import TAG_TREE, tag_cycle, unique_cycle_length, vcd_report
 
 
@@ -104,6 +106,22 @@ def _double_factorial(n: int) -> int:
         out *= n
         n -= 2
     return out
+
+
+def _psigma_checks(result: VerificationResult) -> None:
+    # The witness family's outer rank, from the integer solve, against
+    # 2n - k - 2 (Collins' n - 2 at k = n).
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            label = f"psigma outer rank = dimension [n={n}, k={k}]"
+            spec = PsigmaSpec(n, k)
+            try:
+                rank = outer_rank(spec, psigma_generators(spec))
+            except GraphError as exc:
+                result.check(label, False, str(exc))
+                continue
+            vcd = psigma_vcd(n, k)
+            result.check(label, rank == vcd, f"{rank} != {vcd}")
 
 
 def _blowup_checks(result: VerificationResult) -> None:
@@ -260,5 +278,6 @@ def run_verification(max_nodes: int = 8) -> VerificationResult:
             f"{len(uncertified)} uncertified pairs",
         )
 
+    _psigma_checks(result)
     _blowup_checks(result)
     return result

@@ -18,7 +18,7 @@ from raagvcd.autos import (
     project_local,
     verify_commuting,
 )
-from raagvcd.psigma import PsigmaSpec, outer_rank, psigma_vcd
+from raagvcd.psigma import PsigmaSpec, outer_rank, psigma_generators, psigma_vcd
 from raagvcd.ideal_edges import (
     HalfEdgeSet,
     build_complex,
@@ -147,7 +147,8 @@ def test_psigma_values():
             assert psigma_vcd(n, 0) == 2 * n - 3
         for n in range(2, 7):
             for k in range(1, n + 1):
-                assert outer_rank(PsigmaSpec(n, k)) == 2 * n - k - 2
+                spec = PsigmaSpec(n, k)
+                assert outer_rank(spec, psigma_generators(spec)) == 2 * n - k - 2
 
 
 def test_lift_round_trip():

@@ -78,6 +78,28 @@ class TestPsigma:
     def test_bad_rank(self, capsys):
         assert main(["psigma", "1", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda family: family[:-1], "not a product of the family"),
+            (lambda family: family + family[:1], "columns are dependent"),
+        ],
+        ids=["dropped", "duplicated"],
+    )
+    def test_broken_family_exits_3(self, capsys, monkeypatch, edit, message):
+        from raagvcd import cli as cli_module
+        from raagvcd.psigma import psigma_generators
+
+        def edited(spec):
+            return edit(psigma_generators(spec))
+
+        monkeypatch.setattr(cli_module, "psigma_generators", edited)
+        assert main(["psigma", "4", "2", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant broken: ")
+        assert message in captured.err
+
 
 class TestIdealComplex:
     def test_worked_example(self, capsys):
@@ -109,6 +131,36 @@ class TestIdealComplex:
         assert "at least 4 half-edges" in captured.err
         assert "Warning" not in captured.err
         assert len(recwarn) == 0
+
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_edge_counts_without_a_second_enumeration(
+        self, capsys, monkeypatch, full
+    ):
+        import sys
+
+        from raagvcd import ideal_edges
+        from raagvcd.ideal_edges import HalfEdgeSet, enumerate_ideal_edges
+
+        callers = []
+
+        def recording(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return enumerate_ideal_edges(*args, **kwargs)
+
+        monkeypatch.setattr(ideal_edges, "enumerate_ideal_edges", recording)
+        flags = ["--json", "--no-homology", "--cap", "200000"]
+        if full:
+            flags.append("--full")
+        for m in range(4, 9):
+            for r in range(m // 2 + 1):
+                s = m - 2 * r
+                assert main(["ideal-complex", str(r), str(s), *flags]) == 0
+                payload = json.loads(capsys.readouterr().out)
+                edges = enumerate_ideal_edges(HalfEdgeSet.standard(r, s))
+                assert payload["ideal_edges"] == len(edges)
+                assert payload["legal_ideal_edges"] == sum(e.legal for e in edges)
+        assert callers and "raagvcd.cli" not in callers
 
 
 class TestFlagRanges:

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+from raagvcd.graph_core import StructureAnomalyError
 from raagvcd.words import equal, parse_word
-from raagvcd.autos import compose, identity_automorphism
+from raagvcd.autos import (
+    RaagAutomorphism,
+    _lattice_invariant,
+    compose,
+    inner_automorphism,
+    inner_vectors,
+)
 from raagvcd.psigma import (
-    ExponentVector,
     PsigmaError,
     PsigmaSpec,
-    apply_exponents,
-    inner_decision,
     outer_rank,
     psigma_generators,
     psigma_vcd,
@@ -68,103 +72,94 @@ class TestGenerators:
                 assert compose(phi, psi).equals(compose(psi, phi))
 
 
-class TestApplyExponents:
-    def test_zero_vector_is_identity(self):
-        spec = PsigmaSpec(4, 2)
-        phi = apply_exponents(spec, ExponentVector(spec))
-        assert phi.is_identity()
-
-    def test_gamma_image(self):
-        spec = PsigmaSpec(2, 2)
-        phi = apply_exponents(spec, ExponentVector(spec, {2: 1}, {}, {}))
-        g = spec.free_graph
-        assert equal(phi.image_of("x2"), parse_word(g, "x1^-1 x2 x1"))
-
-    def test_lambda_rho_images(self):
-        spec = PsigmaSpec(3, 1)
-        phi = apply_exponents(
-            spec, ExponentVector(spec, {}, {2: 1, 3: 0}, {2: 0, 3: 2})
-        )
-        g = spec.free_graph
-        assert equal(phi.image_of("x2"), parse_word(g, "x1 x2"))
-        assert equal(phi.image_of("x3"), parse_word(g, "x3 x1 x1"))
-
-    def test_matches_generator_composites(self):
-        rng = random.Random(6)
-        spec = PsigmaSpec(4, 2)
-        gens = psigma_generators(spec)
-        for _ in range(10):
-            exponents = [rng.randrange(-2, 3) for _ in gens]
-            composite = identity_automorphism(spec.free_graph)
-            for (name, auto), e in zip(gens, exponents):
-                step = auto if e > 0 else auto.inverse()
-                for _ in range(abs(e)):
-                    composite = compose(step, composite)
-            vec = ExponentVector(
-                spec,
-                {2: exponents[0]},
-                {3: exponents[1], 4: exponents[3]},
-                {3: exponents[2], 4: exponents[4]},
-            )
-            assert apply_exponents(spec, vec).equals(composite)
-
-    def test_lattice_homomorphism(self):
-        rng = random.Random(12)
-        spec = PsigmaSpec(5, 2)
-        for _ in range(8):
-            v1 = ExponentVector(
-                spec,
-                {2: rng.randrange(-2, 3)},
-                {i: rng.randrange(-2, 3) for i in range(3, 6)},
-                {i: rng.randrange(-2, 3) for i in range(3, 6)},
-            )
-            v2 = ExponentVector(
-                spec,
-                {2: rng.randrange(-2, 3)},
-                {i: rng.randrange(-2, 3) for i in range(3, 6)},
-                {i: rng.randrange(-2, 3) for i in range(3, 6)},
-            )
-            lhs = apply_exponents(spec, v1.add(v2))
-            rhs = compose(apply_exponents(spec, v1), apply_exponents(spec, v2))
-            assert lhs.equals(rhs)
-
-
-class TestInnerDecision:
-    def test_zero_vector(self):
-        spec = PsigmaSpec(3, 2)
-        assert inner_decision(spec, ExponentVector(spec)) == 0
-
-    def test_gamma_is_inner(self):
-        spec = PsigmaSpec(2, 2)
-        assert inner_decision(spec, ExponentVector(spec, {2: 1}, {}, {})) == 1
-
-    def test_partial_pattern_rejected(self):
-        spec = PsigmaSpec(3, 1)
-        assert inner_decision(spec, ExponentVector(spec, {}, {2: 1}, {})) is None
-
-    def test_full_pattern_any_power(self):
-        spec = PsigmaSpec(4, 2)
-        vec = ExponentVector(
-            spec, {2: -3}, {3: 3, 4: 3}, {3: -3, 4: -3}
-        )
-        assert inner_decision(spec, vec) == -3
-
-    def test_mismatched_pattern(self):
-        spec = PsigmaSpec(4, 2)
-        vec = ExponentVector(spec, {2: 1}, {3: -1, 4: -1}, {3: 1, 4: 2})
-        assert inner_decision(spec, vec) is None
+def _sum(c1: dict, c2: dict) -> dict:
+    out = dict(c1)
+    for key, v in c2.items():
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
 class TestOuterRank:
     @pytest.mark.parametrize(
-        "n,k", [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
+        "n,k", [(n, k) for n in range(2, 11) for k in range(1, n + 1)]
     )
     def test_matches_formula(self, n, k):
-        assert outer_rank(PsigmaSpec(n, k)) == 2 * n - k - 2
+        spec = PsigmaSpec(n, k)
+        assert outer_rank(spec, psigma_generators(spec)) == 2 * n - k - 2
 
     def test_k_zero_refused(self):
         with pytest.raises(PsigmaError):
-            outer_rank(PsigmaSpec(4, 0))
+            outer_rank(PsigmaSpec(4, 0), [])
 
     def test_single_generator_case_is_rank_zero(self):
-        assert outer_rank(PsigmaSpec(2, 2)) == 0
+        spec = PsigmaSpec(2, 2)
+        assert outer_rank(spec, psigma_generators(spec)) == 0
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (4, 1), (5, 3), (6, 6)])
+    def test_solved_vector_is_the_inner_line(self, n, k):
+        spec = PsigmaSpec(n, k)
+        family = psigma_generators(spec)
+        g = spec.free_graph
+        target = inner_automorphism(g, parse_word(g, "x1^-1"))
+        (line,) = inner_vectors([phi for _, phi in family], [target])
+        want = {"gamma": 1, "lambda": -1, "rho": 1}
+        assert line == tuple(want[name.split("_")[0]] for name, _ in family)
+
+    def test_lattice_invariant_additive(self):
+        rng = random.Random(12)
+        spec = PsigmaSpec(5, 2)
+        autos = [phi for _, phi in psigma_generators(spec)]
+
+        def random_product():
+            out = autos[0].inverse()
+            for _ in range(rng.randrange(1, 6)):
+                step = rng.choice(autos)
+                out = compose(step if rng.random() < 0.5 else step.inverse(), out)
+            return out
+
+        for _ in range(12):
+            a, b = random_product(), random_product()
+            assert _lattice_invariant(compose(a, b)) == _sum(
+                _lattice_invariant(a), _lattice_invariant(b)
+            )
+
+    def test_duplicated_member_raises(self):
+        spec = PsigmaSpec(4, 2)
+        family = psigma_generators(spec)
+        with pytest.raises(StructureAnomalyError, match="dependent"):
+            outer_rank(spec, family + family[-1:])
+
+    @pytest.mark.parametrize("drop", [0, 1, 2])
+    def test_dropped_member_raises(self, drop):
+        spec = PsigmaSpec(4, 2)
+        family = psigma_generators(spec)
+        with pytest.raises(StructureAnomalyError, match="not a product"):
+            outer_rank(spec, family[:drop] + family[drop + 1 :])
+
+    def test_extra_member_disagrees_with_formula(self):
+        # lambda_2 is independent of the family and leaves the inner line
+        # in place, so the rank it gives is one above the dimension.
+        spec = PsigmaSpec(4, 2)
+        g = spec.free_graph
+        extra = RaagAutomorphism(
+            g, {"x2": parse_word(g, "x1 x2")}, {"x2": parse_word(g, "x1^-1 x2")}
+        )
+        family = psigma_generators(spec) + [("lambda_2", extra)]
+        with pytest.raises(StructureAnomalyError, match="disagrees"):
+            outer_rank(spec, family)
+
+    def test_recheck_rejects_a_map_with_the_same_invariant(self):
+        # x2 -> x2 x3 x1 x3^-1 has the invariant of rho_2 (x2 -> x2 x1), so
+        # only the full composition tells them apart.
+        spec = PsigmaSpec(3, 1)
+        g = spec.free_graph
+        family = psigma_generators(spec)
+        rho_2 = dict(family)["rho_2"]
+        twisted = RaagAutomorphism(
+            g,
+            {"x2": parse_word(g, "x2 x3 x1 x3^-1")},
+            {"x2": parse_word(g, "x2 x3 x1^-1 x3^-1")},
+        )
+        assert _lattice_invariant(twisted) == _lattice_invariant(rho_2)
+        autos = [phi for _, phi in family]
+        assert inner_vectors(autos, [rho_2, twisted]) == [(0, 1, 0, 0), None]
