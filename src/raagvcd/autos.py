@@ -13,20 +13,19 @@ tree case.
 Conventions fixed once here: ``compose(phi, psi)`` applies ``psi`` first,
 and conjugation by a word ``w`` sends ``x`` to ``w x w^-1``.
 
-Stored images are always reduced words: the constructor reduces what it is
-given and :func:`compose` keeps the reduced results of ``apply`` without
-reducing them again, so fixed generators are recognised by their letters
-alone.  Reduced words for one element are shuffles of one another, so a
-reduced image equals ``x`` exactly when it is the one-letter word ``x``.
-
-Each map keeps its *support*, the nodes it moves in graph order, computed
-once from those letters.  Work is done over supports only, and skipping
-the other nodes is exact because each of them is sent to the one-letter
-word ``x``:
+A map stores images only for its *support*, the nodes it moves: a dict
+from node code to the reduced image as signed codes of the graph's
+context (see :mod:`raagvcd.words`), the identity on every other node
+implicit.  The constructor reduces what it is given and :func:`compose`
+keeps the reduced results of applying ``phi`` without reducing them again.
+Reduced words for one element are shuffles of one another, so a reduced
+image equals ``x`` exactly when it is the one-letter word ``x``, and that
+image is not stored.  ``images`` and ``inverse_images`` read as maps from
+every node name to a word.  Work is done over supports only:
 
 * ``compose(phi, psi)`` maps only ``psi``'s support through ``phi``; any
-  other ``x`` has ``psi(x) = x``, so ``phi(psi(x))`` is ``phi``'s stored
-  image of ``x``.
+  other ``x`` has ``psi(x) = x``, so ``phi(psi(x))`` is ``phi``'s image
+  of ``x``, stored or implicit.
 * ``equals`` compares the union of the two supports; outside it both
   images are ``x``.
 * ``respects_relations`` checks the edges that meet the support; the
@@ -38,13 +37,14 @@ its two factors instead of building inverse images, and builds
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .graph_core import (
     CoreSubgraph,
     DefiningGraph,
+    GraphContext,
     GraphError,
     PieceDecomposition,
     StructureAnomalyError,
@@ -54,13 +54,18 @@ from .graph_core import (
 )
 from .words import (
     RaagWord,
-    _trusted,
+    _equal_codes,
+    _inverse,
+    _reduced_codes,
+    _word,
     canonical,
     empty_word,
     equal,
     generator,
     reduce_word,
 )
+
+Images = dict[int, tuple[int, ...]]
 
 
 class AutomorphismError(GraphError):
@@ -71,18 +76,23 @@ class LiftError(AutomorphismError):
     """Lift construction failed or violated its projection postconditions."""
 
 
+def _image_map(ctx: GraphContext, moved: Images) -> Mapping[str, RaagWord]:
+    """Every node, in graph order, to its image word."""
+    code = ctx.code
+    return MappingProxyType(
+        {x: _word(ctx, moved.get(code[x], (code[x],))) for x in ctx.graph.nodes}
+    )
+
+
 class RaagAutomorphism:
     """An endomorphism given by generator images, usually with a stored
     two-sided inverse certifying that it is an automorphism.
 
-    Images are stored reduced, the support (moved nodes, in graph order) is
-    computed once, and :meth:`inverse` is cached, so
-    ``phi.inverse().inverse() is phi``.
+    Images are stored reduced for the moved nodes only, and
+    :meth:`inverse` is cached, so ``phi.inverse().inverse() is phi``.
     """
 
-    __slots__ = (
-        "graph", "images", "_inverse_images", "_inverse", "_support", "_factors"
-    )
+    __slots__ = ("ctx", "_images", "_inverse_images", "_inverse", "_factors")
 
     def __init__(
         self,
@@ -90,76 +100,37 @@ class RaagAutomorphism:
         images: Mapping[str, RaagWord],
         inverse_images: Mapping[str, RaagWord] | None = None,
     ):
-        for x, img in images.items():
-            if x not in graph.adjacency:
-                raise AutomorphismError(f"image given for non-node {x!r}")
-            if img.graph is not graph and img.graph != graph:
-                raise AutomorphismError("image word over a different graph")
-        self.graph = graph
-        self.images = MappingProxyType(
-            {
-                x: reduce_word(images[x]) if x in images else generator(graph, x)
-                for x in graph.nodes
-            }
-        )
+        ctx = graph.context
+        self.ctx, self._images = ctx, _moved_images(ctx, images)
         self._inverse_images = (
-            MappingProxyType(
-                {
-                    x: reduce_word(inverse_images[x])
-                    if x in inverse_images
-                    else generator(graph, x)
-                    for x in graph.nodes
-                }
-            )
-            if inverse_images is not None
-            else None
+            None if inverse_images is None else _moved_images(ctx, inverse_images)
         )
         self._inverse: RaagAutomorphism | None = None
-        self._support = _scan_support(graph, self.images)
         self._factors: tuple[RaagAutomorphism, RaagAutomorphism] | None = None
 
-    @classmethod
-    def _from_reduced(
-        cls,
-        graph: DefiningGraph,
-        images: Mapping[str, RaagWord],
-        inverse_images: Mapping[str, RaagWord] | None,
-        support: tuple[str, ...] | None = None,
-    ) -> "RaagAutomorphism":
-        """Wrap read-only image maps that cover every node with words already
-        reduced over ``graph``, without checking or reducing them again.
-        ``support`` is scanned from ``images`` unless the caller knows it."""
-        phi = cls.__new__(cls)
-        phi.graph = graph
-        phi.images = images
-        phi._inverse_images = inverse_images
-        phi._inverse = None
-        phi._support = _scan_support(graph, images) if support is None else support
-        phi._factors = None
-        return phi
+    @property
+    def graph(self) -> DefiningGraph:
+        return self.ctx.graph
+
+    @property
+    def images(self) -> Mapping[str, RaagWord]:
+        return _image_map(self.ctx, self._images)
 
     def image_of(self, node: str) -> RaagWord:
-        return self.images[node]
+        code = self.ctx.code[node]
+        return _word(self.ctx, self._images.get(code, (code,)))
 
     def apply(self, w: RaagWord) -> RaagWord:
-        if w.graph is not self.graph and w.graph != self.graph:
+        """The image of ``w``, reduced."""
+        if w.ctx is not self.ctx:
             raise AutomorphismError("word over a different graph")
-        letters: list = []
-        for gen, exp in w.letters:
-            img = self.images[gen].letters
-            if exp == 1:
-                letters.extend(img)
-            else:
-                letters.extend((h, -e) for h, e in reversed(img))
-        return reduce_word(_trusted(self.graph, tuple(letters)))
+        return _word(self.ctx, _apply(self, _reduced_codes(self.ctx, w.codes)))
 
     @property
     def inverse_images(self) -> Mapping[str, RaagWord] | None:
         """The images of the inverse, or ``None`` if there is no inverse; a
         composite builds its inverse on first read."""
-        if self._inverse_images is None and self._factors is not None:
-            self.inverse()
-        return self._inverse_images
+        return self.inverse().images if self._invertible() else None
 
     def _invertible(self) -> bool:
         """Whether :meth:`inverse` would succeed, without building it."""
@@ -168,15 +139,13 @@ class RaagAutomorphism:
     def inverse(self) -> "RaagAutomorphism":
         if self._inverse is None:
             if self._inverse_images is not None:
-                inv = RaagAutomorphism._from_reduced(
-                    self.graph, self._inverse_images, self.images
-                )
+                inv = _wrap(self.ctx, self._inverse_images, self._images)
             elif self._factors is not None:
                 phi, psi = self._factors
                 inv = compose(psi.inverse(), phi.inverse())
                 inv._factors = self._factors = None
-                inv._inverse_images = self.images
-                self._inverse_images = inv.images
+                inv._inverse_images = self._images
+                self._inverse_images = inv._images
             else:
                 raise AutomorphismError("no stored inverse")
             inv._inverse = self
@@ -185,35 +154,40 @@ class RaagAutomorphism:
 
     def is_identity(self) -> bool:
         """Whether every generator is fixed: the support is empty."""
-        return not self._support
+        return not self._images
 
     def moved_nodes(self) -> tuple[str, ...]:
         """Nodes whose image is not the generator itself, in graph order."""
-        return self._support
+        code = self.ctx.code
+        return tuple(x for x in self.graph.nodes if code[x] in self._images)
 
     def equals(self, other: "RaagAutomorphism") -> bool:
-        """Equality as maps, decided by :func:`equal` on every node either
-        map moves; every other node is sent to itself by both."""
-        if self.graph is not other.graph and self.graph != other.graph:
+        """Equality as maps, decided by both routes of :func:`equal` on
+        every node either map moves; every other node is sent to itself by
+        both."""
+        if self.ctx is not other.ctx:
             return False
-        nodes = self._support + tuple(
-            x for x in other._support if x not in self._support
+        mine, theirs = self._images, other._images
+        return all(
+            _equal_codes(self.ctx, mine.get(c, (c,)), theirs.get(c, (c,)), True)
+            for c in sorted(mine.keys() | theirs.keys())
         )
-        return all(equal(self.images[x], other.images[x]) for x in nodes)
 
     def respects_relations(self) -> bool:
         """Adjacent generators must have commuting images.  An edge with
         both ends fixed maps to itself, so only edges at the support are
-        checked."""
-        moved = set(self._support)
-        for e in self.graph.edges:
-            if moved.isdisjoint(e):
-                continue
-            x, y = sorted(e)
-            if not equal(
-                self.images[x] * self.images[y], self.images[y] * self.images[x]
-            ):
-                return False
+        checked, each once."""
+        ctx, images = self.ctx, self._images
+        for x, u in images.items():
+            nbrs = ctx.adj[x]
+            while nbrs:
+                y = (nbrs & -nbrs).bit_length()  # the code of the lowest bit
+                nbrs &= nbrs - 1
+                if y in images and y < x:
+                    continue
+                v = images.get(y, (y,))
+                if not _equal_codes(ctx, u + v, v + u):
+                    return False
         return True
 
     def has_verified_inverse(self) -> bool:
@@ -227,38 +201,82 @@ class RaagAutomorphism:
         return f"RaagAutomorphism({moved or 'identity'})"
 
 
-def _scan_support(
-    graph: DefiningGraph, images: Mapping[str, RaagWord]
-) -> tuple[str, ...]:
-    return tuple(x for x in graph.nodes if images[x].letters != ((x, 1),))
+def _moved_images(ctx: GraphContext, images: Mapping[str, RaagWord]) -> Images:
+    """The reduced images of the nodes that ``images`` moves, by code."""
+    out: Images = {}
+    for x, img in images.items():
+        if x not in ctx.code:
+            raise AutomorphismError(f"image given for non-node {x!r}")
+        if img.ctx is not ctx:
+            raise AutomorphismError("image word over a different graph")
+        code = ctx.code[x]
+        reduced = tuple(_reduced_codes(ctx, img.codes))
+        if reduced != (code,):
+            out[code] = reduced
+    return out
+
+
+def _wrap(
+    ctx: GraphContext, images: Images, inverse_images: Images | None
+) -> RaagAutomorphism:
+    """A map from support images already reduced over ``ctx``, taken as
+    they are."""
+    phi = object.__new__(RaagAutomorphism)
+    phi.ctx, phi._images, phi._inverse_images = ctx, images, inverse_images
+    phi._inverse = phi._factors = None
+    return phi
+
+
+def _apply(phi: RaagAutomorphism, codes: Sequence[int]) -> tuple[int, ...]:
+    """``phi`` applied to reduced codes, reduced; codes with no letter in
+    the support come back as they are."""
+    images = phi._images
+    out: list[int] = []
+    moved = False
+    for c in codes:
+        img = images.get(c if c > 0 else -c)
+        if img is None:
+            out.append(c)
+        else:
+            out.extend(img if c > 0 else _inverse(img))
+            moved = True
+    return tuple(_reduced_codes(phi.ctx, out)) if moved else tuple(codes)
 
 
 def identity_automorphism(g: DefiningGraph) -> RaagAutomorphism:
     return RaagAutomorphism(g, {}, {})
 
 
+def _conjugation(
+    g: DefiningGraph, w: RaagWord, nodes: Iterable[str]
+) -> RaagAutomorphism:
+    """Conjugation by ``w`` on ``nodes``: ``x -> w x w^-1``, every other
+    node fixed."""
+    ctx = g.context
+    if w.ctx is not ctx:
+        raise AutomorphismError("word over a different graph")
+    unknown = set(nodes) - ctx.code.keys()
+    if unknown:
+        raise AutomorphismError(f"cannot conjugate non-nodes {sorted(unknown)}")
+
+    def conjugates(a: tuple[int, ...], b: tuple[int, ...]) -> Images:
+        images = {c: _reduced_codes(ctx, (*a, c, *b)) for c in map(ctx.code.get, nodes)}
+        return {x: tuple(img) for x, img in images.items() if img != [x]}
+
+    inv = _inverse(w.codes)
+    return _wrap(ctx, conjugates(w.codes, inv), conjugates(inv, w.codes))
+
+
 def inner_automorphism(g: DefiningGraph, w: RaagWord) -> RaagAutomorphism:
     """Conjugation by ``w``: every node maps to ``w x w^-1``."""
-    inv = w.inverse()
-    return RaagAutomorphism(
-        g,
-        {x: w * generator(g, x) * inv for x in g.nodes},
-        {x: inv * generator(g, x) * w for x in g.nodes},
-    )
+    return _conjugation(g, w, g.nodes)
 
 
 def partial_conjugation(
     g: DefiningGraph, by: str, support: Iterable[str]
 ) -> RaagAutomorphism:
     """Conjugate the nodes of ``support`` by the generator ``by``."""
-    supp = sorted(support)
-    h = generator(g, by)
-    h_inv = h.inverse()
-    return RaagAutomorphism(
-        g,
-        {x: h * generator(g, x) * h_inv for x in supp},
-        {x: h_inv * generator(g, x) * h for x in supp},
-    )
+    return _conjugation(g, generator(g, by), sorted(support))
 
 
 def transvection(
@@ -278,22 +296,19 @@ def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
     """``compose(phi, psi)(x) = phi(psi(x))``: right-to-left application.
 
     Only ``psi``'s support is mapped through ``phi``; every other node
-    keeps ``phi``'s stored image.  The inverse is built on first use, as
+    keeps ``phi``'s image.  The inverse is built on first use, as
     ``compose(psi.inverse(), phi.inverse())``.
     """
-    g = phi.graph
-    if psi.graph is not g and psi.graph != g:
+    if psi.ctx is not phi.ctx:
         raise AutomorphismError("automorphisms over different graphs")
-    images = phi.images.copy()
-    for x in psi._support:
-        images[x] = phi.apply(psi.images[x])
-    maybe_moved = set(phi._support).union(psi._support)
-    support = tuple(
-        x for x in g.nodes if x in maybe_moved and images[x].letters != ((x, 1),)
-    )
-    result = RaagAutomorphism._from_reduced(
-        g, MappingProxyType(images), None, support
-    )
+    images = dict(phi._images)
+    for code, img in psi._images.items():
+        mapped = _apply(phi, img)
+        if mapped == (code,):
+            images.pop(code, None)
+        else:
+            images[code] = mapped
+    result = _wrap(phi.ctx, images, None)
     if phi._invertible() and psi._invertible():
         result._factors = (phi, psi)
     return result
@@ -309,29 +324,27 @@ def compose_all(autos: Sequence[RaagAutomorphism]) -> RaagAutomorphism:
     return result
 
 
-def commutator(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
-    return compose_all([phi, psi, phi.inverse(), psi.inverse()])
-
-
 def _verifies_conjugator(phi: RaagAutomorphism, cand: RaagWord) -> bool:
-    g = phi.graph
-    cand_inv = cand.inverse()
-    nodes = list(phi.moved_nodes())
-    nodes += [x for x in g.nodes if x not in nodes]
+    """Whether conjugation by ``cand`` gives ``phi``'s image on every node,
+    the moved ones first."""
+    ctx, images = phi.ctx, phi._images
+    c, c_inv = cand.codes, _inverse(cand.codes)
+    nodes = sorted(range(1, len(ctx.names) + 1), key=lambda x: x not in images)
     return all(
-        equal(phi.images[x], cand * generator(g, x) * cand_inv) for x in nodes
+        _equal_codes(ctx, images.get(x, (x,)), (*c, x, *c_inv)) for x in nodes
     )
 
 
-def _first_letters(w: RaagWord) -> set[tuple[str, int]]:
+def _first_letters(ctx: GraphContext, codes: Sequence[int]) -> set[int]:
     """Letters of a reduced word that shuffle to its front."""
-    adj = w.graph.adjacency
-    letters = w.letters
-    return {
-        (gen, exp)
-        for i, (gen, exp) in enumerate(letters)
-        if all(h == gen or h in adj[gen] for h, _ in letters[:i])
-    }
+    star, bit = ctx.star, ctx.bit
+    before = 0
+    out = set()
+    for c in codes:
+        if not before & ~star[c]:
+            out.add(c)
+        before |= bit[c]
+    return out
 
 
 def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
@@ -341,9 +354,9 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
     Greedy length descent on ``L(phi)``, the sum over nodes of the reduced
     lengths ``|phi(x)|``: while ``phi`` is not the identity, replace it by
     ``x -> a^-1 phi(x) a`` for the first candidate ``a`` that lowers ``L``,
-    the candidates being the first letters of the images in sorted order.
-    The answer is the product of the chosen letters, verified once against
-    every generator.
+    the candidates being the first letters of the images in (name,
+    exponent) order.  The answer is the product of the chosen letters,
+    verified once against every generator.
 
     The decision is exact on every defining graph.  If ``phi`` is inner, let
     ``g`` be a shortest conjugator.  Its first letter ``a`` is not central,
@@ -355,23 +368,21 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
     non-inner, so the loop ends after at most ``L/2`` steps, at the
     identity exactly when ``phi`` is inner.
     """
-    g = phi.graph
-    images = dict(phi.images)
-    chosen: list[tuple[str, int]] = []
-    while any(images[x].letters != ((x, 1),) for x in g.nodes):
-        length = sum(len(w) for w in images.values())
-        for gen, exp in sorted(set().union(*map(_first_letters, images.values()))):
-            trial = {
-                x: reduce_word(RaagWord(g, ((gen, -exp), *w.letters, (gen, exp))))
-                for x, w in images.items()
-            }
-            if sum(len(w) for w in trial.values()) < length:
+    ctx = phi.ctx
+    images = [phi._images.get(x, (x,)) for x in range(1, len(ctx.names) + 1)]
+    chosen: list[int] = []
+    while any(img != (x,) for x, img in enumerate(images, 1)):
+        length = sum(map(len, images))
+        firsts = set().union(*(_first_letters(ctx, img) for img in images))
+        for a in sorted(firsts, key=lambda c: (abs(c), c)):
+            trial = [tuple(_reduced_codes(ctx, (-a, *img, a))) for img in images]
+            if sum(map(len, trial)) < length:
                 images = trial
-                chosen.append((gen, exp))
+                chosen.append(a)
                 break
         else:
             return None
-    conjugator = reduce_word(RaagWord(g, tuple(chosen)))
+    conjugator = _word(ctx, tuple(_reduced_codes(ctx, chosen)))
     if not _verifies_conjugator(phi, conjugator):
         raise AutomorphismError(
             f"length descent produced {conjugator}, which fails verification"
@@ -413,12 +424,10 @@ def default_choices(
         raise AutomorphismError("core subgraph has no edges")
 
     if base_edge is None:
-        def score(e: frozenset[str]) -> tuple[int, tuple[str, str]]:
-            hubs = sum(1 for v in e if decomposition.is_hub(v))
-            return (hubs, tuple(sorted(e)))
-
-        best = min(core_edges, key=score)
-        v0, w0 = sorted(best)
+        v0, w0 = min(
+            (sorted(e) for e in core_edges),
+            key=lambda e: (sum(map(decomposition.is_hub, e)), e),
+        )
     else:
         v0, w0 = base_edge
         if frozenset((v0, w0)) not in core_edges:
@@ -427,25 +436,13 @@ def default_choices(
             )
 
     if spanning_tree is None:
-        tree_edges = {frozenset((v0, w0))}
-        reached = {v0, w0}
-        queue = [v0, w0]
-        sub_adj = {v: sorted(g.link(v) & core.nodes) for v in core.nodes}
-        while queue:
-            u = queue.pop(0)
-            for nbr in sub_adj[u]:
-                if nbr not in reached:
-                    reached.add(nbr)
-                    tree_edges.add(frozenset((u, nbr)))
-                    queue.append(nbr)
-        if reached != set(core.nodes):
+        toward = _orient_toward(core_edges, (v0, w0), core.nodes)
+        if len(toward) != core.num_nodes:
             raise AutomorphismError("core subgraph is not connected")
-        tree = frozenset(tree_edges)
+        tree = frozenset(frozenset(e) for e in toward.items())
     else:
         tree = frozenset(frozenset(e) for e in spanning_tree)
-        _validate_tree(core, tree, (v0, w0))
-
-    toward = _orient_toward(tree, (v0, w0), core.nodes)
+        toward = _validate_tree(core, tree, (v0, w0))
 
     order = domination_order(g)
     dominating: dict[str, str] = {}
@@ -453,14 +450,10 @@ def default_choices(
         if p in core.nodes:
             continue
         doms = order.dominators(p)
-        in_unique = sorted(doms & core.unique_maximal)
-        in_core = sorted(doms & core.nodes)
-        if in_unique:
-            dominating[p] = in_unique[0]
-        elif in_core:
-            dominating[p] = in_core[0]
-        else:
+        reps = sorted(doms & core.unique_maximal) or sorted(doms & core.nodes)
+        if not reps:
             raise AutomorphismError(f"no core node dominates {p!r}")
+        dominating[p] = reps[0]
 
     return GeneratorChoices(
         base_edge=(v0, w0),
@@ -472,36 +465,30 @@ def default_choices(
 
 def _validate_tree(
     core: CoreSubgraph, tree: frozenset[frozenset[str]], base: tuple[str, str]
-) -> None:
+) -> dict[str, str]:
+    """Check that ``tree`` spans the core through ``base``; return each core
+    node's tree neighbour toward ``base``."""
     if frozenset(base) not in tree:
         raise AutomorphismError("spanning tree does not contain the base edge")
     if not tree <= core.edges:
         raise AutomorphismError("spanning tree uses non-core edges")
     if len(tree) != len(core.nodes) - 1:
         raise AutomorphismError("spanning tree has the wrong number of edges")
-    adj: dict[str, set[str]] = {v: set() for v in core.nodes}
-    for e in tree:
-        a, b = sorted(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {base[0]}
-    stack = [base[0]]
-    while stack:
-        u = stack.pop()
-        for nbr in adj[u]:
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
-    if seen != set(core.nodes):
+    toward = _orient_toward(tree, base, core.nodes)
+    if len(toward) != len(core.nodes):
         raise AutomorphismError("spanning tree does not span the core subgraph")
+    return toward
 
 
 def _orient_toward(
-    tree: frozenset[frozenset[str]], base: tuple[str, str], nodes: frozenset[str]
+    edges: frozenset[frozenset[str]], base: tuple[str, str], nodes: frozenset[str]
 ) -> dict[str, str]:
+    """Breadth-first search over ``edges`` from both ends of ``base``,
+    neighbours in sorted order: each reached node's parent, the ends each
+    other's."""
     v0, w0 = base
     adj: dict[str, list[str]] = {v: [] for v in nodes}
-    for e in tree:
+    for e in edges:
         a, b = sorted(e)
         adj[a].append(b)
         adj[b].append(a)
@@ -657,19 +644,12 @@ def build_generator_set(
     for v in sorted(core.nodes):
         target = choices.toward_base[v]
         for comp in g.components(without=v):
-            if target in comp:
-                continue
-            entries.append(
-                GeneratorEntry(
-                    kind=KIND_PARTIAL_CONJUGATION,
-                    automorphism=partial_conjugation(g, target, comp),
-                    provenance={
-                        "node": v,
-                        "by": target,
-                        "support": tuple(sorted(comp)),
-                    },
-                )
-            )
+            if target not in comp:
+                entries.append(GeneratorEntry(
+                    KIND_PARTIAL_CONJUGATION,
+                    partial_conjugation(g, target, comp),
+                    {"node": v, "by": target, "support": tuple(sorted(comp))},
+                ))
 
     for u in sorted(g.leaves):
         (neighbor,) = g.link(u)
@@ -677,28 +657,18 @@ def build_generator_set(
             (KIND_LEAF_RIGHT_NEIGHBOR, neighbor),
             (KIND_LEAF_RIGHT_TOWARD, choices.toward_base[neighbor]),
         ):
-            entries.append(
-                GeneratorEntry(
-                    kind=kind,
-                    automorphism=transvection(g, u, target, "right"),
-                    provenance={"node": u, "target": target},
-                )
-            )
+            entries.append(GeneratorEntry(
+                kind, transvection(g, u, target, "right"), {"node": u, "target": target}
+            ))
 
-    outside = sorted(set(g.nodes) - core.nodes - g.leaves)
-    for p in outside:
+    for p in sorted(set(g.nodes) - core.nodes - g.leaves):
         target = choices.dominating_rep[p]
         for kind, side in (
-            (KIND_TRANSVECTION_RIGHT, "right"),
-            (KIND_TRANSVECTION_LEFT, "left"),
+            (KIND_TRANSVECTION_RIGHT, "right"), (KIND_TRANSVECTION_LEFT, "left")
         ):
-            entries.append(
-                GeneratorEntry(
-                    kind=kind,
-                    automorphism=transvection(g, p, target, side),
-                    provenance={"node": p, "target": target},
-                )
-            )
+            entries.append(GeneratorEntry(
+                kind, transvection(g, p, target, side), {"node": p, "target": target}
+            ))
 
     expected = (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes)
     if len(entries) != expected:
@@ -715,34 +685,27 @@ def build_generator_set(
                 f"generator {entry.describe()} has no verified inverse"
             )
 
-    gs = GeneratorSet(
-        graph=g,
-        choices=choices,
-        entries=tuple(entries),
-        certificates=None,
-        inner=None,
-    )
+    gs = GeneratorSet(g, choices, tuple(entries), certificates=None, inner=None)
     if certify:
-        certs = verify_commuting(gs)
-        inner = inner_lattice(gs)
-        gs = GeneratorSet(
-            graph=g,
-            choices=choices,
-            entries=gs.entries,
-            certificates=certs,
-            inner=inner,
-        )
+        gs = replace(gs, certificates=verify_commuting(gs), inner=inner_lattice(gs))
     return gs
 
 
 def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCertificate]:
-    """Decide innerness of every pairwise commutator of the generators."""
+    """Decide innerness of every pairwise commutator of the generators.
+
+    A pair commutes exactly when its two composites are equal maps; only
+    for the other pairs is the commutator ``ab (ba)^-1`` built and handed
+    to :func:`inner_conjugator`.
+    """
     autos = gs.automorphisms()
     certs: dict[tuple[int, int], CommutationCertificate] = {}
-    for i in range(len(autos)):
+    for i, a in enumerate(autos):
         for j in range(i + 1, len(autos)):
-            comm = commutator(autos[i], autos[j])
-            exact = comm.is_identity()
+            b = autos[j]
+            ab, ba = compose(a, b), compose(b, a)
+            exact = ab.equals(ba)
+            comm = None if exact else compose(ab, ba.inverse())
             conj = empty_word(gs.graph) if exact else inner_conjugator(comm)
             certs[(i, j)] = CommutationCertificate(i, j, conj, exact)
     return certs
@@ -761,24 +724,26 @@ def _lattice_invariant(phi: RaagAutomorphism) -> dict[tuple, int]:
     shuffles of one another and ``h`` never passes ``x``, so the sides are
     well defined.
     """
-    adj = phi.graph.adjacency
+    ctx = phi.ctx
     out: dict[tuple, int] = {}
     for x in phi.moved_nodes():
-        letters = phi.images[x].letters
-        at = [i for i, (h, _) in enumerate(letters) if h == x]
-        if len(at) != 1 or letters[at[0]][1] != 1:
+        code = ctx.code[x]
+        letters = phi._images[code]
+        at = [i for i, c in enumerate(letters) if c in (code, -code)]
+        if len(at) != 1 or letters[at[0]] != code:
             raise StructureAnomalyError(
-                f"image {phi.images[x]} of {x!r} does not hold {x!r} exactly "
-                "once with exponent +1"
+                f"image {_word(ctx, letters)} of {x!r} does not hold {x!r} "
+                "exactly once with exponent +1"
             )
-        for i, (h, e) in enumerate(letters):
-            if h == x:
+        for i, c in enumerate(letters):
+            if i == at[0]:
                 continue
+            h = ctx.names[abs(c) - 1]
             keys = [(x, h)]
-            if h not in adj[x]:
+            if not ctx.star[code] & ctx.bit[c]:
                 keys.append((x, h, "L" if i < at[0] else "R"))
             for key in keys:
-                out[key] = out.get(key, 0) + e
+                out[key] = out.get(key, 0) + (1 if c > 0 else -1)
     return {key: v for key, v in out.items() if v}
 
 
@@ -926,21 +891,16 @@ def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
     }
 
     found = list(witnesses)
-    if not found:
-        rank = 0
-    elif any(p[0] * q[1] - p[1] * q[0] != 0 for p in found for q in found):
+    if any(p[0] * q[1] != p[1] * q[0] for p in found for q in found):
         rank = 2
     else:
-        rank = 1
-
+        rank = min(len(found), 1)
     return InnerLatticeResult(rank=rank, witnesses=witnesses, complete=True)
 
 
 def _power_automorphism(a: RaagAutomorphism, n: int) -> RaagAutomorphism:
-    if n == 0:
-        return identity_automorphism(a.graph)
-    base = a if n > 0 else a.inverse()
-    result = base
+    """``a`` to the power ``n``, for ``n != 0``."""
+    result = base = a if n > 0 else a.inverse()
     for _ in range(abs(n) - 1):
         result = compose(base, result)
     return result
@@ -972,16 +932,10 @@ def project_local(phi: RaagAutomorphism, v: str) -> LocalProjection:
     if not lk:
         raise AutomorphismError(f"{v!r} has an empty link")
     local = DefiningGraph(tuple(lk), frozenset())
-    keep = set(lk)
-    images = {}
-    for w in lk:
-        letters = tuple(
-            (gen, exp) for gen, exp in phi.images[w].letters if gen in keep
-        )
-        images[w] = reduce_word(RaagWord(local, letters))
-    return LocalProjection(
-        node=v, free_graph=local, images=MappingProxyType(images)
-    )
+    phi_images = phi.images
+    letters = {w: [(h, e) for h, e in phi_images[w].letters if h in lk] for w in lk}
+    images = {w: reduce_word(RaagWord(local, ls)) for w, ls in letters.items()}
+    return LocalProjection(node=v, free_graph=local, images=MappingProxyType(images))
 
 
 def local_inner_witness(proj: LocalProjection) -> RaagWord | None:

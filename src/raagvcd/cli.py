@@ -39,7 +39,7 @@ EXIT_INELIGIBLE = 2
 EXIT_VIOLATION = 3
 
 # Upper guards on flags whose cost grows without bound: ``psigma 100 1``
-# takes about 1.3 s and ``verify --max-nodes 12`` about 2 s.
+# takes about 0.4 s and ``verify --max-nodes 12`` about 2 s.
 MAX_PSIGMA_RANK = 100
 MAX_VERIFY_NODES = 12
 
@@ -100,6 +100,8 @@ def _internal_error(exc: StructureAnomalyError) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.e0 is not None and not args.witness:
+        return _input_error("--e0 chooses the witness base edge and needs --witness")
     try:
         text = Path(args.path).read_text(encoding="utf-8")
         g = parse_graph(text)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
+from weakref import WeakValueDictionary
 
 
 class GraphError(ValueError):
@@ -113,6 +114,15 @@ class DefiningGraph:
             adj[b].add(a)
         return {v: frozenset(nbrs) for v, nbrs in adj.items()}
 
+    @cached_property
+    def context(self) -> "GraphContext":
+        """The integer coding of this graph, built on first use and shared
+        by every equal graph."""
+        ctx = _CONTEXTS.get((self.nodes, self.edges))
+        if ctx is None:
+            ctx = _CONTEXTS[self.nodes, self.edges] = GraphContext(self)
+        return ctx
+
     def link(self, v: str) -> frozenset[str]:
         return self.adjacency[v]
 
@@ -173,6 +183,32 @@ class DefiningGraph:
             tuple(mapping[v] for v in self.nodes),
             frozenset(frozenset(mapping[v] for v in e) for e in self.edges),
         )
+
+
+class GraphContext:
+    """Integer codes for the nodes of a graph, as words and maps use them.
+
+    Node ``names[i]`` has code ``i + 1``, so codes compare as the names do;
+    a letter is ``+code`` or ``-code`` for the inverse.  The bit tables are
+    indexed by letter, a negative one counting from the end: ``bit[l]`` is
+    the node's bit, ``adj[l]`` its neighbours' bits and ``star[l]`` those
+    and its own, so letters ``l`` and ``m`` commute exactly when
+    ``star[l] & bit[m]``.
+    """
+
+    __slots__ = ("graph", "names", "code", "bit", "adj", "star", "__weakref__")
+
+    def __init__(self, graph: DefiningGraph):
+        self.graph = graph
+        self.names = tuple(sorted(graph.nodes))
+        code = self.code = {x: i + 1 for i, x in enumerate(self.names)}
+        bits = [1 << i for i in range(len(self.names))]
+        adj = [sum(bits[code[y] - 1] for y in graph.adjacency[x]) for x in self.names]
+        tables = (bits, adj, [m | b for m, b in zip(adj, bits)])
+        self.bit, self.adj, self.star = ([0, *t, *t[::-1]] for t in tables)
+
+
+_CONTEXTS: WeakValueDictionary = WeakValueDictionary()
 
 
 def parse_graph(text: str) -> DefiningGraph:
@@ -270,22 +306,14 @@ def validate(g: DefiningGraph) -> ValidationReport:
     adj = g.adjacency
     triangle_free = all(adj[min(e)] & adj[max(e)] == frozenset() for e in g.edges)
 
-    square_free = True
     nodes = g.nodes
-    for i, u in enumerate(nodes):
-        for w in nodes[i + 1 :]:
-            if len(adj[u] & adj[w]) >= 2:
-                square_free = False
-                break
-        if not square_free:
-            break
-
-    is_star = False
+    square_free = not any(
+        len(adj[u] & adj[w]) >= 2 for i, u in enumerate(nodes) for w in nodes[i + 1 :]
+    )
     rest = g.num_nodes - 1
-    for c in nodes:
-        if len(adj[c]) == rest and all(c in e for e in g.edges):
-            is_star = True
-            break
+    is_star = any(
+        len(adj[c]) == rest and all(c in e for e in g.edges) for c in nodes
+    )
 
     return ValidationReport(
         is_connected=g.is_connected(),

@@ -238,7 +238,7 @@ def run_verification(max_nodes: int = 8) -> VerificationResult:
         )
 
     for g in trees:
-        if g.num_nodes > 7:
+        if g.num_nodes > 8:
             continue
         try:
             gs = build_generator_set(g, certify=False)
@@ -261,7 +261,7 @@ def run_verification(max_nodes: int = 8) -> VerificationResult:
             f"{outer} != {lower}",
         )
 
-    small = [g for g in trees if g.num_nodes <= 6]
+    small = [g for g in trees if g.num_nodes <= 7]
     small.append(
         DefiningGraph.from_edges(
             [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"),

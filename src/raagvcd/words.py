@@ -10,19 +10,24 @@ only if they are shuffles of each other, so canonical forms decide
 equality; we also decide equality by reducing ``u * v**-1`` and cross-check
 the two routes on every call.
 
+Internally a word is a tuple of signed node codes of the graph's
+:class:`~raagvcd.graph_core.GraphContext`: codes follow the sorted node
+names, ``-c`` is the inverse of ``c``, and whether two letters commute is
+one bit test.  ``letters``, ``parse_word`` and ``str`` speak node names and
+convert at the edge.
+
 The canonical form is built with a heap: each letter waits for the last
 earlier letter of every generator it does not commute with, and the least
 letter with nothing left to wait for goes out next.  That emits the same
 least shuffle as the greedy definition, in time about linear in the word
-length for a fixed graph (the argument is in :func:`_canonical_letters`).
+length for a fixed graph (the argument is in :func:`_canonical_codes`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .graph_core import DefiningGraph, GraphError
+from .graph_core import DefiningGraph, GraphContext, GraphError
 
 Letter = tuple[str, int]
 
@@ -35,39 +40,60 @@ class ReductionAnomalyError(GraphError):
     """The two equality routes disagreed; indicates an internal bug."""
 
 
-@dataclass(frozen=True)
 class RaagWord:
-    """An immutable word over the generators of a defining graph."""
+    """An immutable word over the generators of a defining graph, stored as
+    signed codes of the graph's context; words over equal graphs share it."""
 
-    graph: DefiningGraph
-    letters: tuple[Letter, ...]
+    __slots__ = ("ctx", "codes")
 
-    def __post_init__(self) -> None:
-        adj = self.graph.adjacency
-        for gen, exp in self.letters:
-            if gen not in adj:
+    def __init__(self, graph: DefiningGraph, letters: Iterable[Letter]):
+        ctx = graph.context
+        codes = []
+        for gen, exp in letters:
+            if gen not in ctx.code:
                 raise WordError(f"letter {gen!r} is not a node of the graph")
             if exp not in (1, -1):
                 raise WordError(f"letter exponent must be +-1, got {exp}")
+            codes.append(ctx.code[gen] * exp)
+        _set(self, "ctx", ctx)
+        _set(self, "codes", tuple(codes))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RaagWord is immutable: cannot set {name!r}")
+
+    @property
+    def graph(self) -> DefiningGraph:
+        return self.ctx.graph
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        names = self.ctx.names
+        return tuple((names[abs(c) - 1], 1 if c > 0 else -1) for c in self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RaagWord):
+            return NotImplemented
+        return self.ctx is other.ctx and self.codes == other.codes
+
+    def __hash__(self) -> int:
+        return hash(self.codes)
 
     def __mul__(self, other: "RaagWord") -> "RaagWord":
         _require_same_context(self, other)
-        return _trusted(self.graph, self.letters + other.letters)
+        return _word(self.ctx, self.codes + other.codes)
 
     def inverse(self) -> "RaagWord":
-        return _trusted(
-            self.graph, tuple((g, -e) for g, e in reversed(self.letters))
-        )
+        return _word(self.ctx, _inverse(self.codes))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     @property
     def is_empty(self) -> bool:
-        return not self.letters
+        return not self.codes
 
     def __str__(self) -> str:
-        if not self.letters:
+        if not self.codes:
             return "1"
         return " ".join(g if e == 1 else f"{g}^-1" for g, e in self.letters)
 
@@ -79,16 +105,17 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _trusted(graph: DefiningGraph, letters: tuple[Letter, ...]) -> RaagWord:
-    """Build a word without the per-letter check of ``__post_init__``.
-
-    Only for letters taken from words already validated over ``graph`` or
-    a graph equal to it, so the check could not fail.
-    """
+def _word(ctx: GraphContext, codes: tuple[int, ...]) -> RaagWord:
+    """Wrap codes of ``ctx`` without the per-letter check of the
+    constructor; only for codes taken from checked words."""
     w = _new(RaagWord)
-    _set(w, "graph", graph)
-    _set(w, "letters", letters)
+    _set(w, "ctx", ctx)
+    _set(w, "codes", codes)
     return w
+
+
+def _inverse(codes: Sequence[int]) -> tuple[int, ...]:
+    return tuple([-c for c in reversed(codes)])
 
 
 def empty_word(graph: DefiningGraph) -> RaagWord:
@@ -100,7 +127,7 @@ def generator(graph: DefiningGraph, node: str, exp: int = 1) -> RaagWord:
 
 
 def word(graph: DefiningGraph, letters: Iterable[Letter]) -> RaagWord:
-    return RaagWord(graph, tuple(letters))
+    return RaagWord(graph, letters)
 
 
 def parse_word(graph: DefiningGraph, text: str) -> RaagWord:
@@ -125,45 +152,35 @@ def parse_word(graph: DefiningGraph, text: str) -> RaagWord:
             continue
         sign = 1 if k > 0 else -1
         letters.extend((gen, sign) for _ in range(abs(k)))
-    return RaagWord(graph, tuple(letters))
+    return RaagWord(graph, letters)
 
 
 def _require_same_context(w1: RaagWord, w2: RaagWord) -> None:
-    if w1.graph is not w2.graph and w1.graph != w2.graph:
+    if w1.ctx is not w2.ctx:
         raise WordError("words live over different defining graphs")
 
 
-def _commutes(adj: dict[str, frozenset[str]], g: str, h: str) -> bool:
-    return g == h or h in adj[g]
-
-
-def _reduced_letters(
-    graph: DefiningGraph, letters: Sequence[Letter]
-) -> list[Letter]:
+def _reduced_codes(ctx: GraphContext, codes: Iterable[int]) -> list[int]:
     """Greedy left-to-right reduction.
 
     Each incoming letter scans leftward through the commuting suffix of the
-    output; an inverse letter found there cancels, otherwise the letter is
-    appended.  The output never contains a cancellable pair.
+    output (letters of its own generator with its sign included); an
+    inverse letter found there cancels, otherwise the letter is appended.
+    The output never contains a cancellable pair.
     """
-    adj = graph.adjacency
-    out: list[Letter] = []
-    for gen, exp in letters:
+    star, bit = ctx.star, ctx.bit
+    out: list[int] = []
+    for c in codes:
+        commuting = star[c]
         j = len(out) - 1
-        cancelled = False
         while j >= 0:
-            g2, e2 = out[j]
-            if g2 == gen:
-                if e2 == -exp:
-                    del out[j]
-                    cancelled = True
-                    break
-                # Same generator, same sign: transparent, keep scanning.
-            elif gen not in adj[g2]:
+            d = out[j]
+            if d == -c:
+                del out[j]
                 break
-            j -= 1
-        if not cancelled:
-            out.append((gen, exp))
+            j = j - 1 if commuting & bit[d] else -1
+        else:
+            out.append(c)
     return out
 
 
@@ -177,59 +194,57 @@ def reduce_word(w: RaagWord) -> RaagWord:
     >>> str(reduce_word(parse_word(g, "a c a^-1")))
     'a c a^-1'
     """
-    return _trusted(w.graph, tuple(_reduced_letters(w.graph, w.letters)))
+    return _word(w.ctx, tuple(_reduced_codes(w.ctx, w.codes)))
 
 
-def _canonical_letters(
-    graph: DefiningGraph, letters: Sequence[Letter]
-) -> list[Letter]:
+def _canonical_codes(ctx: GraphContext, codes: Sequence[int]) -> list[int]:
     """Lexicographically least shuffle of an already-reduced word.
 
-    Positive letters sort before their inverses: the order is ``(gen,
-    -exp)``.  A letter must wait for the last earlier letter of each
-    generator it does not commute with, its own generator included; once
-    all of those are out it is ready, and a heap emits the least ready
-    letter each step.
+    Letters are ordered by generator name, a positive letter before its
+    inverse: heap key ``code * 2 + (letter < 0)``.  A letter must wait for
+    the last earlier letter of each generator it does not commute with, its
+    own generator included; once all of those are out it is ready, and a
+    heap emits the least ready letter each step.
 
     This is the least shuffle.  Waiting for the last earlier ``h`` is
     waiting for every earlier ``h``, since the ``h`` letters wait for one
     another in turn.  So a letter is ready exactly when every letter still
     before it has another generator, one that commutes with its own.  Ready
-    letters thus have distinct generators and commute pairwise, and
-    emitting the least ready letter each step gives the least shuffle (the
-    lexicographic normal form of a trace monoid).  The quadratic greedy
-    this replaces let a letter pass earlier letters of its own generator;
-    on a reduced word that changes nothing, since two such letters with
-    only commuting letters between them are the same letter (opposite ones
-    would cancel).  Each letter scans the distinct generators before it, so
-    the cost is about ``len(letters)`` times the number of generators,
-    plus the heap.
+    letters thus have distinct generators and commute pairwise (so their
+    keys differ, and the heap holds ``key * n + index``), and emitting the
+    least ready letter each step gives the least shuffle (the lexicographic
+    normal form of a trace monoid).  A letter may not pass earlier letters
+    of its own generator; on a reduced word that changes nothing, since two
+    such letters with only commuting letters between them are the same
+    letter (opposite ones would cancel).  Each letter scans the distinct
+    generators before it, so the cost is about ``len(codes)`` times the
+    number of generators, plus the heap.
     """
-    n = len(letters)
+    n = len(codes)
     if n < 2:
-        return list(letters)
-    adj = graph.adjacency
+        return list(codes)
+    adj, bit = ctx.adj, ctx.bit
+    keys = [(c * 2 if c > 0 else 1 - c * 2) * n + i for i, c in enumerate(codes)]
     waiting = [0] * n
-    releases: list[list[int]] = [[] for _ in letters]
-    last: dict[str, int] = {}
-    for i, (gen, _) in enumerate(letters):
-        nbrs = adj[gen]
+    releases: list[list[int]] = [[] for _ in codes]
+    last: dict[int, int] = {}
+    for i, c in enumerate(codes):
+        nbrs = adj[c]
         for h, j in last.items():
-            if h not in nbrs:  # a node is not its own neighbour
+            if not nbrs & h:  # a node is not its own neighbour
                 waiting[i] += 1
                 releases[j].append(i)
-        last[gen] = i
-    heap = [(gen, -exp, i) for i, (gen, exp) in enumerate(letters) if not waiting[i]]
+        last[bit[c]] = i
+    heap = [keys[i] for i in range(n) if not waiting[i]]
     heapify(heap)
-    out: list[Letter] = []
+    out: list[int] = []
     while heap:
-        i = heappop(heap)[2]
-        out.append(letters[i])
+        i = heappop(heap) % n
+        out.append(codes[i])
         for k in releases[i]:
             waiting[k] -= 1
             if not waiting[k]:
-                gen, exp = letters[k]
-                heappush(heap, (gen, -exp, k))
+                heappush(heap, keys[k])
     return out
 
 
@@ -243,8 +258,26 @@ def canonical(w: RaagWord) -> RaagWord:
     >>> str(canonical(parse_word(g, "c a")))
     'c a'
     """
-    reduced = _reduced_letters(w.graph, w.letters)
-    return _trusted(w.graph, tuple(_canonical_letters(w.graph, reduced)))
+    ctx = w.ctx
+    return _word(ctx, tuple(_canonical_codes(ctx, _reduced_codes(ctx, w.codes))))
+
+
+def _equal_codes(
+    ctx: GraphContext, u: Sequence[int], v: Sequence[int], reduced: bool = False
+) -> bool:
+    """:func:`equal` on codes of ``ctx``, both routes cross-checked; with
+    ``reduced`` the caller vouches that ``u`` and ``v`` are reduced.  Equal
+    reduced codes have equal canonical forms without computing them."""
+    via_product = not _reduced_codes(ctx, (*u, *_inverse(v)))
+    if not reduced:
+        u, v = _reduced_codes(ctx, u), _reduced_codes(ctx, v)
+    via_canonical = u == v or _canonical_codes(ctx, u) == _canonical_codes(ctx, v)
+    if via_product != via_canonical:
+        raise ReductionAnomalyError(
+            f"equality routes disagree on {_word(ctx, tuple(u))} vs "
+            f"{_word(ctx, tuple(v))}: product={via_product} canonical={via_canonical}"
+        )
+    return via_product
 
 
 def equal(w1: RaagWord, w2: RaagWord) -> bool:
@@ -255,20 +288,11 @@ def equal(w1: RaagWord, w2: RaagWord) -> bool:
     reduction machinery is broken.
     """
     _require_same_context(w1, w2)
-    via_product = not _reduced_letters(
-        w1.graph, w1.letters + tuple((g, -e) for g, e in reversed(w2.letters))
-    )
-    via_canonical = canonical(w1).letters == canonical(w2).letters
-    if via_product != via_canonical:
-        raise ReductionAnomalyError(
-            f"equality routes disagree on {w1} vs {w2}: "
-            f"product={via_product} canonical={via_canonical}"
-        )
-    return via_product
+    return _equal_codes(w1.ctx, w1.codes, w2.codes)
 
 
 def is_trivial(w: RaagWord) -> bool:
-    return not _reduced_letters(w.graph, w.letters)
+    return not _reduced_codes(w.ctx, w.codes)
 
 
 def cyclic_reduce(w: RaagWord) -> tuple[RaagWord, RaagWord]:
@@ -286,36 +310,26 @@ def cyclic_reduce(w: RaagWord) -> tuple[RaagWord, RaagWord]:
     >>> str(conj), str(core)
     ('a', 'c')
     """
-    adj = w.graph.adjacency
-    letters = _reduced_letters(w.graph, w.letters)
-    conj: list[Letter] = []
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for i in range(n):
-            gen, exp = letters[i]
-            if any(not _commutes(adj, gen, letters[j][0]) for j in range(i)):
-                continue  # not movable to the front
-            for j in range(n):
-                if j == i:
-                    continue
-                g2, e2 = letters[j]
-                if g2 != gen or e2 != -exp:
-                    continue
-                if any(
-                    not _commutes(adj, gen, letters[m][0])
-                    for m in range(j + 1, n)
-                    if m != i
-                ):
-                    continue  # partner not movable to the end
-                conj.append((gen, exp))
-                letters = [letters[m] for m in range(n) if m not in (i, j)]
-                letters = _reduced_letters(w.graph, letters)
-                changed = True
-                break
-            if changed:
-                break
-    conjugator = _trusted(w.graph, tuple(_reduced_letters(w.graph, conj)))
-    return conjugator, _trusted(w.graph, tuple(letters))
+    ctx = w.ctx
+    codes = _reduced_codes(ctx, w.codes)
+    conj: list[int] = []
+    while (pair := _cancelling_ends(ctx, codes)) is not None:
+        conj.append(codes[pair[0]])
+        codes = _reduced_codes(ctx, [c for m, c in enumerate(codes) if m not in pair])
+    return _word(ctx, tuple(_reduced_codes(ctx, conj))), _word(ctx, tuple(codes))
 
+
+def _cancelling_ends(ctx: GraphContext, codes: list[int]) -> tuple[int, int] | None:
+    """The first positions ``(i, j)`` of a letter movable to the front and
+    an inverse letter movable to the end, or ``None``."""
+    star, bit = ctx.star, ctx.bit
+    n = len(codes)
+    for i, c in enumerate(codes):
+        if any(not star[c] & bit[d] for d in codes[:i]):
+            continue  # not movable to the front
+        for j in range(n):
+            if j != i and codes[j] == -c and all(
+                star[c] & bit[codes[m]] for m in range(j + 1, n) if m != i
+            ):
+                return i, j
+    return None

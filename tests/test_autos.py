@@ -390,13 +390,13 @@ class TestSupportOracle:
         phi = partial_conjugation(g_grid, "g11", ["g00"])
         psi = transvection(g_grid, "g22", "g21")
         calls = []
-        real_apply = RaagAutomorphism.apply
+        real_apply = autos_module._apply
 
-        def counting_apply(self, w):
-            calls.append(self)
-            return real_apply(self, w)
+        def counting_apply(auto, codes):
+            calls.append(auto)
+            return real_apply(auto, codes)
 
-        monkeypatch.setattr(RaagAutomorphism, "apply", counting_apply)
+        monkeypatch.setattr(autos_module, "_apply", counting_apply)
         both = compose(phi, psi)
         assert calls == [phi]  # psi moves g22 only; no inverse is built
         monkeypatch.undo()
@@ -428,7 +428,8 @@ class TestLazyInverse:
         assert set(inv_images) == set(g_c5l.nodes)
         inv = both.inverse()
         assert all(inv_images[x] == inv.images[x] for x in g_c5l.nodes)
-        assert inv.inverse_images is both.images
+        assert inv.inverse_images == both.images
+        assert inv._inverse_images is both._images  # shared, not rebuilt
 
     def test_has_verified_inverse_on_composites(self, g_c5l, g_grid):
         phi, psi = self._pair(g_c5l)

@@ -40,6 +40,15 @@ class TestAnalyze:
         assert ws["outer_rank"] == 5
         assert all(c["certified"] for c in ws["commutation_certificates"])
 
+    def test_analyze_without_witness_builds_no_word_context(self, p5_file, monkeypatch):
+        from raagvcd.graph_core import DefiningGraph
+
+        def forbidden(graph):
+            raise AssertionError("analyze without --witness built a word context")
+
+        monkeypatch.setattr(DefiningGraph, "context", property(forbidden))
+        assert main(["analyze", p5_file, "--json"]) == 0
+
     def test_explicit_base_edge(self, p5_file, capsys):
         assert main(["analyze", p5_file, "--witness", "--e0", "c,b", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -372,6 +381,15 @@ class TestAnalyzeErrors:
         assert main(["analyze", p5_file, "--witness", "--e0", e0]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("e0", ["a,zz", "c,b", ""])
+    def test_base_edge_without_witness_exits_1(self, p5_file, capsys, e0):
+        assert main(["analyze", p5_file, "--e0", e0, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --e0 ")
+        assert "--witness" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "target, argv",
         [
@@ -451,3 +469,35 @@ class TestGoldenOutput:
         assert main(["psigma", "10", "5", "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256["psigma_10_5"]
+
+
+# C5 with two pendant paths whose node names sort in another order than
+# they appear in the file: node codes follow the sorted names, not the
+# order of first appearance, so no byte of the witness may depend on the
+# order of the lines.
+_C5_PATHS_EDGES = [
+    ("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v1"),
+    ("v1", "p2"), ("p2", "p1"), ("v3", "a2"), ("a2", "a1"),
+]
+
+
+def test_witness_json_independent_of_line_order(tmp_path, capsys):
+    import random
+
+    rng = random.Random(20)
+    outputs = set()
+    for i in range(20):
+        lines = [f"node {v}" for v in ("v4", "a1", "p1") if rng.random() < 0.5]
+        lines += [
+            f"edge {a} {b}" if rng.random() < 0.5 else f"edge {b} {a}"
+            for a, b in _C5_PATHS_EDGES
+        ]
+        rng.shuffle(lines)
+        path = tmp_path / f"perm{i}.graph"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(path), "--witness", "--json"]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+    (out,) = outputs
+    witness = json.loads(out)["witness_set"]
+    assert witness["outer_rank"] == json.loads(out)["lower"]["value"]

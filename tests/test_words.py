@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -268,9 +269,75 @@ def hyp():
     return pytest.importorskip("hypothesis")
 
 
-PROPERTY_GRAPHS = [*ORACLE_GRAPHS.values(), lambda: DefiningGraph.from_edges(
-    [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
-)]
+PROPERTY_GRAPHS = [
+    *ORACLE_GRAPHS.values(),
+    lambda: DefiningGraph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]),
+    # First-appearance order v9 v10 c b v2 a is not the sorted order
+    # a b c v10 v2 v9, which the integer codes follow.
+    lambda: DefiningGraph.from_edges(
+        [("v9", "v10"), ("v10", "c"), ("c", "b"), ("b", "v9"), ("b", "v2"), ("v2", "a")]
+    ),
+]
+
+
+def oracle_reduced_letters(graph, letters):
+    """Reference reduction on ``(name, exp)`` letters and frozenset
+    adjacency, as the word layer did before its letters became integer
+    codes: each letter scans leftward through the commuting suffix of the
+    output and cancels an inverse letter found there."""
+    adj = graph.adjacency
+    out = []
+    for gen, exp in letters:
+        j = len(out) - 1
+        cancelled = False
+        while j >= 0:
+            g2, e2 = out[j]
+            if g2 == gen:
+                if e2 == -exp:
+                    del out[j]
+                    cancelled = True
+                    break
+            elif gen not in adj[g2]:
+                break
+            j -= 1
+        if not cancelled:
+            out.append((gen, exp))
+    return out
+
+
+def oracle_canonical_letters(graph, letters):
+    """Reference least shuffle of reduced ``(name, exp)`` letters: the heap
+    of ready letters keyed ``(name, -exp)``, each letter waiting for the
+    last earlier letter of every generator it does not commute with."""
+    n = len(letters)
+    adj = graph.adjacency
+    waiting = [0] * n
+    releases = [[] for _ in letters]
+    last = {}
+    for i, (gen, _) in enumerate(letters):
+        for h, j in last.items():
+            if h not in adj[gen]:
+                waiting[i] += 1
+                releases[j].append(i)
+        last[gen] = i
+    heap = [(gen, -exp, i) for i, (gen, exp) in enumerate(letters) if not waiting[i]]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        i = heapq.heappop(heap)[2]
+        out.append(letters[i])
+        for k in releases[i]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                gen, exp = letters[k]
+                heapq.heappush(heap, (gen, -exp, k))
+    return out
+
+
+def oracle_equal(graph, u, v):
+    """Reference equality: the product ``u v^-1`` reduces to nothing."""
+    inverse = [(g, -e) for g, e in reversed(v)]
+    return not oracle_reduced_letters(graph, list(u) + inverse)
 
 
 def _letters(st, g, max_size):
@@ -349,6 +416,23 @@ class TestProperties:
 
         prop()
 
+    def test_integer_codes_match_tuple_letter_oracle(self, hyp):
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(_words(st), st.data())
+        def prop(w, data):
+            g = w.graph
+            reduced = oracle_reduced_letters(g, w.letters)
+            assert reduce_word(w).letters == tuple(reduced)
+            assert canonical(w).letters == tuple(oracle_canonical_letters(g, reduced))
+            v = _shuffle(w, data.draw(st.randoms(use_true_random=False)))
+            if data.draw(st.booleans()):
+                v = word(g, [*v.letters, *data.draw(_letters(st, g, 3))])
+            assert equal(w, v) == oracle_equal(g, w.letters, v.letters)
+
+        prop()
+
     def test_str_parse_round_trip(self, hyp):
         st = hyp.strategies
 
@@ -415,6 +499,13 @@ class TestValidation:
         product = parse_word(g_p5, "a b") * parse_word(twin, "b^-1 c")
         assert str(reduce_word(product)) == "a c"
         assert equal(parse_word(g_p5, "a b"), parse_word(twin, "b a"))
+
+    def test_equal_graphs_share_one_context(self, g_p5):
+        twin = DefiningGraph(g_p5.nodes, g_p5.edges)
+        assert twin.context is g_p5.context
+        assert twin.context.names == tuple(sorted(g_p5.nodes))
+        reordered = DefiningGraph(tuple(reversed(g_p5.nodes)), g_p5.edges)
+        assert reordered.context is not g_p5.context  # the graphs differ
 
     def test_derived_words_equal_validated_ones(self, g_p5):
         # Words from internal paths compare and hash like checked words.
