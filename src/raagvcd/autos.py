@@ -37,7 +37,7 @@ its two factors instead of building inverse images, and builds
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -114,6 +114,8 @@ class RaagAutomorphism:
 
     @property
     def images(self) -> Mapping[str, RaagWord]:
+        """Every node to its image word.  Each read builds the full map, so
+        bind it once, or read one image with :meth:`image_of`."""
         return _image_map(self.ctx, self._images)
 
     def image_of(self, node: str) -> RaagWord:
@@ -169,7 +171,7 @@ class RaagAutomorphism:
             return False
         mine, theirs = self._images, other._images
         return all(
-            _equal_codes(self.ctx, mine.get(c, (c,)), theirs.get(c, (c,)), True)
+            _equal_codes(self.ctx, mine.get(c, (c,)), theirs.get(c, (c,)))
             for c in sorted(mine.keys() | theirs.keys())
         )
 
@@ -197,7 +199,7 @@ class RaagAutomorphism:
         return compose(self, inv).is_identity() and compose(inv, self).is_identity()
 
     def __repr__(self) -> str:
-        moved = {x: str(self.images[x]) for x in self.moved_nodes()}
+        moved = {x: str(self.image_of(x)) for x in self.moved_nodes()}
         return f"RaagAutomorphism({moved or 'identity'})"
 
 
@@ -424,10 +426,12 @@ def default_choices(
         raise AutomorphismError("core subgraph has no edges")
 
     if base_edge is None:
-        v0, w0 = min(
-            (sorted(e) for e in core_edges),
-            key=lambda e: (sum(map(decomposition.is_hub, e)), e),
-        )
+        def score(e: frozenset[str]) -> tuple[int, tuple[str, str]]:
+            hubs = sum(1 for v in e if decomposition.is_hub(v))
+            return (hubs, tuple(sorted(e)))
+
+        best = min(core_edges, key=score)
+        v0, w0 = sorted(best)
     else:
         v0, w0 = base_edge
         if frozenset((v0, w0)) not in core_edges:
@@ -450,10 +454,14 @@ def default_choices(
         if p in core.nodes:
             continue
         doms = order.dominators(p)
-        reps = sorted(doms & core.unique_maximal) or sorted(doms & core.nodes)
-        if not reps:
+        in_unique = sorted(doms & core.unique_maximal)
+        in_core = sorted(doms & core.nodes)
+        if in_unique:
+            dominating[p] = in_unique[0]
+        elif in_core:
+            dominating[p] = in_core[0]
+        else:
             raise AutomorphismError(f"no core node dominates {p!r}")
-        dominating[p] = reps[0]
 
     return GeneratorChoices(
         base_edge=(v0, w0),
@@ -644,12 +652,19 @@ def build_generator_set(
     for v in sorted(core.nodes):
         target = choices.toward_base[v]
         for comp in g.components(without=v):
-            if target not in comp:
-                entries.append(GeneratorEntry(
-                    KIND_PARTIAL_CONJUGATION,
-                    partial_conjugation(g, target, comp),
-                    {"node": v, "by": target, "support": tuple(sorted(comp))},
-                ))
+            if target in comp:
+                continue
+            entries.append(
+                GeneratorEntry(
+                    kind=KIND_PARTIAL_CONJUGATION,
+                    automorphism=partial_conjugation(g, target, comp),
+                    provenance={
+                        "node": v,
+                        "by": target,
+                        "support": tuple(sorted(comp)),
+                    },
+                )
+            )
 
     for u in sorted(g.leaves):
         (neighbor,) = g.link(u)
@@ -657,18 +672,28 @@ def build_generator_set(
             (KIND_LEAF_RIGHT_NEIGHBOR, neighbor),
             (KIND_LEAF_RIGHT_TOWARD, choices.toward_base[neighbor]),
         ):
-            entries.append(GeneratorEntry(
-                kind, transvection(g, u, target, "right"), {"node": u, "target": target}
-            ))
+            entries.append(
+                GeneratorEntry(
+                    kind=kind,
+                    automorphism=transvection(g, u, target, "right"),
+                    provenance={"node": u, "target": target},
+                )
+            )
 
-    for p in sorted(set(g.nodes) - core.nodes - g.leaves):
+    outside = sorted(set(g.nodes) - core.nodes - g.leaves)
+    for p in outside:
         target = choices.dominating_rep[p]
         for kind, side in (
-            (KIND_TRANSVECTION_RIGHT, "right"), (KIND_TRANSVECTION_LEFT, "left")
+            (KIND_TRANSVECTION_RIGHT, "right"),
+            (KIND_TRANSVECTION_LEFT, "left"),
         ):
-            entries.append(GeneratorEntry(
-                kind, transvection(g, p, target, side), {"node": p, "target": target}
-            ))
+            entries.append(
+                GeneratorEntry(
+                    kind=kind,
+                    automorphism=transvection(g, p, target, side),
+                    provenance={"node": p, "target": target},
+                )
+            )
 
     expected = (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes)
     if len(entries) != expected:
@@ -685,9 +710,23 @@ def build_generator_set(
                 f"generator {entry.describe()} has no verified inverse"
             )
 
-    gs = GeneratorSet(g, choices, tuple(entries), certificates=None, inner=None)
+    gs = GeneratorSet(
+        graph=g,
+        choices=choices,
+        entries=tuple(entries),
+        certificates=None,
+        inner=None,
+    )
     if certify:
-        gs = replace(gs, certificates=verify_commuting(gs), inner=inner_lattice(gs))
+        certs = verify_commuting(gs)
+        inner = inner_lattice(gs)
+        gs = GeneratorSet(
+            graph=g,
+            choices=choices,
+            entries=gs.entries,
+            certificates=certs,
+            inner=inner,
+        )
     return gs
 
 
@@ -891,16 +930,21 @@ def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
     }
 
     found = list(witnesses)
-    if any(p[0] * q[1] != p[1] * q[0] for p in found for q in found):
+    if not found:
+        rank = 0
+    elif any(p[0] * q[1] - p[1] * q[0] != 0 for p in found for q in found):
         rank = 2
     else:
-        rank = min(len(found), 1)
+        rank = 1
+
     return InnerLatticeResult(rank=rank, witnesses=witnesses, complete=True)
 
 
 def _power_automorphism(a: RaagAutomorphism, n: int) -> RaagAutomorphism:
-    """``a`` to the power ``n``, for ``n != 0``."""
-    result = base = a if n > 0 else a.inverse()
+    if n == 0:
+        return identity_automorphism(a.graph)
+    base = a if n > 0 else a.inverse()
+    result = base
     for _ in range(abs(n) - 1):
         result = compose(base, result)
     return result
@@ -932,10 +976,16 @@ def project_local(phi: RaagAutomorphism, v: str) -> LocalProjection:
     if not lk:
         raise AutomorphismError(f"{v!r} has an empty link")
     local = DefiningGraph(tuple(lk), frozenset())
-    phi_images = phi.images
-    letters = {w: [(h, e) for h, e in phi_images[w].letters if h in lk] for w in lk}
-    images = {w: reduce_word(RaagWord(local, ls)) for w, ls in letters.items()}
-    return LocalProjection(node=v, free_graph=local, images=MappingProxyType(images))
+    keep = set(lk)
+    images = {}
+    for w in lk:
+        letters = tuple(
+            (gen, exp) for gen, exp in phi.image_of(w).letters if gen in keep
+        )
+        images[w] = reduce_word(RaagWord(local, letters))
+    return LocalProjection(
+        node=v, free_graph=local, images=MappingProxyType(images)
+    )
 
 
 def local_inner_witness(proj: LocalProjection) -> RaagWord | None:

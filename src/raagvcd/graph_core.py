@@ -306,14 +306,22 @@ def validate(g: DefiningGraph) -> ValidationReport:
     adj = g.adjacency
     triangle_free = all(adj[min(e)] & adj[max(e)] == frozenset() for e in g.edges)
 
+    square_free = True
     nodes = g.nodes
-    square_free = not any(
-        len(adj[u] & adj[w]) >= 2 for i, u in enumerate(nodes) for w in nodes[i + 1 :]
-    )
+    for i, u in enumerate(nodes):
+        for w in nodes[i + 1 :]:
+            if len(adj[u] & adj[w]) >= 2:
+                square_free = False
+                break
+        if not square_free:
+            break
+
+    is_star = False
     rest = g.num_nodes - 1
-    is_star = any(
-        len(adj[c]) == rest and all(c in e for e in g.edges) for c in nodes
-    )
+    for c in nodes:
+        if len(adj[c]) == rest and all(c in e for e in g.edges):
+            is_star = True
+            break
 
     return ValidationReport(
         is_connected=g.is_connected(),

@@ -262,15 +262,11 @@ def canonical(w: RaagWord) -> RaagWord:
     return _word(ctx, tuple(_canonical_codes(ctx, _reduced_codes(ctx, w.codes))))
 
 
-def _equal_codes(
-    ctx: GraphContext, u: Sequence[int], v: Sequence[int], reduced: bool = False
-) -> bool:
-    """:func:`equal` on codes of ``ctx``, both routes cross-checked; with
-    ``reduced`` the caller vouches that ``u`` and ``v`` are reduced.  Equal
+def _equal_codes(ctx: GraphContext, u: Sequence[int], v: Sequence[int]) -> bool:
+    """:func:`equal` on codes of ``ctx``, both routes cross-checked.  Equal
     reduced codes have equal canonical forms without computing them."""
     via_product = not _reduced_codes(ctx, (*u, *_inverse(v)))
-    if not reduced:
-        u, v = _reduced_codes(ctx, u), _reduced_codes(ctx, v)
+    u, v = _reduced_codes(ctx, u), _reduced_codes(ctx, v)
     via_canonical = u == v or _canonical_codes(ctx, u) == _canonical_codes(ctx, v)
     if via_product != via_canonical:
         raise ReductionAnomalyError(

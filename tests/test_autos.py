@@ -95,6 +95,18 @@ class TestCompose:
         bad = RaagAutomorphism(g_p5, {"a": parse_word(g_p5, "d")})
         assert not bad.respects_relations()
 
+    def test_power_automorphism(self, g_p5):
+        phi = transvection(g_p5, "a", "b")  # a -> a b
+        assert autos_module._power_automorphism(phi, 0).is_identity()
+        for n, image in ((2, "a b b"), (-2, "a b^-1 b^-1"), (1, "a b")):
+            power = autos_module._power_automorphism(phi, n)
+            assert equal(power.image_of("a"), parse_word(g_p5, image))
+            assert power.moved_nodes() == ("a",)
+
+    def test_repr_lists_moved_images(self, g_p5):
+        assert repr(transvection(g_p5, "a", "b")) == "RaagAutomorphism({'a': 'a b'})"
+        assert repr(identity_automorphism(g_p5)) == "RaagAutomorphism(identity)"
+
 
 class TestInnerBounded:
     def test_global_conjugation_found_at_bound_one(self, g_p5):
