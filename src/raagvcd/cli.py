@@ -4,7 +4,8 @@ Four commands: ``analyze`` a graph file, ``psigma`` for the free-group
 family, ``ideal-complex`` for the blow-up complexes, and ``verify`` to run
 the invariant suite over a generated corpus.  Exit codes: 0 success,
 1 parse or usage failure, 2 ineligible graph, 3 invariant violation found
-by verify or an internal invariant broken during analyze or psigma.
+by verify or an internal invariant broken during analyze, psigma or
+ideal-complex.
 """
 from __future__ import annotations
 
@@ -216,6 +217,8 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
         if not args.full and args.r >= 2:
             cert = morse_collapse_certificate(c, args.r, args.s)
             payload["collapse_certificate"] = cert.to_dict()
+    except StructureAnomalyError as exc:
+        return _internal_error(exc)
     except GraphError as exc:
         return _input_error(str(exc))
 

@@ -18,6 +18,24 @@ the one-smaller structure at the maximal-size vertices; a passing
 certificate establishes contractibility independently of the homology
 computation.
 
+Homology is read off a small core of the same homotopy type, found on the
+graph alone.  A vertex ``v`` is dominated by ``w != v`` when
+N[v] ⊆ N[w] (closed neighbourhoods); then the link of ``v`` is a cone
+with apex ``w``, and deleting ``v`` is a strong collapse (Barmak & Minian,
+*Strong homotopy types, nerves and collapses*, DCG 47, 2012).  An edge
+``uv`` is dominated by ``w`` outside it when N[u] ∩ N[v] ⊆ N[w]; its link
+is again a cone, and deleting the edge with every simplex containing it
+is an edge collapse (Boissonnat & Pritam, *Edge collapse and persistence
+of flag complexes*, SoCG 2020).  Both are sequences of elementary
+simplicial collapses, and each leaves the flag complex of the smaller
+graph, so the core's flag complex is homotopy equivalent to the whole
+one and has the same integral homology.  The core is a subcomplex, so its
+dimension is at most the whole complex's; the whole complex then has no
+homology above the core's dimension, and padding the core's reduced Betti
+numbers with zeros (and its torsion with empty lists) up to the whole
+complex's dimension gives exactly the summary of the whole complex.  Every
+collapse step is replayed with one mask test before the core is used.
+
 Everything on this path is an integer bitmask: an ideal edge carries the
 mask of its inside over the half-edges, compatibility is a subset or
 covering test on two masks, a simplex is the mask of its vertex indices,
@@ -33,7 +51,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from .graph_core import GraphError
+from .graph_core import GraphError, StructureAnomalyError
 from .homology import HomologySummary, reduced_homology_of_chain
 
 
@@ -216,11 +234,14 @@ class SimplicialComplex:
     ``simplices_by_dim[q]`` holds the q-simplices as vertex bitmasks (bit
     ``i`` stands for ``vertices[i]``), in the order they were built: each
     simplex extends its parent by a vertex above the parent's highest one.
+    ``rows`` are the compatibility rows the complex was built from: bit
+    ``j`` of ``rows[i]`` is set when vertices ``i != j`` are compatible.
     """
 
     h: HalfEdgeSet
     vertices: tuple[IdealEdge, ...]
     simplices_by_dim: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -235,14 +256,13 @@ class SimplicialComplex:
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
         """The facets as increasing tuples of vertex indices."""
-        masks = _compatibility_masks(self.vertices)
         out: list[tuple[int, ...]] = []
         full = (1 << len(self.vertices)) - 1
         for level in self.simplices_by_dim:
             for simplex in level:
                 common = full
                 for i in _bit_indices(simplex):
-                    common &= masks[i]
+                    common &= self.rows[i]
                 if common & ~simplex == 0:
                     out.append(_bit_indices(simplex))
         return out
@@ -329,20 +349,32 @@ def build_complex(
     """Flag complex on all (or only legal) ideal edges.
 
     Enumeration is capped at ``MAX_HALF_EDGES`` half-edges and
-    ``max_simplices`` total simplices.  Each simplex carries the mask of
-    the common neighbours above its highest vertex, and every set bit of
-    that mask gives one simplex of the next dimension.
+    ``max_simplices`` total simplices.
     """
     check_half_edge_cap(h.size)
     vertices = tuple(enumerate_ideal_edges(h, legal_only))
-    n = len(vertices)
-    masks = _compatibility_masks(vertices)
+    rows = tuple(_compatibility_masks(vertices))
+    levels = _clique_levels(rows, (1 << len(rows)) - 1, max_simplices)
+    return SimplicialComplex(
+        h=h,
+        vertices=vertices,
+        simplices_by_dim=tuple(tuple(level) for level in levels),
+        rows=rows,
+    )
 
-    level = [1 << i for i in range(n)]
+
+def _clique_levels(
+    rows: Sequence[int], alive: int, max_simplices: int
+) -> list[list[int]]:
+    """The cliques of the graph on the vertices in ``alive``, level by
+    level.  Each simplex carries the mask of the common neighbours above its
+    highest vertex, and every set bit of that mask gives one simplex of the
+    next dimension."""
+    level = [1 << i for i in _bit_indices(alive)]
     levels: list[list[int]] = [level]
-    total = n
+    total = len(level)
     # Candidates of a vertex: its neighbours above it.
-    cands = [(masks[i] >> (i + 1)) << (i + 1) for i in range(n)]
+    cands = [(rows[i] >> (i + 1)) << (i + 1) for i in _bit_indices(alive)]
     while True:
         next_level: list[int] = []
         next_cands: list[int] = []
@@ -358,16 +390,145 @@ def build_complex(
                 m ^= low
                 # m now holds exactly the candidates above the new vertex.
                 next_level.append(simplex | low)
-                next_cands.append(m & masks[low.bit_length() - 1])
+                next_cands.append(m & rows[low.bit_length() - 1])
         if not next_level:
             break
         levels.append(next_level)
         level, cands = next_level, next_cands
-    return SimplicialComplex(
-        h=h,
-        vertices=vertices,
-        simplices_by_dim=tuple(tuple(level) for level in levels),
-    )
+    return levels
+
+
+# ---------------------------------------------------------------------------
+# Strong and edge collapses of a flag complex, on its graph alone.
+
+@dataclass(frozen=True)
+class FlagCollapse:
+    """Collapses of a flag complex and the graph they leave.
+
+    ``steps[t]`` is ``(removed, dominator)``: ``removed`` is the mask of one
+    vertex or of the two ends of one edge, and ``dominator`` a vertex
+    outside it whose closed neighbourhood holds every vertex adjacent or
+    equal to all of ``removed``.  ``alive`` masks the vertices left, and
+    ``rows[i]`` is the neighbourhood of vertex ``i`` in what is left (zero
+    once ``i`` is removed).
+    """
+
+    steps: tuple[tuple[int, int], ...]
+    alive: int
+    rows: tuple[int, ...]
+
+
+def _common_closed(rows: Sequence[int], removed: int) -> int:
+    """The vertices adjacent or equal to every vertex of ``removed``."""
+    common = -1
+    for x in _bit_indices(removed):
+        common &= rows[x] | 1 << x
+    return common
+
+
+def _remove(rows: list[int], removed: int) -> int:
+    """Delete a vertex (one bit) or an edge (two bits) from ``rows``;
+    returns the mask of the vertices deleted."""
+    low = removed & -removed
+    high = removed ^ low
+    u = low.bit_length() - 1
+    if high:
+        rows[u] ^= high
+        rows[high.bit_length() - 1] ^= low
+        return 0
+    for x in _bit_indices(rows[u]):
+        rows[x] ^= low
+    rows[u] = 0
+    return low
+
+
+def _dominator(rows: Sequence[int], removed: int) -> int:
+    """The lowest vertex dominating the vertex or edge ``removed``, or -1.
+
+    Its dominators are the vertices outside it adjacent or equal to every
+    vertex of its common closed neighbourhood C: the AND of N[x] over C.
+    The AND stops as soon as it is empty.
+    """
+    common = _common_closed(rows, removed)
+    found = common & ~removed
+    m = found
+    while m and found:
+        low = m & -m
+        m ^= low
+        found &= rows[low.bit_length() - 1] | low
+    return (found & -found).bit_length() - 1
+
+
+def flag_collapse(rows: Sequence[int]) -> FlagCollapse:
+    """Collapse the flag complex of the graph with neighbourhood ``rows``
+    by dominated vertices and edges; no simplex is built.
+
+    Vertex passes in index order run to a fixed point, then one edge pass
+    over the edges ``(u, v)``, ``u < v``, in order; the two alternate until
+    an edge pass removes nothing.  Each step is taken on the graph the
+    steps before it left.
+    """
+    rows = list(rows)
+    alive = (1 << len(rows)) - 1
+    steps: list[tuple[int, int]] = []
+    while True:
+        progress = True
+        while progress:
+            progress = False
+            for v in _bit_indices(alive):
+                w = _dominator(rows, 1 << v)
+                if w >= 0:
+                    steps.append((1 << v, w))
+                    alive ^= _remove(rows, 1 << v)
+                    progress = True
+        before = len(steps)
+        for u in _bit_indices(alive):
+            for v in _bit_indices(rows[u] >> (u + 1) << (u + 1)):
+                edge = 1 << u | 1 << v
+                w = _dominator(rows, edge)
+                if w >= 0:
+                    steps.append((edge, w))
+                    _remove(rows, edge)
+        if len(steps) == before:
+            return FlagCollapse(tuple(steps), alive, tuple(rows))
+
+
+def replay_flag_collapse(
+    rows: Sequence[int], steps: Sequence[tuple[int, int]]
+) -> FlagCollapse:
+    """Re-check every step on the graph with neighbourhood ``rows`` and
+    return the core that the replay leaves.
+
+    A step must remove one present vertex or one present edge, and its
+    dominator must be a vertex left outside it whose closed neighbourhood
+    holds their common closed neighbourhood; otherwise
+    :class:`StructureAnomalyError` is raised.
+    """
+    rows = list(rows)
+    n = len(rows)
+    alive = (1 << n) - 1
+    for removed, w in steps:
+        if (
+            not 0 < removed.bit_count() <= 2
+            or removed & ~alive
+            or not 0 <= w < n
+            or not (alive & ~removed) >> w & 1
+        ):
+            raise StructureAnomalyError(
+                f"collapse step {_bit_indices(removed)} by {w}: "
+                "not a present vertex or edge with another present dominator"
+            )
+        common = _common_closed(rows, removed)
+        if common & removed != removed:
+            raise StructureAnomalyError(
+                f"collapse step {_bit_indices(removed)}: not an edge"
+            )
+        if common & ~(rows[w] | 1 << w):
+            raise StructureAnomalyError(
+                f"collapse step {_bit_indices(removed)}: not dominated by {w}"
+            )
+        alive ^= _remove(rows, removed)
+    return FlagCollapse(tuple(steps), alive, tuple(rows))
 
 
 def reduced_homology(
@@ -379,7 +540,30 @@ def reduced_homology(
             f"{c.total_simplices} simplices exceeds the homology cap "
             f"{max_simplices}"
         )
-    return reduced_homology_of_chain(c.simplices_by_dim)
+    return flag_homology(c.rows, c.simplices_by_dim)
+
+
+def flag_homology(
+    rows: Sequence[int], simplices_by_dim: Sequence[Sequence[int]]
+) -> HomologySummary:
+    """Reduced integral homology of the flag complex of the graph with
+    neighbourhood ``rows``, whose cliques are ``simplices_by_dim``.
+
+    It is computed on the core that the replay of :func:`flag_collapse`
+    leaves, and padded with zeros to the dimension of the whole complex.
+    When nothing collapses, ``simplices_by_dim`` is used as it is.
+    """
+    core = replay_flag_collapse(rows, flag_collapse(rows).steps)
+    levels = simplices_by_dim
+    if core.steps:
+        total = sum(len(level) for level in levels)
+        levels = _clique_levels(core.rows, core.alive, total)
+    hom = reduced_homology_of_chain(levels)
+    pad = len(simplices_by_dim) - len(hom.reduced_betti)
+    return HomologySummary(
+        reduced_betti=hom.reduced_betti + (0,) * pad,
+        torsion=hom.torsion + ((),) * pad,
+    )
 
 
 # ---------------------------------------------------------------------------

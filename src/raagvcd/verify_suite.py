@@ -6,8 +6,9 @@ counts, witness outer ranks and commutation certificates on the small end
 of the corpus, the outer rank of the partially symmetric family against
 its dimension formula for n <= 8, and the blow-up complexes on up to eight
 half-edges: the full ones against the tree-space oracle, the legal ones for
-trivial homology and a collapse certificate.  Any violation is collected
-rather than raised so the caller can report all of them at once.
+trivial homology (from the collapse core and over every simplex) and a
+collapse certificate.  Any violation is collected rather than raised so
+the caller can report all of them at once.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .graph_core import (
     gamma_zero,
     pieces,
 )
+from .homology import reduced_homology_of_chain
 from .ideal_edges import (
     HalfEdgeSet,
     build_complex,
@@ -152,21 +154,24 @@ def _blowup_checks(result: VerificationResult) -> None:
             f"{betti}, {vertices} vertices, {trees} facets",
         )
     # Legal complexes are contractible; the certificate shows it without
-    # the homology.
+    # the homology, and the homology of the collapse core must agree with
+    # the homology over every simplex.
     for r in (2, 3):
         for s in range(9 - 2 * r):
             label = f"legal complex ({r},{s}) acyclic and certified collapsible"
             try:
                 c = build_complex(HalfEdgeSet.standard(r, s), legal_only=True)
                 hom = reduced_homology(c)
+                every = reduced_homology_of_chain(c.simplices_by_dim)
                 cert = morse_collapse_certificate(c, r, s)
             except GraphError as exc:
                 result.check(label, False, str(exc))
                 continue
             result.check(
                 label,
-                hom.trivial and cert.ok and cert.ties == 0,
-                f"homology {hom.to_dict()} certificate ok={cert.ok} "
+                hom.trivial and hom == every and cert.ok and cert.ties == 0,
+                f"homology {hom.to_dict()} over every simplex "
+                f"{every.to_dict()} certificate ok={cert.ok} "
                 f"ties={cert.ties} failures={list(cert.failures)}",
             )
 

@@ -129,6 +129,17 @@ class TestIdealComplex:
     def test_cap_error(self, capsys):
         assert main(["ideal-complex", "5", "1"]) == 1
 
+    def test_failed_collapse_replay_exits_3(self, capsys, monkeypatch):
+        from raagvcd import ideal_edges
+
+        # Vertex 0 of legal (2,2) is not dominated by itself.
+        bad = ideal_edges.FlagCollapse(steps=((1, 0),), alive=0, rows=())
+        monkeypatch.setattr(ideal_edges, "flag_collapse", lambda rows: bad)
+        assert main(["ideal-complex", "2", "2", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant broken: collapse step")
+
     @pytest.mark.parametrize("r,s", [(0, 3), (1, 1), (1, 0), (0, 1)])
     def test_fewer_than_four_half_edges_exits_1(self, capsys, recwarn, r, s):
         # The empty complex has reduced homology Z in degree -1, so no
@@ -314,6 +325,22 @@ class TestVerify:
         assert "VIOLATION: tree-space oracle [full complex, 6 half-edges]" in out
         assert "VIOLATION: legal complex (2,4) acyclic" in out
 
+    def test_legal_homology_checked_against_every_simplex(
+        self, capsys, monkeypatch
+    ):
+        from raagvcd import verify_suite
+        from raagvcd.homology import HomologySummary
+
+        # Trivial, but one degree short of what the collapse core gives.
+        short = HomologySummary(reduced_betti=(0,), torsion=((),))
+        monkeypatch.setattr(
+            verify_suite, "reduced_homology_of_chain", lambda levels: short
+        )
+        assert main(["verify", "--max-nodes", "4"]) == 3
+        out = capsys.readouterr().out
+        assert "ok: tree-space oracle [full complex, 7 half-edges]" in out
+        assert "VIOLATION: legal complex (3,2) acyclic" in out
+
 
 class TestUsageErrors:
     """argparse's usage errors exit 1 (2 means an ineligible graph)."""
@@ -448,6 +475,34 @@ GOLDEN_SHA256 = {
     "psigma_10_5": "f25b88afb09a0cfb80b1a98aef71c90763b45c3110a9335f43e59779195e3906",
 }
 
+# sha256 of the stdout of ``ideal-complex``, JSON and text; pinned so that
+# homology from the collapse core cannot change a byte of the output.
+IDEAL_COMPLEX_ARGS = {
+    "2_3": ["2", "3"],
+    "3_2": ["3", "2"],
+    "4_1": ["4", "1"],
+    "2_4": ["2", "4"],
+    "3_3": ["3", "3", "--cap", "200000"],
+    "0_6_full": ["0", "6", "--full"],
+    "0_7_full": ["0", "7", "--full"],
+}
+IDEAL_COMPLEX_SHA256 = {
+    "2_3_json": "fb89443d1ccfc1cf4d7e83e8611dddf5e409f611a9b3bb67ddb5cfe49aac6406",
+    "2_3_text": "8bbc050e84b8dd76b0d59089ae0acdabe945ec4c06cca43bb1c559625f81eacd",
+    "3_2_json": "cbdac3c46c72c3cb318345fe76a4167cf161a0b2a62d18b1d71f2943238af7b5",
+    "3_2_text": "ab608b979c22b09b9deeb0ac756f96ed0d81000213f8a53a37308ae0fff8b2e7",
+    "4_1_json": "c222ff344b3d553a5aa50e5092849005cd5e14ea60ea33e2d384bff7169457e7",
+    "4_1_text": "2ac7e225da7db4a9f3175b8827e35777ff335823064070cd138ca235ce9d0885",
+    "2_4_json": "f07af0b20edadfd0284db5ebd7f690175010cd45a2a6c3747bd36b4077d9ee28",
+    "2_4_text": "64e784643825319428edf7d544987b0274a48d5fa6cb077eef49d588f647d719",
+    "3_3_json": "082f3b9f5518d5e4d4ac7ce00799b7e997be4289d1130e667fb7d441f95ee19d",
+    "3_3_text": "beb059db533d52af13e6a0eb39ada9e17c56f1a8ed61c9d0e63e6336028da062",
+    "0_6_full_json": "bb5046a9c007a7297a73b84fa64acf0d22942470792f78f74781c7027da0a5e6",
+    "0_6_full_text": "73dd5e72b152c2244a99bf884c1b2e92356afec92b8412894a7a15eeecd538d1",
+    "0_7_full_json": "3bc40c32948e38c740bd6d313451603ce68a651da041940a1de03112647c4b36",
+    "0_7_full_text": "9441204520ae54c9c642518341cb2b5faea3856dac3ddd268388e77c30b71fde",
+}
+
 
 class TestGoldenOutput:
     @pytest.mark.parametrize(
@@ -469,6 +524,15 @@ class TestGoldenOutput:
         assert main(["psigma", "10", "5", "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256["psigma_10_5"]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("name", IDEAL_COMPLEX_ARGS)
+    def test_ideal_complex(self, capsys, name, fmt):
+        flags = ["--json"] if fmt == "json" else []
+        assert main(["ideal-complex", *IDEAL_COMPLEX_ARGS[name], *flags]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == IDEAL_COMPLEX_SHA256[f"{name}_{fmt}"]
 
 
 # C5 with two pendant paths whose node names sort in another order than

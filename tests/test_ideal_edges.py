@@ -1,8 +1,11 @@
+import random
 from math import factorial
 
 import pytest
 
-from raagvcd import homology
+from raagvcd import homology, ideal_edges
+from raagvcd.graph_core import StructureAnomalyError
+from raagvcd.homology import reduced_homology_of_chain
 from raagvcd.ideal_edges import (
     HalfEdgeSet,
     IdealEdge,
@@ -12,8 +15,11 @@ from raagvcd.ideal_edges import (
     compatible,
     enumerate_ideal_edges,
     facets_match_trivalent_trees,
+    flag_collapse,
+    flag_homology,
     morse_collapse_certificate,
     reduced_homology,
+    replay_flag_collapse,
     tree_splits,
     trivalent_trees,
 )
@@ -265,3 +271,188 @@ class TestMorseCertificate:
         c = build_complex(HalfEdgeSet.standard(2, 1), legal_only=True)
         with pytest.raises(IdealEdgeError):
             morse_collapse_certificate(c, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Strong and edge collapses of flag complexes.
+
+def graph_rows(n, edges):
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def cycle(n, start=0):
+    return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+
+def octahedron(start=0):
+    # K_{2,2,2}: every pair but the three antipodal ones; its flag complex
+    # is the 2-sphere.
+    return [
+        (start + i, start + j)
+        for i in range(6)
+        for j in range(i + 1, 6)
+        if j != i + 3
+    ]
+
+
+def cliques(rows):
+    return ideal_edges._clique_levels(rows, (1 << len(rows)) - 1, 10**6)
+
+
+# (vertex count, edges, reduced Betti numbers of the flag complex)
+NOT_COLLAPSIBLE = [
+    (4, cycle(4), (0, 1)),
+    (5, cycle(5), (0, 1)),
+    (6, cycle(6), (0, 1)),
+    (7, cycle(7), (0, 1)),
+    (6, octahedron(), (0, 0, 1)),
+    # C4 + C5 + a point: three components, two circles.
+    (10, cycle(4) + cycle(5, 4), (2, 2)),
+    # The octahedron + C6 + an edge.
+    (14, octahedron() + cycle(6, 6) + [(12, 13)], (2, 1, 1)),
+]
+
+
+def random_graphs():
+    rng = random.Random(1212)
+    out = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.choice([0.15, 0.3, 0.45, 0.6, 0.8])
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]
+        out.append((n, edges))
+    return out
+
+
+class TestFlagCollapse:
+    @pytest.mark.parametrize("n,edges,betti", NOT_COLLAPSIBLE)
+    def test_not_collapsible(self, n, edges, betti):
+        rows = graph_rows(n, edges)
+        collapse = flag_collapse(rows)
+        assert collapse.alive.bit_count() > 1
+        levels = cliques(rows)
+        hom = flag_homology(rows, levels)
+        assert hom.reduced_betti == betti
+        assert hom == reduced_homology_of_chain(levels)
+
+    def test_random_graphs_match_all_simplex_homology(self):
+        cores = set()
+        for n, edges in random_graphs():
+            rows = graph_rows(n, edges)
+            collapse = flag_collapse(rows)
+            assert replay_flag_collapse(rows, collapse.steps) == collapse
+            levels = cliques(rows)
+            assert flag_homology(rows, levels) == reduced_homology_of_chain(levels)
+            cores.add((bool(collapse.steps), collapse.alive.bit_count() > 1))
+        # Collapsed to a point, collapsed part way, and not at all.
+        assert {(True, False), (True, True), (False, True)} <= cores
+
+    def test_cone_collapses_to_its_apex(self):
+        # A cone over C5 collapses to its apex, and no step names a vertex
+        # it removes as its dominator.
+        rows = graph_rows(6, cycle(5) + [(i, 5) for i in range(5)])
+        collapse = flag_collapse(rows)
+        assert collapse.alive == 1 << 5
+        assert collapse.rows == (0,) * 6
+        for removed, w in collapse.steps:
+            assert not removed >> w & 1
+
+    @pytest.mark.parametrize(
+        "r,s", [(r, s) for r in (2, 3, 4) for s in range(9 - 2 * r)]
+    )
+    def test_legal_complexes_collapse_to_a_vertex(self, r, s):
+        c = build_complex(
+            HalfEdgeSet.standard(r, s), legal_only=True, max_simplices=200000
+        )
+        collapse = flag_collapse(c.rows)
+        assert collapse.alive.bit_count() == 1
+        assert not any(collapse.rows)
+
+    def test_legal_three_four_core(self):
+        # Past the cap of the clique build at 200000 simplices; the graph
+        # alone collapses to a core of 87 vertices and 1,431 edges.
+        vertices = enumerate_ideal_edges(HalfEdgeSet.standard(3, 4), legal_only=True)
+        collapse = flag_collapse(ideal_edges._compatibility_masks(vertices))
+        assert collapse.alive.bit_count() == 87
+        assert sum(row.bit_count() for row in collapse.rows) == 2 * 1431
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_full_complexes_use_their_own_simplices(self, m, monkeypatch):
+        c = build_complex(HalfEdgeSet.standard(0, m), max_simplices=200000)
+        assert flag_collapse(c.rows).steps == ()
+
+        def refuse(*args):
+            raise AssertionError("a second clique enumeration")
+
+        monkeypatch.setattr(ideal_edges, "_clique_levels", refuse)
+        hom = reduced_homology(c, max_simplices=200000)
+        assert hom.reduced_betti[m - 4] == factorial(m - 2)
+
+    def test_legal_homology_lists_only_the_core(self, monkeypatch):
+        c = build_complex(
+            HalfEdgeSet.standard(3, 3), legal_only=True, max_simplices=200000
+        )
+        sizes = []
+        face_lists = homology._face_lists
+
+        def recording(levels):
+            sizes.append([len(level) for level in levels])
+            return face_lists(levels)
+
+        monkeypatch.setattr(homology, "_face_lists", recording)
+        hom = reduced_homology(c, max_simplices=200000)
+        assert sizes == [[1]]
+        # Padded to the dimension of the whole complex.
+        assert hom.reduced_betti == (0,) * (c.dim + 1)
+        assert hom.torsion == ((),) * (c.dim + 1)
+
+
+class TestReplay:
+    # The path 0 - 1 - 2 plus the square 3 - 4 - 5 - 6.
+    ROWS = graph_rows(7, [(0, 1), (1, 2)] + cycle(4, 3))
+
+    def test_valid_steps(self):
+        core = replay_flag_collapse(self.ROWS, [(1 << 0, 1), (1 << 2, 1)])
+        assert core.alive == 0b1111010
+        assert core.rows[1] == 0
+
+    def test_edge_step(self):
+        # In the triangle 0 1 2 the edge 01 is dominated by 2.
+        rows = graph_rows(3, [(0, 1), (1, 2), (0, 2)])
+        core = replay_flag_collapse(rows, [(0b011, 2)])
+        assert core.alive == 0b111
+        assert core.rows == (0b100, 0b100, 0b011)
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            # Vertex 3 on the square is dominated by nothing.
+            ([(1 << 3, 4)], "not dominated"),
+            ([(1 << 3, 5)], "not dominated"),
+            # The edge 34 on the square is dominated by nothing.
+            ([(1 << 3 | 1 << 4, 5)], "not dominated"),
+            # Vertex 0 is dominated by 1, not by 2.
+            ([(1 << 0, 2)], "not dominated"),
+            # 3 and 5 are no edge.
+            ([(1 << 3 | 1 << 5, 4)], "not an edge"),
+            # Vertex 0 is removed twice, or used as a dominator once gone.
+            ([(1 << 0, 1), (1 << 0, 1)], "not a present vertex"),
+            ([(1 << 0, 1), (1 << 1 | 1 << 0, 2)], "not a present vertex"),
+            ([(1 << 0, 1), (1 << 1, 0)], "not a present vertex"),
+            # A dominator inside the step, out of range, or three vertices.
+            ([(1 << 0, 0)], "not a present vertex"),
+            ([(1 << 0, 7)], "not a present vertex"),
+            ([(1 << 0, -1)], "not a present vertex"),
+            ([(0, 1)], "not a present vertex"),
+            ([(0b111, 1)], "not a present vertex"),
+        ],
+    )
+    def test_bad_steps_raise(self, steps, message):
+        with pytest.raises(StructureAnomalyError, match=message):
+            replay_flag_collapse(self.ROWS, steps)
