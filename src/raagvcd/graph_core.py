@@ -11,7 +11,10 @@ and derives the combinatorial structure the bound formulas consume:
 * the decomposition into pieces (maximal 2-connected subgraphs, single
   edges included) together with hub detection.
 
-Everything here is a pure function of an immutable graph value.
+Everything here is a pure function of an immutable graph value.  The
+structure functions work on the graph's :class:`GraphContext`, built once
+per graph and shared with words and automorphisms, where node sets are bit
+masks over the sorted names; names come back only in the result values.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 from weakref import WeakValueDictionary
 
 
@@ -54,10 +57,6 @@ class StructureAnomalyError(GraphError):
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-def _edge(a: str, b: str) -> frozenset[str]:
-    return frozenset((a, b))
-
-
 @dataclass(frozen=True)
 class DefiningGraph:
     """A finite simple graph with named nodes.
@@ -73,12 +72,12 @@ class DefiningGraph:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise GraphError("graph has no nodes")
-        if len(set(self.nodes)) != len(self.nodes):
+        node_set = set(self.nodes)
+        if len(node_set) != len(self.nodes):
             raise GraphError("duplicate node names")
         for name in self.nodes:
             if not _NAME_RE.match(name):
                 raise GraphError(f"bad node name {name!r}")
-        node_set = set(self.nodes)
         for e in self.edges:
             if len(e) != 2:
                 raise GraphError(f"self-loop or malformed edge {sorted(e)}")
@@ -90,29 +89,14 @@ class DefiningGraph:
         edges: Iterable[tuple[str, str]], isolated: Iterable[str] = ()
     ) -> "DefiningGraph":
         """Build a graph from an edge list, nodes ordered by first appearance."""
-        order: list[str] = []
-        seen: set[str] = set()
-        pairs: set[frozenset[str]] = set()
-        for a, b in edges:
-            for name in (a, b):
-                if name not in seen:
-                    seen.add(name)
-                    order.append(name)
-            pairs.add(_edge(a, b))
-        for name in isolated:
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-        return DefiningGraph(tuple(order), frozenset(pairs))
+        pairs = list(edges)
+        order = dict.fromkeys(name for pair in pairs for name in pair)
+        order.update(dict.fromkeys(isolated))
+        return DefiningGraph(tuple(order), frozenset(frozenset(pair) for pair in pairs))
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for e in self.edges:
-            a, b = sorted(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        return {v: frozenset(nbrs) for v, nbrs in adj.items()}
+        return {v: self.link(v) for v in self.nodes}
 
     @cached_property
     def context(self) -> "GraphContext":
@@ -124,10 +108,12 @@ class DefiningGraph:
         return ctx
 
     def link(self, v: str) -> frozenset[str]:
-        return self.adjacency[v]
+        ctx = self.context
+        return ctx.nameset(ctx.adj[ctx.code[v]])
 
     def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
+        ctx = self.context
+        return ctx.adj[ctx.code[v]].bit_count()
 
     @property
     def num_nodes(self) -> int:
@@ -150,32 +136,12 @@ class DefiningGraph:
 
         Components are ordered by their smallest member for determinism.
         """
-        skip = {without} if without is not None else set()
-        remaining = [v for v in self.nodes if v not in skip]
-        unseen = set(remaining)
-        comps: list[frozenset[str]] = []
-        for start in remaining:
-            if start not in unseen:
-                continue
-            stack = [start]
-            unseen.discard(start)
-            comp = {start}
-            while stack:
-                u = stack.pop()
-                for nbr in self.adjacency[u]:
-                    if nbr in unseen:
-                        unseen.discard(nbr)
-                        comp.add(nbr)
-                        stack.append(nbr)
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=lambda c: min(c)))
+        ctx = self.context
+        alive = ctx.full & ~ctx.bit[ctx.code.get(without, 0)]
+        return tuple(map(ctx.nameset, _components(ctx.adj, alive)))
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
-
-    def induced_edges(self, nodes: Iterable[str]) -> frozenset[frozenset[str]]:
-        keep = set(nodes)
-        return frozenset(e for e in self.edges if e <= keep)
 
     def renamed(self, mapping: Mapping[str, str]) -> "DefiningGraph":
         """Apply a node renaming (used by the isomorphism-invariance tests)."""
@@ -186,29 +152,81 @@ class DefiningGraph:
 
 
 class GraphContext:
-    """Integer codes for the nodes of a graph, as words and maps use them.
+    """Integer codes for the nodes of a graph, built once per graph for the
+    structure functions here, for words and for automorphisms.
 
-    Node ``names[i]`` has code ``i + 1``, so codes compare as the names do;
-    a letter is ``+code`` or ``-code`` for the inverse.  The bit tables are
+    Node ``names[i]`` has code ``i + 1`` and bit ``1 << i``, so codes compare
+    as the names do; a node set is a mask, ``full`` the set of all nodes.  A
+    letter is ``+code`` or ``-code`` for the inverse, and the bit tables are
     indexed by letter, a negative one counting from the end: ``bit[l]`` is
     the node's bit, ``adj[l]`` its neighbours' bits and ``star[l]`` those
-    and its own, so letters ``l`` and ``m`` commute exactly when
-    ``star[l] & bit[m]``.
+    and its own, so ``l`` and ``m`` commute exactly when ``star[l] & bit[m]``.
     """
 
-    __slots__ = ("graph", "names", "code", "bit", "adj", "star", "__weakref__")
+    __slots__ = ("graph", "names", "code", "full", "bit", "adj", "star", "__weakref__")
 
     def __init__(self, graph: DefiningGraph):
         self.graph = graph
         self.names = tuple(sorted(graph.nodes))
         code = self.code = {x: i + 1 for i, x in enumerate(self.names)}
         bits = [1 << i for i in range(len(self.names))]
-        adj = [sum(bits[code[y] - 1] for y in graph.adjacency[x]) for x in self.names]
+        adj = [0] * len(bits)
+        for a, b in graph.edges:
+            adj[code[a] - 1] |= bits[code[b] - 1]
+            adj[code[b] - 1] |= bits[code[a] - 1]
+        self.full = (1 << len(bits)) - 1
         tables = (bits, adj, [m | b for m, b in zip(adj, bits)])
         self.bit, self.adj, self.star = ([0, *t, *t[::-1]] for t in tables)
 
+    def nameset(self, mask: int) -> frozenset[str]:
+        """The names of the nodes in ``mask``."""
+        names = self.names
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    def above(self, link: int) -> int:
+        """The nodes whose links contain ``link``: its common neighbours."""
+        common = self.full
+        for c in _codes(link):
+            common &= self.adj[c]
+        return common
+
 
 _CONTEXTS: WeakValueDictionary = WeakValueDictionary()
+
+
+def _codes(mask: int) -> Iterator[int]:
+    """The codes of the nodes in ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def _component(rows: list[int], start: int, alive: int) -> int:
+    """The nodes reachable from ``start`` inside ``alive``, which contains
+    it: a flood fill over the neighbour masks ``rows``."""
+    rest = alive & ~start
+    frontier = start
+    while frontier:
+        low = frontier & -frontier
+        new = rows[low.bit_length()] & rest
+        rest ^= new
+        frontier ^= low | new
+    return alive ^ rest
+
+
+def _components(rows: list[int], alive: int) -> list[int]:
+    """The connected components of the nodes in ``alive``, by lowest bit."""
+    comps = []
+    while alive:
+        comps.append(_component(rows, alive & -alive, alive))
+        alive ^= comps[-1]
+    return comps
 
 
 def parse_graph(text: str) -> DefiningGraph:
@@ -219,22 +237,19 @@ def parse_graph(text: str) -> DefiningGraph:
     order.  Self-loops, repeated edges, bad tokens and empty graphs are
     rejected with the offending line number.
     """
-    order: list[str] = []
-    seen: set[str] = set()
+    order: dict[str, None] = {}
     pairs: set[frozenset[str]] = set()
 
     def note(name: str, line: int) -> None:
-        if not _NAME_RE.match(name):
-            raise ParseError(f"bad name {name!r}", line)
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
+        if name not in order:
+            if not _NAME_RE.match(name):
+                raise ParseError(f"bad name {name!r}", line)
+            order[name] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if parts[0] == "node":
             if len(parts) != 2:
                 raise ParseError("expected: node <name>", lineno)
@@ -247,7 +262,7 @@ def parse_graph(text: str) -> DefiningGraph:
                 raise ParseError(f"self-loop at {a!r}", lineno)
             note(a, lineno)
             note(b, lineno)
-            e = _edge(a, b)
+            e = frozenset((a, b))
             if e in pairs:
                 raise ParseError(f"duplicate edge {a} {b}", lineno)
             pairs.add(e)
@@ -303,28 +318,21 @@ def validate(g: DefiningGraph) -> ValidationReport:
     test asks for a node adjacent to every other node such that no edge
     avoids it.
     """
-    adj = g.adjacency
-    triangle_free = all(adj[min(e)] & adj[max(e)] == frozenset() for e in g.edges)
-
-    square_free = True
-    nodes = g.nodes
-    for i, u in enumerate(nodes):
-        for w in nodes[i + 1 :]:
-            if len(adj[u] & adj[w]) >= 2:
-                square_free = False
-                break
-        if not square_free:
-            break
-
-    is_star = False
-    rest = g.num_nodes - 1
-    for c in nodes:
-        if len(adj[c]) == rest and all(c in e for e in g.edges):
-            is_star = True
-            break
+    ctx = g.context
+    rows = ctx.adj
+    codes = range(1, g.num_nodes + 1)
+    triangle_free = not any(rows[u] & rows[w] for u in codes for w in _codes(rows[u]))
+    square_free = not any(
+        (common := rows[u] & rows[w]) & (common - 1)
+        for u in codes
+        for w in range(u + 1, g.num_nodes + 1)
+    )
+    is_star = g.num_edges == g.num_nodes - 1 and any(
+        rows[c] == ctx.full ^ ctx.bit[c] for c in codes
+    )
 
     return ValidationReport(
-        is_connected=g.is_connected(),
+        is_connected=_component(rows, 1, ctx.full) == ctx.full,
         triangle_free=triangle_free,
         square_free=square_free,
         is_star=is_star,
@@ -352,26 +360,30 @@ class DominationOrder:
     maximal_classes: tuple[frozenset[str], ...]
 
     def leq(self, v: str, w: str) -> bool:
-        return self.graph.link(v) <= self.graph.link(w)
+        ctx = self.graph.context
+        return not ctx.adj[ctx.code[v]] & ~ctx.adj[ctx.code[w]]
 
     def dominators(self, v: str) -> frozenset[str]:
-        return frozenset(w for w in self.graph.nodes if w != v and self.leq(v, w))
+        ctx = self.graph.context
+        c = ctx.code[v]
+        return ctx.nameset(ctx.above(ctx.adj[c]) & ~ctx.bit[c])
 
     def maximal_nodes(self) -> frozenset[str]:
         return frozenset(v for cls in self.maximal_classes for v in cls)
 
 
 def domination_order(g: DefiningGraph) -> DominationOrder:
-    by_link: dict[frozenset[str], list[str]] = {}
-    for v in g.nodes:
-        by_link.setdefault(g.link(v), []).append(v)
-    classes = tuple(
-        sorted((frozenset(members) for members in by_link.values()), key=min)
-    )
+    ctx = g.context
+    by_link: dict[int, int] = {}
+    for c in range(1, g.num_nodes + 1):
+        by_link[ctx.adj[c]] = by_link.get(ctx.adj[c], 0) | ctx.bit[c]
+    # Classes come out ordered by their smallest member.  A class is maximal
+    # when every node whose link contains the class's link lies in it.
+    classes = tuple(map(ctx.nameset, by_link.values()))
     maximal = tuple(
         cls
-        for cls in classes
-        if not any(g.link(min(cls)) < g.link(w) for w in g.nodes)
+        for cls, (link, members) in zip(classes, by_link.items())
+        if ctx.above(link) == members
     )
     return DominationOrder(graph=g, classes=classes, maximal_classes=maximal)
 
@@ -416,20 +428,20 @@ def gamma_zero(
     """Choose class representatives and span the core subgraph.
 
     The representative of each maximal class defaults to its
-    lexicographically least member; ``tie_break`` overrides the policy.
+    lexicographically least member; ``tie_break`` overrides the policy but
+    must choose a member of the class it is handed.
     """
     if order is None:
         order = domination_order(g)
     pick = tie_break if tie_break is not None else min
-    reps = tuple(sorted(pick(cls) for cls in order.maximal_classes))
-    if len(set(reps)) != len(reps):
-        raise GraphError("tie-break policy chose the same representative twice")
+    picks = [pick(cls) for cls in order.maximal_classes]
+    for rep, cls in zip(picks, order.maximal_classes):
+        if rep not in cls:
+            raise GraphError(f"tie-break chose {rep!r} outside its class {sorted(cls)}")
+    reps = tuple(sorted(picks))
     rep_set = frozenset(reps)
-    for rep in reps:
-        if rep not in g.adjacency:
-            raise GraphError(f"tie-break policy chose non-node {rep!r}")
 
-    core_edges = g.induced_edges(rep_set)
+    core_edges = frozenset(e for e in g.edges if e <= rep_set)
     unique_maximal = frozenset(
         min(cls) for cls in order.maximal_classes if len(cls) == 1
     )
@@ -438,16 +450,9 @@ def gamma_zero(
 
     # Connectivity of the span is expected for every eligible graph; it is
     # recorded rather than repaired so that a violation surfaces as a finding.
-    sub_adj = {v: g.link(v) & rep_set for v in rep_set}
-    seen: set[str] = set()
-    stack = [reps[0]]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(sub_adj[u] - seen)
-    spans_connected = seen == set(rep_set)
+    ctx = g.context
+    mask = sum(ctx.bit[ctx.code[v]] for v in reps)
+    spans_connected = _component(ctx.adj, mask & -mask, mask) == mask
 
     return CoreSubgraph(
         graph=g,
@@ -485,102 +490,95 @@ class PieceDecomposition:
         return v in self.hubs
 
 
-def _biconnected_edge_groups(g: DefiningGraph) -> list[frozenset[frozenset[str]]]:
-    """Group edges into maximal 2-connected pieces (iterative Hopcroft-Tarjan)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    edge_stack: list[frozenset[str]] = []
-    groups: list[frozenset[frozenset[str]]] = []
-    counter = 0
+def _blocks(rows: list[int], roots: Iterable[int]) -> list[list[tuple[int, int]]]:
+    """Group edges into maximal 2-connected pieces (iterative Hopcroft-Tarjan
+    over codes); an edge is the pair of its ends' codes."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    edge_stack: list[tuple[int, int]] = []
+    groups: list[list[tuple[int, int]]] = []
 
-    for root in g.nodes:
+    for root in roots:
         if root in index:
             continue
         # Explicit stack of (node, parent, iterator over neighbors).
-        index[root] = low[root] = counter
-        counter += 1
-        work = [(root, None, iter(sorted(g.adjacency[root])))]
+        index[root] = low[root] = len(index)
+        work = [(root, 0, _codes(rows[root]))]
         while work:
             v, parent, nbrs = work[-1]
-            advanced = False
             for w in nbrs:
                 if w == parent:
                     continue
                 if w not in index:
-                    edge_stack.append(_edge(v, w))
-                    index[w] = low[w] = counter
-                    counter += 1
-                    work.append((w, v, iter(sorted(g.adjacency[w]))))
-                    advanced = True
+                    edge_stack.append((v, w))
+                    index[w] = low[w] = len(index)
+                    work.append((w, v, _codes(rows[w])))
                     break
                 if index[w] < index[v]:
-                    edge_stack.append(_edge(v, w))
+                    edge_stack.append((v, w))
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= index[u]:
-                    cut = _edge(u, v)
-                    group: set[frozenset[str]] = set()
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        group.add(e)
-                        if e == cut:
-                            break
-                    groups.append(frozenset(group))
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= index[u]:
+                        group = [edge_stack.pop()]
+                        while group[-1] != (u, v):
+                            group.append(edge_stack.pop())
+                        groups.append(group)
     return groups
 
 
 def pieces(g: DefiningGraph) -> PieceDecomposition:
     """Decompose into pieces, cross-checking both separation-count definitions."""
-    groups = _biconnected_edge_groups(g)
-    groups.sort(key=lambda p: min(min(e) for e in p))
+    ctx = g.context
+    rows, names = ctx.adj, ctx.names
+    spanned = []
+    for group in _blocks(rows, [ctx.code[v] for v in g.nodes]):
+        span = 0
+        for v, w in group:
+            span |= ctx.bit[v] | ctx.bit[w]
+        piece = frozenset(frozenset((names[v - 1], names[w - 1])) for v, w in group)
+        spanned.append((span, piece))
+    # By smallest node; the sort is stable, so ties keep the discovery order.
+    spanned.sort(key=lambda sg: sg[0] & -sg[0])
 
-    piece_nodes = [frozenset(v for e in p for v in e) for p in groups]
-    membership: dict[str, int] = {v: 0 for v in g.nodes}
-    delta_nodes: dict[str, set[str]] = {v: set() for v in g.nodes}
-    for p_nodes in piece_nodes:
-        for v in p_nodes:
-            membership[v] += 1
-            delta_nodes[v] |= p_nodes
+    membership = [0] * len(rows)
+    delta = [0] * len(rows)
+    for span, _ in spanned:
+        for c in _codes(span):
+            membership[c] += 1
+            delta[c] |= span
 
-    delta_c: dict[str, int] = {}
-    for v in g.nodes:
-        comps = len(g.components(without=v)) if g.num_nodes > 1 else 0
-        if comps != membership[v]:
+    delta_c = {v: len(_components(rows, ctx.full ^ ctx.bit[ctx.code[v]])) for v in g.nodes}
+    for v, comps in delta_c.items():
+        if comps != membership[ctx.code[v]]:
             raise StructureAnomalyError(
                 f"separation count mismatch at {v}: removing it leaves {comps} "
-                f"components but it lies in {membership[v]} pieces"
+                f"components but it lies in {membership[ctx.code[v]]} pieces"
             )
-        delta_c[v] = comps
 
     # Block decomposition identity for a connected graph: the excesses of the
     # separating nodes sum to (number of pieces) - 1.
-    if g.is_connected():
+    if _component(rows, 1, ctx.full) == ctx.full:
         excess = sum(delta_c[v] - 1 for v in g.nodes)
-        if excess != len(groups) - 1:
+        if excess != len(spanned) - 1:
             raise StructureAnomalyError(
                 f"piece-count identity failed: sum of excesses {excess} != "
-                f"{len(groups) - 1}"
+                f"{len(spanned) - 1}"
             )
 
-    adj = g.adjacency
     hubs = frozenset(
         v
-        for v in g.nodes
-        if all(
-            u == v or u in adj[v] or adj[u] <= adj[v]
-            for u in delta_nodes[v]
-        )
+        for v, c in ctx.code.items()
+        if all(not rows[u] & ~rows[c] for u in _codes(delta[c] & ~ctx.star[c]))
     )
 
     return PieceDecomposition(
         graph=g,
-        pieces=tuple(groups),
+        pieces=tuple(piece for _, piece in spanned),
         delta_c=MappingProxyType(delta_c),
-        delta=MappingProxyType({v: frozenset(s) for v, s in delta_nodes.items()}),
+        delta=MappingProxyType({v: ctx.nameset(delta[ctx.code[v]]) for v in g.nodes}),
         hubs=hubs,
     )

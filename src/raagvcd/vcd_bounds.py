@@ -75,16 +75,12 @@ def lower_bound(
     are broken lexicographically so reports are reproducible.
     """
     base = (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes) - 2
-    non_hub = sorted(v for v in core.nodes if not decomposition.is_hub(v))
-    non_hub_edges = sorted(
-        tuple(sorted(e))
-        for e in core.edges
-        if all(v in non_hub for v in e)
-    )
+    non_hub = core.nodes - decomposition.hubs
+    non_hub_edges = sorted(tuple(sorted(e)) for e in core.edges if e <= non_hub)
     if non_hub_edges:
         return BoundResult(base + 2, LOWER_NONHUB_EDGE, witness=non_hub_edges[0])
     if non_hub:
-        return BoundResult(base + 1, LOWER_NONHUB_NODE, witness=non_hub[0])
+        return BoundResult(base + 1, LOWER_NONHUB_NODE, witness=min(non_hub))
     return BoundResult(base, LOWER_BASE)
 
 

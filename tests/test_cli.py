@@ -40,14 +40,49 @@ class TestAnalyze:
         assert ws["outer_rank"] == 5
         assert all(c["certified"] for c in ws["commutation_certificates"])
 
-    def test_analyze_without_witness_builds_no_word_context(self, p5_file, monkeypatch):
-        from raagvcd.graph_core import DefiningGraph
+    @pytest.mark.parametrize("witness", [False, True])
+    def test_analyze_builds_one_context_per_graph(self, tmp_path, monkeypatch, witness):
+        # The structure layer and, with --witness, words and automorphisms
+        # all read the parsed graph's one GraphContext.  The node names are
+        # used by no other test, so no context cached for an equal graph
+        # can stand in for a new one.
+        import raagvcd.cli as cli
+        from raagvcd import graph_core
+        from raagvcd.graph_core import GraphContext
 
-        def forbidden(graph):
-            raise AssertionError("analyze without --witness built a word context")
+        path = tmp_path / "ctx.graph"
+        prefix = "ctxw" if witness else "ctxa"
+        path.write_text("".join(f"edge {prefix}{i} {prefix}{i + 1}\n" for i in range(6)))
+        built, rows_seen, sets = [], set(), []
+        init = GraphContext.__init__
+        component = graph_core._component
+        build = cli.build_generator_set
 
-        monkeypatch.setattr(DefiningGraph, "context", property(forbidden))
-        assert main(["analyze", p5_file, "--json"]) == 0
+        def counting_init(self, graph):
+            init(self, graph)
+            built.append(self)
+
+        def recording_component(rows, start, alive):
+            rows_seen.add(id(rows))
+            return component(rows, start, alive)
+
+        def recording_build(*args, **kwargs):
+            sets.append(build(*args, **kwargs))
+            return sets[-1]
+
+        monkeypatch.setattr(GraphContext, "__init__", counting_init)
+        monkeypatch.setattr(graph_core, "_component", recording_component)
+        monkeypatch.setattr(cli, "build_generator_set", recording_build)
+        flags = ["--witness"] if witness else []
+        assert main(["analyze", str(path), "--json", *flags]) == 0
+        (ctx,) = [c for c in built if prefix + "0" in c.code]
+        assert rows_seen == {id(ctx.adj)}
+        if witness:
+            (gs,) = sets
+            assert gs.graph.context is ctx
+            assert all(e.automorphism.ctx is ctx for e in gs.entries)
+        else:
+            assert built == [ctx] and not sets
 
     def test_explicit_base_edge(self, p5_file, capsys):
         assert main(["analyze", p5_file, "--witness", "--e0", "c,b", "--json"]) == 0
@@ -565,3 +600,134 @@ def test_witness_json_independent_of_line_order(tmp_path, capsys):
     (out,) = outputs
     witness = json.loads(out)["witness_set"]
     assert witness["outer_rank"] == json.loads(out)["lower"]["value"]
+
+
+def _analyze_pin_graphs():
+    """Thirty seeded graphs of 8-18 nodes with their expected exit codes.
+
+    Most are connected and triangle-free (trees, unique-cycle graphs,
+    graphs with squares); three in ten are made ineligible by a triangle,
+    a second component or a star.  Names are drawn at random, so
+    first-appearance order is not sorted order, and each edge line picks
+    its endpoint order at random.
+    """
+    import random
+
+    rng = random.Random(1313)
+    out = []
+    for i in range(30):
+        n = 8 + i % 11
+        names = rng.sample([f"{c}{k}" for c in "abmqz" for k in range(12)], n)
+        kind = ("tree", "cycle", "dense", "dense", "tree", "cycle", "dense",
+                "triangle", "disconnected", "star")[i % 10]
+        if kind == "star":
+            edges = [(names[0], v) for v in names[1:]]
+        else:
+            split = n // 2 if kind == "disconnected" else n
+            edges = [(names[j], names[rng.randrange(j)]) for j in range(1, split)]
+            edges += [
+                (names[j], names[split + rng.randrange(j - split)])
+                for j in range(split + 1, n)
+            ]
+            adj = {v: set() for v in names}
+            for a, b in edges:
+                adj[a].add(b)
+                adj[b].add(a)
+            extra = {"tree": 0, "cycle": 1, "dense": 2 + i % 4}.get(kind, 0)
+            while extra:
+                a, b = rng.sample(names[:split], 2)
+                if b not in adj[a] and not adj[a] & adj[b]:
+                    edges.append((a, b))
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    extra -= 1
+            if kind == "triangle":
+                a, b = edges[-1]
+                c = next(v for v in names if v not in (a, b))
+                edges += [(a, c), (b, c)] if c not in adj[a] else [(b, c)]
+        rng.shuffle(edges)
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+        code = 2 if kind in ("triangle", "disconnected", "star") else 0
+        out.append((f"g{i:02d}_{kind}", edges, code))
+    return out
+
+
+# sha256 of the stdout of ``analyze`` without ``--witness``, JSON and text,
+# on the graphs above; pinned so that the integer-coded structure layer
+# cannot change a byte of the output.
+ANALYZE_PIN_SHA256 = {
+    "g00_tree_json": "f23c2770522ef6219b4b58e0de1c8a5104fda8f144df8353bfdbc5e41563aad5",
+    "g01_cycle_json": "5cd4dbbe506dd5d2597557fbd3bdb4e9d41a325ccfad8116f6855642fa787520",
+    "g02_dense_json": "768793e3fbcc9e2857ac9a714c897a3d3085fa0e466ee1586f8fe1c0dce24f7b",
+    "g03_dense_json": "fea0c25ecb57e9fbefb7e2590ca6c70bb14b2b30f4f14abdf5beeb85846bf43e",
+    "g04_tree_json": "5bdaf7402140ae80ea03a3c67cfc08e23ff009dee67c2bac08adfb61273fe048",
+    "g05_cycle_json": "e728193b1034c5fae9a501609fb5f21d4887be7dacdb217fad90959896f9d490",
+    "g06_dense_json": "eb678a87f7e1477c2d338b593da1529d9b4abe07ea72d808a2beccc8edda8c9c",
+    "g07_triangle_json": "e38c89a53896c0c25db150df4be96db8940650073afad30996471e7be55f99f3",
+    "g08_disconnected_json": "cf11986f2f901255f86a893e14b7afd62826ecea632311fa3990f284cb84ce9f",
+    "g09_star_json": "451fb8722eff930f983964acec39260b655143c8eeb82f03dd0da59752ede3b6",
+    "g10_tree_json": "0d3974bafd134f1a59a79381081ee444a328bf4c0fd236ae755647f6fc3e8a15",
+    "g11_cycle_json": "7265c735a5d020025a80f11814070446124641da9fb7c09b8f7734acaedf6989",
+    "g12_dense_json": "a91a084f70e947ee81ec23719ccd0e5c1aaac60f591ab20724809b05f5509f22",
+    "g13_dense_json": "ebf13d1c72a43b88ef61d23f1f0c4cb840106e963a4ad5cd8d515c60726c84c6",
+    "g14_tree_json": "33bd40e72d49ac3d7f885878945ed46748c4bdaccde66cafa928f33207a8adf3",
+    "g15_cycle_json": "26f0e4e53f1a86ffa892c9bcee94ca61d8991b28164db7453f99116db2634c71",
+    "g16_dense_json": "3d3e09257a2016451b4af0bc06a563ed0c6fbdd751e45f14b22db2069d34cde2",
+    "g17_triangle_json": "e749c94068ca957b568b6a00909684e04e8d96e839609d1c772929ca61fd3d51",
+    "g18_disconnected_json": "cf11986f2f901255f86a893e14b7afd62826ecea632311fa3990f284cb84ce9f",
+    "g19_star_json": "451fb8722eff930f983964acec39260b655143c8eeb82f03dd0da59752ede3b6",
+    "g20_tree_json": "58a8233758e8be21f70b953380312924f9b6ad5fc6201ee07f9d25496189bb76",
+    "g21_cycle_json": "4f71329cfb5bad7b36ce8d53fb7b2e54a410960f2bf97dbfbfac8146d88eccd6",
+    "g22_dense_json": "beb178576f2832b692e34625399ed6a864d8a7e199cdd44ad5f85e60d1343cbd",
+    "g23_dense_json": "00e30db0eb690efcc88f58d4099a1e120d37f2537665102118a1b7265ab0fb59",
+    "g24_tree_json": "097ddccc9dee48fc5c7c008227cefebd1aa79d4451d4a4f9591fdf0adcf5b5ad",
+    "g25_cycle_json": "042f94c8bb73abf3b8bf1247a24471f7b6281def33f2e099660a9c2c317806da",
+    "g26_dense_json": "e55e4c5c0dfb0072ed70e85ce7cac16829fe26f6925fb06326831540dd7e5f1b",
+    "g27_triangle_json": "e749c94068ca957b568b6a00909684e04e8d96e839609d1c772929ca61fd3d51",
+    "g28_disconnected_json": "cf11986f2f901255f86a893e14b7afd62826ecea632311fa3990f284cb84ce9f",
+    "g29_star_json": "451fb8722eff930f983964acec39260b655143c8eeb82f03dd0da59752ede3b6",
+    "g00_tree_text": "23f1d265ad97846de37e56010d8a73215df4e0800b7a7ce06fc4497b17c091bc",
+    "g01_cycle_text": "6380a2472d619758b401172a554cba78c05a267f3a7b5558967b6bc0af2c5661",
+    "g02_dense_text": "a60488e99f132d01c704a84d0185f0fb3feb08ae5c2cb0a2e849e0f2210c2034",
+    "g03_dense_text": "05c24a40b865e358dd6e759b51b2ea0ca3d232882f98e6f8a8fce3d5eb160533",
+    "g04_tree_text": "4556da01a14d4a29e47da258ed61905a9329eab20ed4963802e9960dfe190faa",
+    "g05_cycle_text": "a9149d162f9cca45fe00e555967058add4e3c581b8ef65ac9a58d55394cad3f6",
+    "g06_dense_text": "5d654b82867efd59e325db9cb94b811472c9bfbc505f3a4caf44c284201910a6",
+    "g07_triangle_text": "8c32ad8543197b7fbefd1e6ac3c3c290fe4416b7c0fe513b642afbff4f80c1f1",
+    "g08_disconnected_text": "41805b84bab8a7561688db5a4487acacc1861ce00e062863f3550f0ef808743c",
+    "g09_star_text": "7259e91c079869a519f364729fc402be7ee483d75f4c26be5911777d0e35ab4b",
+    "g10_tree_text": "a4589279be185fede07c09571f4ab05179047db6d27623038b8993e29de65022",
+    "g11_cycle_text": "95e6f38489f7d78fc0c01ee0d2926d9dc16bd03ceba08aa6bcb12fcc19a8421b",
+    "g12_dense_text": "1cb10166a1f2aae2eb59f7fb96937aaf4bba30e1a77a04b75ee1cf62dfee6e72",
+    "g13_dense_text": "1eaa1d0d4269bc57405857a10f30a67b49e2c44bae714c3f5e4ef8c81c3a598d",
+    "g14_tree_text": "9347b5f4533c65bf321f976eb2cf27b1404370a542873d32b65747d4fda09fb7",
+    "g15_cycle_text": "31454af01f65c58ec9a27f9a29b8530071245b32bb404c2c4e1a673766fa3cce",
+    "g16_dense_text": "51ca177c228f3f699ff6ba93c78185d49c4dd7925a6ed97c21aadab80c5cc469",
+    "g17_triangle_text": "8c32ad8543197b7fbefd1e6ac3c3c290fe4416b7c0fe513b642afbff4f80c1f1",
+    "g18_disconnected_text": "41805b84bab8a7561688db5a4487acacc1861ce00e062863f3550f0ef808743c",
+    "g19_star_text": "7259e91c079869a519f364729fc402be7ee483d75f4c26be5911777d0e35ab4b",
+    "g20_tree_text": "135916e1ed54e43e51fb2163cdad94006518beb9d9957c2740b7b02094719140",
+    "g21_cycle_text": "e39253bf389d8e72e53aa1a06216d897cd388ff3dab744cfd0684722f2c5210e",
+    "g22_dense_text": "f623c268c14353169499067e107e5d2f2508242b5e34b97063f42d03077abebf",
+    "g23_dense_text": "763c278e88df926dd5031c3493d1f8884c936db051f9c002a87a764682f3328c",
+    "g24_tree_text": "f5f9e45d6de27194318ae1e96647b33049960bfbebd39c974dfa8a9a292feea2",
+    "g25_cycle_text": "bc7cc2666bf922778768ddbca15f0c05a3d1b246ae419a1963cb2af91421a521",
+    "g26_dense_text": "bc65ce9c37840d300e18c5e40e5a43d1da086ad3100196f6e8bc8879ba1f6202",
+    "g27_triangle_text": "8c32ad8543197b7fbefd1e6ac3c3c290fe4416b7c0fe513b642afbff4f80c1f1",
+    "g28_disconnected_text": "41805b84bab8a7561688db5a4487acacc1861ce00e062863f3550f0ef808743c",
+    "g29_star_text": "7259e91c079869a519f364729fc402be7ee483d75f4c26be5911777d0e35ab4b",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_output_pinned(tmp_path, capsys, fmt):
+    flags = ["--json"] if fmt == "json" else []
+    digests = {}
+    for name, edges, code in _analyze_pin_graphs():
+        path = tmp_path / f"{name}.graph"
+        path.write_text(_edge_text(edges))
+        assert main(["analyze", str(path), *flags]) == code, name
+        out = capsys.readouterr().out
+        digests[f"{name}_{fmt}"] = hashlib.sha256(out.encode()).hexdigest()
+    expected = {k: v for k, v in ANALYZE_PIN_SHA256.items() if k.endswith(fmt)}
+    assert digests == expected

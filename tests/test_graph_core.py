@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+from raagvcd import graph_core
 from raagvcd.graph_core import (
     DefiningGraph,
     GraphError,
     ParseError,
+    StructureAnomalyError,
+    ValidationReport,
     domination_order,
     gamma_zero,
     parse_graph,
@@ -287,3 +292,295 @@ class TestGraphValue:
     def test_components_without(self, g_p5):
         comps = g_p5.components(without="c")
         assert set(comps) == {frozenset("ab"), frozenset("de")}
+
+
+# Name-based oracles: the structure functions as they were written over
+# frozensets of node names, before they moved to the bit rows of the graph
+# context.  Every field of the integer-coded results must equal theirs.
+
+
+def oracle_adjacency(g):
+    adj = {v: set() for v in g.nodes}
+    for e in g.edges:
+        a, b = sorted(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    return {v: frozenset(nbrs) for v, nbrs in adj.items()}
+
+
+def oracle_components(g, without=None):
+    adj = oracle_adjacency(g)
+    skip = {without} if without is not None else set()
+    remaining = [v for v in g.nodes if v not in skip]
+    unseen = set(remaining)
+    comps = []
+    for start in remaining:
+        if start not in unseen:
+            continue
+        stack = [start]
+        unseen.discard(start)
+        comp = {start}
+        while stack:
+            u = stack.pop()
+            for nbr in adj[u]:
+                if nbr in unseen:
+                    unseen.discard(nbr)
+                    comp.add(nbr)
+                    stack.append(nbr)
+        comps.append(frozenset(comp))
+    return tuple(sorted(comps, key=min))
+
+
+def oracle_validate(g):
+    adj = oracle_adjacency(g)
+    nodes = g.nodes
+    triangle_free = all(adj[min(e)] & adj[max(e)] == frozenset() for e in g.edges)
+    square_free = not any(
+        len(adj[u] & adj[w]) >= 2 for i, u in enumerate(nodes) for w in nodes[i + 1 :]
+    )
+    rest = len(nodes) - 1
+    is_star = any(
+        len(adj[c]) == rest and all(c in e for e in g.edges) for c in nodes
+    )
+    return ValidationReport(
+        is_connected=len(oracle_components(g)) <= 1,
+        triangle_free=triangle_free,
+        square_free=square_free,
+        is_star=is_star,
+    )
+
+
+def oracle_domination(g):
+    """(classes, maximal classes) in the order of their least members."""
+    adj = oracle_adjacency(g)
+    by_link = {}
+    for v in g.nodes:
+        by_link.setdefault(adj[v], []).append(v)
+    classes = tuple(sorted((frozenset(m) for m in by_link.values()), key=min))
+    maximal = tuple(
+        cls for cls in classes if not any(adj[min(cls)] < adj[w] for w in g.nodes)
+    )
+    return classes, maximal
+
+
+def oracle_core(g, tie_break=min):
+    """The core subgraph's fields, spanned from the oracle's maximal classes."""
+    adj = oracle_adjacency(g)
+    _, maximal = oracle_domination(g)
+    reps = tuple(sorted(tie_break(cls) for cls in maximal))
+    rep_set = frozenset(reps)
+    leaves = frozenset(v for v in g.nodes if len(adj[v]) == 1)
+    seen = set()
+    stack = [reps[0]]
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(adj[u] & rep_set - seen)
+    return {
+        "representatives": reps,
+        "nodes": rep_set,
+        "edges": frozenset(e for e in g.edges if e <= rep_set),
+        "unique_maximal": frozenset(min(cls) for cls in maximal if len(cls) == 1),
+        "pruned_leaves": rep_set == frozenset(g.nodes) - leaves,
+        "spans_connected": seen == rep_set,
+    }
+
+
+def oracle_blocks(g):
+    """Edge groups of the pieces, by the name-based iterative Hopcroft-Tarjan."""
+    adj = oracle_adjacency(g)
+    index = {}
+    low = {}
+    edge_stack = []
+    groups = []
+    for root in g.nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        work = [(root, None, iter(sorted(adj[root])))]
+        while work:
+            v, parent, nbrs = work[-1]
+            advanced = False
+            for w in nbrs:
+                if w == parent:
+                    continue
+                if w not in index:
+                    edge_stack.append(frozenset((v, w)))
+                    index[w] = low[w] = len(index)
+                    work.append((w, v, iter(sorted(adj[w]))))
+                    advanced = True
+                    break
+                if index[w] < index[v]:
+                    edge_stack.append(frozenset((v, w)))
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= index[u]:
+                    group = set()
+                    while frozenset((u, v)) not in group:
+                        group.add(edge_stack.pop())
+                    groups.append(frozenset(group))
+    groups.sort(key=lambda p: min(min(e) for e in p))
+    return groups
+
+
+def oracle_pieces(g):
+    """The piece decomposition's fields, or None where the count of
+    components left by removing a node differs from the number of pieces
+    holding it, as on every disconnected graph of two or more nodes."""
+    adj = oracle_adjacency(g)
+    groups = oracle_blocks(g)
+    delta = {v: set() for v in g.nodes}
+    membership = dict.fromkeys(g.nodes, 0)
+    for p in groups:
+        p_nodes = frozenset(v for e in p for v in e)
+        for v in p_nodes:
+            delta[v] |= p_nodes
+            membership[v] += 1
+    delta_c = {v: len(oracle_components(g, without=v)) for v in g.nodes}
+    if delta_c != membership:
+        return None
+    return {
+        "pieces": tuple(groups),
+        "delta_c": delta_c,
+        "delta": {v: frozenset(s) for v, s in delta.items()},
+        "hubs": frozenset(
+            v
+            for v in g.nodes
+            if all(u == v or u in adj[v] or adj[u] <= adj[v] for u in delta[v])
+        ),
+    }
+
+
+def random_graphs(count=300, seed=2024):
+    """Seeded graphs of 1-18 nodes: trees, cycles with chords, triangles,
+    several components, stars and isolated nodes.  Names are drawn at
+    random, so first-appearance order is not sorted order."""
+    rng = random.Random(seed)
+    pool = [f"{c}{k}" for c in "abkxz" for k in range(20)]
+    graphs = [DefiningGraph(("solo",), frozenset())]
+    for i in range(count - 1):
+        n = rng.randint(2, 18)
+        names = rng.sample(pool, n)
+        kind = i % 6
+        if kind == 0:
+            edges = [(names[0], v) for v in names[1:]]
+        else:
+            # A forest on the names, one tree per block of ``split`` nodes.
+            split = n if kind < 4 else rng.randint(1, n - 1)
+            edges = [(names[j], names[rng.randrange(j)]) for j in range(1, split)]
+            edges += [
+                (names[j], names[split + rng.randrange(j - split)])
+                for j in range(split + 1, n)
+            ]
+            for _ in range(rng.randrange(n)):
+                a, b = rng.sample(names, 2)
+                if (a, b) not in edges and (b, a) not in edges:
+                    edges.append((a, b))
+        rng.shuffle(edges)
+        isolated = rng.sample(names, rng.randrange(3)) if kind == 5 else []
+        graphs.append(DefiningGraph.from_edges(edges, isolated))
+    return graphs
+
+
+ORACLE_CORPUS = (
+    list(eligible_trees(8)) + cycle_tree_fixtures() + random_graphs()
+)
+
+
+def test_oracle_corpus_covers_every_kind():
+    reports = [validate(g) for g in ORACLE_CORPUS]
+    assert any(not r.triangle_free for r in reports)
+    assert any(not r.is_connected for r in reports)
+    assert any(r.is_star for r in reports)
+    assert any(not r.square_free and r.eligible for r in reports)
+    assert any(g.num_nodes == 1 for g in ORACLE_CORPUS)
+    assert any(g.num_nodes == 18 for g in ORACLE_CORPUS)
+    assert sum(r.is_connected for r in reports) > 0.8 * len(reports)
+    assert any(list(g.nodes) != sorted(g.nodes) for g in ORACLE_CORPUS)
+
+
+@pytest.mark.parametrize("index", range(0, len(ORACLE_CORPUS), 50))
+def test_graph_value_against_oracles(index):
+    for g in ORACLE_CORPUS[index : index + 50]:
+        adj = oracle_adjacency(g)
+        assert g.adjacency == adj
+        assert list(g.adjacency) == list(g.nodes)
+        assert g.leaves == frozenset(v for v in g.nodes if len(adj[v]) == 1)
+        for v in g.nodes:
+            assert g.link(v) == adj[v] and g.degree(v) == len(adj[v])
+            assert g.components(without=v) == oracle_components(g, without=v)
+        assert g.components() == oracle_components(g)
+        assert g.is_connected() == (len(oracle_components(g)) <= 1)
+        assert validate(g) == oracle_validate(g)
+
+
+@pytest.mark.parametrize("index", range(0, len(ORACLE_CORPUS), 50))
+def test_structure_against_oracles(index):
+    for g in ORACLE_CORPUS[index : index + 50]:
+        adj = oracle_adjacency(g)
+        order = domination_order(g)
+        assert (order.classes, order.maximal_classes) == oracle_domination(g)
+        for v in g.nodes:
+            assert order.dominators(v) == frozenset(
+                w for w in g.nodes if w != v and adj[v] <= adj[w]
+            )
+            for w in g.nodes:
+                assert order.leq(v, w) == (adj[v] <= adj[w])
+        for tie_break in (min, max):
+            core = gamma_zero(g, order, tie_break)
+            expected = oracle_core(g, tie_break)
+            assert {k: getattr(core, k) for k in expected} == expected
+        expected = oracle_pieces(g)
+        if expected is None:
+            with pytest.raises(StructureAnomalyError, match="separation count"):
+                pieces(g)
+            continue
+        dec = pieces(g)
+        assert dec.pieces == expected["pieces"]
+        assert list(dec.delta_c.items()) == list(expected["delta_c"].items())
+        assert list(dec.delta.items()) == list(expected["delta"].items())
+        assert dec.hubs == expected["hubs"]
+
+
+class TestSeparationCountCrossCheck:
+    """Each route of the separation count is checked against the other."""
+
+    def test_block_route_miscounted(self, g_c5l, monkeypatch):
+        blocks = graph_core._blocks
+
+        def merge_first_two(rows, roots):
+            groups = blocks(rows, roots)
+            return [groups[0] + groups[1]] + groups[2:]
+
+        monkeypatch.setattr(graph_core, "_blocks", merge_first_two)
+        with pytest.raises(StructureAnomalyError, match="separation count mismatch"):
+            pieces(g_c5l)
+
+    def test_flood_route_miscounted(self, g_p5, monkeypatch):
+        components = graph_core._components
+
+        def one_too_many(rows, alive):
+            return components(rows, alive) + [0]
+
+        monkeypatch.setattr(graph_core, "_components", one_too_many)
+        with pytest.raises(StructureAnomalyError, match="separation count mismatch"):
+            pieces(g_p5)
+
+
+class TestTieBreak:
+    P6 = DefiningGraph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")])
+
+    @pytest.mark.parametrize("outsider", ["a", "c"])
+    def test_pick_outside_the_class_is_rejected(self, outsider):
+        def policy(cls):
+            return outsider if cls == frozenset("b") else min(cls)
+
+        with pytest.raises(GraphError, match=r"outside its class \['b'\]") as exc:
+            gamma_zero(self.P6, tie_break=policy)
+        assert not isinstance(exc.value, StructureAnomalyError)
