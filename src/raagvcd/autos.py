@@ -316,16 +316,6 @@ def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
     return result
 
 
-def compose_all(autos: Sequence[RaagAutomorphism]) -> RaagAutomorphism:
-    """Compose right-to-left: the last automorphism is applied first."""
-    if not autos:
-        raise AutomorphismError("cannot compose an empty sequence")
-    result = autos[-1]
-    for a in reversed(autos[:-1]):
-        result = compose(a, result)
-    return result
-
-
 def _verifies_conjugator(phi: RaagAutomorphism, cand: RaagWord) -> bool:
     """Whether conjugation by ``cand`` gives ``phi``'s image on every node,
     the moved ones first."""
@@ -997,17 +987,15 @@ def lift_local(
     g: DefiningGraph,
     v: str,
     conjugators: Mapping[str, RaagWord],
-    *,
-    verify: bool = True,
 ) -> RaagAutomorphism:
     """Lift a link-local conjugating map on a tree to the whole group.
 
     ``conjugators`` assigns each link node ``w`` a word over the link; the
     lift fixes ``v``, conjugates ``w`` by its word, and conjugates every
     node beyond ``w`` (in the component of the tree minus ``v`` containing
-    ``w``) by the same word.  With ``verify`` the projection back to ``v``
-    must reproduce the input and every other interior node's projection
-    must be an inner map of its link free group.
+    ``w``) by the same word.  The projection back to ``v`` must reproduce
+    the input and every other interior node's projection must be an inner
+    map of its link free group.
     """
     if not (g.is_connected() and g.num_edges == g.num_nodes - 1):
         raise LiftError("lift construction requires a tree")
@@ -1033,19 +1021,18 @@ def lift_local(
             images[u] = c * generator(g, u) * c_inv
     lifted = RaagAutomorphism(g, images)
 
-    if verify:
-        back = project_local(lifted, v)
-        for w_node in sorted(lk):
-            local_c = RaagWord(back.free_graph, conjugators[w_node].letters)
-            expected = local_c * generator(back.free_graph, w_node) * local_c.inverse()
-            if not equal(back.images[w_node], expected):
-                raise LiftError(
-                    f"projection at {v!r} does not reproduce the input on {w_node!r}"
-                )
-        interior = [u for u in g.nodes if g.degree(u) >= 2 and u != v]
-        for u in interior:
-            if local_inner_witness(project_local(lifted, u)) is None:
-                raise LiftError(
-                    f"projection at {u!r} is not an inner map of its link"
-                )
+    back = project_local(lifted, v)
+    for w_node in sorted(lk):
+        local_c = RaagWord(back.free_graph, conjugators[w_node].letters)
+        expected = local_c * generator(back.free_graph, w_node) * local_c.inverse()
+        if not equal(back.images[w_node], expected):
+            raise LiftError(
+                f"projection at {v!r} does not reproduce the input on {w_node!r}"
+            )
+    interior = [u for u in g.nodes if g.degree(u) >= 2 and u != v]
+    for u in interior:
+        if local_inner_witness(project_local(lifted, u)) is None:
+            raise LiftError(
+                f"projection at {u!r} is not an inner map of its link"
+            )
     return lifted

@@ -25,6 +25,7 @@ from .graph_core import (
     parse_graph,
 )
 from .ideal_edges import (
+    DEFAULT_SIMPLEX_CAP,
     HalfEdgeSet,
     build_complex,
     check_half_edge_cap,
@@ -260,12 +261,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--max-nodes must be at most {MAX_VERIFY_NODES}, got {args.max_nodes}"
         )
     result = run_verification(max_nodes=args.max_nodes)
-    if args.json:
-        print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
-    else:
-        for line in result.lines:
-            print(line)
-        print(result.summary())
+    _emit(
+        result.to_dict(), args.json, lambda p: "\n".join([*p["lines"], result.summary()])
+    )
     return EXIT_OK if result.ok else EXIT_VIOLATION
 
 
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true", help="use all ideal edges, not only legal"
     )
     ideal.add_argument("--no-homology", action="store_true")
-    ideal.add_argument("--cap", type=int, default=20000)
+    ideal.add_argument("--cap", type=int, default=DEFAULT_SIMPLEX_CAP)
     ideal.set_defaults(func=_cmd_ideal_complex)
 
     ver = sub.add_parser("verify", help="run the invariant suite over a corpus")

@@ -161,7 +161,7 @@ def square_free_non_trees() -> list[DefiningGraph]:
     out = [cycle_graph(k) for k in (5, 6, 7, 8)]
     out.extend(cycle_tree_fixtures((5, 6)))
     out.extend([theta, dumbbell])
-    return [g for g in out if validate(g).eligible and validate(g).square_free]
+    return [g for g in out if (v := validate(g)).eligible and v.square_free]
 
 
 def spider(leg_count: int = 3, leg_length: int = 2) -> DefiningGraph:

@@ -531,9 +531,12 @@ def _blocks(rows: list[int], roots: Iterable[int]) -> list[list[tuple[int, int]]
 
 
 def pieces(g: DefiningGraph) -> PieceDecomposition:
-    """Decompose into pieces, cross-checking both separation-count definitions."""
+    """Decompose a connected graph into pieces, cross-checking both
+    separation-count definitions."""
     ctx = g.context
     rows, names = ctx.adj, ctx.names
+    if _component(rows, 1, ctx.full) != ctx.full:
+        raise GraphError("graph must be connected to split into pieces")
     spanned = []
     for group in _blocks(rows, [ctx.code[v] for v in g.nodes]):
         span = 0
@@ -561,13 +564,12 @@ def pieces(g: DefiningGraph) -> PieceDecomposition:
 
     # Block decomposition identity for a connected graph: the excesses of the
     # separating nodes sum to (number of pieces) - 1.
-    if _component(rows, 1, ctx.full) == ctx.full:
-        excess = sum(delta_c[v] - 1 for v in g.nodes)
-        if excess != len(spanned) - 1:
-            raise StructureAnomalyError(
-                f"piece-count identity failed: sum of excesses {excess} != "
-                f"{len(spanned) - 1}"
-            )
+    excess = sum(delta_c[v] - 1 for v in g.nodes)
+    if excess != len(spanned) - 1:
+        raise StructureAnomalyError(
+            f"piece-count identity failed: sum of excesses {excess} != "
+            f"{len(spanned) - 1}"
+        )
 
     hubs = frozenset(
         v

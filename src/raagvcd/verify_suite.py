@@ -1,10 +1,12 @@
 """Corpus-wide invariant suite backing the ``verify`` CLI command.
 
-Runs every structural identity and bound formula over exhaustively
-generated trees and the deterministic cycle fixtures, plus generator-set
-counts, witness outer ranks and commutation certificates on the small end
-of the corpus, the outer rank of the partially symmetric family against
-its dimension formula for n <= 8, and the blow-up complexes on up to eight
+Each graph family (exhaustive trees, cycle fixtures, square-free and square
+fixtures) goes through one loop that checks its bound formula and, for
+trees and cycle fixtures, the structural identities.  The pipeline runs
+once per distinct graph value, and the generator-set counts, witness outer
+ranks and commutation certificates on the small trees read those reports.
+Then come the outer rank of the partially symmetric family against its
+dimension formula for n <= 8, and the blow-up complexes on up to eight
 half-edges: the full ones against the tree-space oracle, the legal ones for
 trivial homology (from the collapse core and over every simplex) and a
 collapse certificate.  Any violation is collected rather than raised so
@@ -17,12 +19,7 @@ from math import factorial
 
 from . import corpus
 from .autos import build_generator_set, inner_lattice, verify_commuting
-from .graph_core import (
-    DefiningGraph,
-    GraphError,
-    gamma_zero,
-    pieces,
-)
+from .graph_core import DefiningGraph, GraphError
 from .homology import reduced_homology_of_chain
 from .ideal_edges import (
     HalfEdgeSet,
@@ -31,7 +28,7 @@ from .ideal_edges import (
     reduced_homology,
 )
 from .psigma import PsigmaSpec, outer_rank, psigma_generators, psigma_vcd
-from .vcd_bounds import TAG_TREE, tag_cycle, unique_cycle_length, vcd_report
+from .vcd_bounds import TAG_TREE, VcdReport, tag_cycle, unique_cycle_length, vcd_report
 
 
 @dataclass
@@ -66,8 +63,8 @@ class VerificationResult:
         }
 
 
-def _structural_checks(g: DefiningGraph, result: VerificationResult) -> None:
-    decomposition = pieces(g)  # raises on separation-count mismatches
+def _structural_checks(report: VcdReport, result: VerificationResult) -> None:
+    g, decomposition, core = report.graph, report.decomposition, report.core
     covered: set[frozenset[str]] = set()
     overlap_ok = True
     partition_ok = True
@@ -85,7 +82,6 @@ def _structural_checks(g: DefiningGraph, result: VerificationResult) -> None:
     result.check(f"pieces partition edges [{g.num_nodes} nodes]", partition_ok)
     result.check("piece pairwise intersections at most one node", overlap_ok)
 
-    core = gamma_zero(g)
     result.check("core subgraph spans a connected subgraph", core.spans_connected)
     result.check(
         "core avoids leaves", not (core.nodes & g.leaves)
@@ -176,109 +172,112 @@ def _blowup_checks(result: VerificationResult) -> None:
             )
 
 
+def _tree_exact(g: DefiningGraph, report: VcdReport) -> tuple[str, bool, str]:
+    return (
+        f"tree exactness e+2l-3 [{g.num_nodes} nodes]",
+        report.exact == g.num_edges + 2 * len(g.leaves) - 3
+        and TAG_TREE in report.applicable,
+        f"exact={report.exact}",
+    )
+
+
+def _cycle_exact(g: DefiningGraph, report: VcdReport) -> tuple[str, bool, str]:
+    k = unique_cycle_length(g)
+    expected = g.num_edges - k + 2 * len(g.leaves)
+    return (
+        f"unique-cycle exactness e-k+2l [cycle {k}]",
+        report.exact == expected and tag_cycle(k) in report.applicable,
+        f"exact={report.exact} expected={expected}",
+    )
+
+
+def _sandwich(g: DefiningGraph, report: VcdReport) -> tuple[str, bool, str]:
+    pi = report.decomposition.count
+    ell = len(g.leaves)
+    chi = g.euler_characteristic
+    return (
+        "square-free sandwich",
+        report.lower.value == pi + 2 * ell - 1
+        and report.upper.value == pi + 2 * ell - 1 - 2 * chi,
+        f"lower={report.lower.value} upper={report.upper.value}",
+    )
+
+
+def _square_exact(g: DefiningGraph, report: VcdReport) -> tuple[str, bool, str]:
+    k = unique_cycle_length(g)
+    return (
+        "pruned-leaves square fixture exactness",
+        report.exact == g.num_edges - k + 2 * len(g.leaves),
+        f"exact={report.exact}",
+    )
+
+
 def run_verification(max_nodes: int = 8) -> VerificationResult:
     result = VerificationResult()
-
     trees = list(corpus.eligible_trees(max_nodes))
+    square_free = corpus.square_free_non_trees()
+    # One pipeline run per distinct graph value; a report read again (by the
+    # witness section, or for a cycle fixture square_free repeats) is kept.
+    kept = {g for g in trees if g.num_nodes <= 8}.union(square_free)
+    reports: dict[DefiningGraph, VcdReport] = {}
+
+    def family(graphs, failure: str, formula, structural: bool = False) -> None:
+        for g in graphs:
+            result.graphs_checked += 1
+            report = reports.get(g)
+            if report is None:
+                try:
+                    report = vcd_report(g)
+                except GraphError as exc:
+                    result.check(failure.format(n=g.num_nodes), False, str(exc))
+                    continue
+                if g in kept:
+                    reports[g] = report
+            if structural:
+                _structural_checks(report, result)
+            result.check(*formula(g, report))
+
+    family(trees, "pipeline on tree [{n} nodes]", _tree_exact, True)
+    family(corpus.cycle_tree_fixtures(), "pipeline on cycle fixture", _cycle_exact, True)
+    family(square_free, "pipeline on square-free fixture", _sandwich)
+    family(corpus.squares_with_trees(), "pipeline on square fixture", _square_exact)
+
+    certified = []
     for g in trees:
-        result.graphs_checked += 1
+        report = reports.get(g)
+        if g.num_nodes > 8 or report is None:
+            continue  # a failed pipeline is already a violation
+        core, decomposition = report.core, report.decomposition
         try:
-            _structural_checks(g, result)
-            report = vcd_report(g)
-        except GraphError as exc:
-            result.check(f"pipeline on tree [{g.num_nodes} nodes]", False, str(exc))
-            continue
-        e, ell = g.num_edges, len(g.leaves)
-        result.check(
-            f"tree exactness e+2l-3 [{g.num_nodes} nodes]",
-            report.exact == e + 2 * ell - 3 and TAG_TREE in report.applicable,
-            f"exact={report.exact}",
-        )
-
-    for g in corpus.cycle_tree_fixtures():
-        result.graphs_checked += 1
-        try:
-            _structural_checks(g, result)
-            report = vcd_report(g)
-        except GraphError as exc:
-            result.check("pipeline on cycle fixture", False, str(exc))
-            continue
-        k = unique_cycle_length(g)
-        expected = g.num_edges - k + 2 * len(g.leaves)
-        result.check(
-            f"unique-cycle exactness e-k+2l [cycle {k}]",
-            report.exact == expected and tag_cycle(k) in report.applicable,
-            f"exact={report.exact} expected={expected}",
-        )
-
-    for g in corpus.square_free_non_trees():
-        result.graphs_checked += 1
-        try:
-            report = vcd_report(g)
-        except GraphError as exc:
-            result.check("pipeline on square-free fixture", False, str(exc))
-            continue
-        pi = report.decomposition.count
-        ell = len(g.leaves)
-        chi = g.euler_characteristic
-        result.check(
-            "square-free sandwich",
-            report.lower.value == pi + 2 * ell - 1
-            and report.upper.value == pi + 2 * ell - 1 - 2 * chi,
-            f"lower={report.lower.value} upper={report.upper.value}",
-        )
-
-    for g in corpus.squares_with_trees():
-        result.graphs_checked += 1
-        try:
-            report = vcd_report(g)
-        except GraphError as exc:
-            result.check("pipeline on square fixture", False, str(exc))
-            continue
-        k = unique_cycle_length(g)
-        result.check(
-            "pruned-leaves square fixture exactness",
-            report.exact == g.num_edges - k + 2 * len(g.leaves),
-            f"exact={report.exact}",
-        )
-
-    for g in trees:
-        if g.num_nodes > 8:
-            continue
-        try:
-            gs = build_generator_set(g, certify=False)
+            gs = build_generator_set(g, core, decomposition, certify=False)
             outer = gs.count - inner_lattice(gs).rank
         except GraphError as exc:
             result.check("generator set on tree", False, str(exc))
             continue
-        decomposition = pieces(g)
-        core = gamma_zero(g)
+        if g.num_nodes <= 7:
+            certified.append(gs)
         expected = (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes)
         result.check(
             f"generator count [{g.num_nodes}-node tree]",
             gs.count == expected,
             f"{gs.count} != {expected}",
         )
-        lower = vcd_report(g).lower.value
         result.check(
             f"witness outer rank = lower bound [{g.num_nodes}-node tree]",
-            outer == lower,
-            f"{outer} != {lower}",
+            outer == report.lower.value,
+            f"{outer} != {report.lower.value}",
         )
 
-    small = [g for g in trees if g.num_nodes <= 7]
-    small.append(
-        DefiningGraph.from_edges(
-            [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"),
-             ("v5", "v1"), ("v1", "u")]
-        )
+    c5l = DefiningGraph.from_edges(
+        [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"),
+         ("v5", "v1"), ("v1", "u")]
     )
-    for g in small:
-        gs = build_generator_set(g, certify=False)
+    certified.append(build_generator_set(c5l, certify=False))
+    for gs in certified:
         certs = verify_commuting(gs)
         uncertified = [k for k, c in certs.items() if not c.certified]
         result.check(
-            f"commutation certificates [{g.num_nodes} nodes]",
+            f"commutation certificates [{gs.graph.num_nodes} nodes]",
             not uncertified,
             f"{len(uncertified)} uncertified pairs",
         )

@@ -287,10 +287,6 @@ def equal(w1: RaagWord, w2: RaagWord) -> bool:
     return _equal_codes(w1.ctx, w1.codes, w2.codes)
 
 
-def is_trivial(w: RaagWord) -> bool:
-    return not _reduced_codes(w.ctx, w.codes)
-
-
 def cyclic_reduce(w: RaagWord) -> tuple[RaagWord, RaagWord]:
     """Split ``w`` as ``conjugator * core * conjugator**-1`` with cyclically
     reduced core.

@@ -8,6 +8,7 @@ import pytest
 from raagvcd import autos as autos_module
 from raagvcd.graph_core import (
     DefiningGraph,
+    GraphError,
     StructureAnomalyError,
     gamma_zero,
     pieces,
@@ -19,7 +20,6 @@ from raagvcd.words import (
     empty_word,
     equal,
     generator,
-    is_trivial,
     parse_word,
     reduce_word,
     word,
@@ -30,7 +30,6 @@ from raagvcd.autos import (
     RaagAutomorphism,
     build_generator_set,
     compose,
-    compose_all,
     default_choices,
     _lattice_invariant,
     _solve_over_z,
@@ -166,7 +165,7 @@ def _bounded_conjugator(phi, bound):
     for w in _reduced_words(g, bound):
         w_inv = w.inverse()
         if all(
-            is_trivial(w * generator(g, x) * w_inv * phi.images[x].inverse())
+            reduce_word(w * generator(g, x) * w_inv * phi.images[x].inverse()).is_empty
             for x in nodes
         ):
             return w
@@ -206,8 +205,12 @@ def _random_automorphisms(g, rng, count):
                 elementary.append(transvection(g, u, v))
     elementary += [a.inverse() for a in elementary]
     pools = (inner, elementary)
+    # Each product is composed right to left: the last factor acts first.
     return [
-        compose_all([rng.choice(rng.choice(pools)) for _ in range(rng.randrange(1, 5))])
+        functools.reduce(
+            lambda acc, a: compose(a, acc),
+            reversed([rng.choice(rng.choice(pools)) for _ in range(rng.randrange(1, 5))]),
+        )
         for _ in range(count)
     ]
 
@@ -446,7 +449,7 @@ class TestLazyInverse:
     def test_has_verified_inverse_on_composites(self, g_c5l, g_grid):
         phi, psi = self._pair(g_c5l)
         assert compose(phi, psi).has_verified_inverse()
-        assert compose_all([phi, psi, phi.inverse(), psi]).has_verified_inverse()
+        assert compose(phi, compose(psi, compose(phi.inverse(), psi))).has_verified_inverse()
         for a in _random_automorphisms(g_grid, random.Random("lazy"), 20):
             assert a.has_verified_inverse()
 
@@ -507,6 +510,13 @@ class TestGeneratorSet:
         )
         assert gs.inner_rank == 2
         assert gs.outer_rank == 9
+
+    def test_disconnected_graph_refused(self):
+        # The input's fault, so a plain GraphError, not an internal anomaly.
+        g = DefiningGraph.from_edges([("a", "b"), ("b", "c"), ("x", "y"), ("y", "z")])
+        with pytest.raises(GraphError, match="must be connected") as exc:
+            build_generator_set(g)
+        assert not isinstance(exc.value, StructureAnomalyError)
 
     def test_square_type_three_transvections(self, g_square):
         gs = build_generator_set(g_square)

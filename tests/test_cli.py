@@ -376,6 +376,19 @@ class TestVerify:
         assert "ok: tree-space oracle [full complex, 7 half-edges]" in out
         assert "VIOLATION: legal complex (3,2) acyclic" in out
 
+    def test_verify_output_pinned(self, capsys):
+        # sha256 of the stdout, text and JSON, as printed while every family
+        # still ran its own loop and pipeline; a changed label, detail,
+        # count or order of checks shows here.
+        pinned = {
+            "text": "9deed5556fe6bcc52af69763320215b42a00af59763775abd757ac692d524d48",
+            "json": "ee1494cb646993bfc251209bf74df98579bbe24473b7e4d66ac36821471a4130",
+        }
+        for fmt, flags in (("text", []), ("json", ["--json"])):
+            assert main(["verify", "--max-nodes", "8", *flags]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == pinned[fmt], fmt
+
 
 class TestUsageErrors:
     """argparse's usage errors exit 1 (2 means an ineligible graph)."""

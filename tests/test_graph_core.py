@@ -537,9 +537,11 @@ def test_structure_against_oracles(index):
             expected = oracle_core(g, tie_break)
             assert {k: getattr(core, k) for k in expected} == expected
         expected = oracle_pieces(g)
+        assert (expected is None) == (len(oracle_components(g)) > 1)
         if expected is None:
-            with pytest.raises(StructureAnomalyError, match="separation count"):
+            with pytest.raises(GraphError, match="must be connected") as exc:
                 pieces(g)
+            assert not isinstance(exc.value, StructureAnomalyError)
             continue
         dec = pieces(g)
         assert dec.pieces == expected["pieces"]
