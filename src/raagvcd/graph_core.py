@@ -134,9 +134,12 @@ class DefiningGraph:
     def components(self, *, without: str | None = None) -> tuple[frozenset[str], ...]:
         """Connected components, optionally of the graph minus one node.
 
-        Components are ordered by their smallest member for determinism.
+        Components are ordered by their smallest member for determinism;
+        ``without`` must be a node of the graph.
         """
         ctx = self.context
+        if without is not None and without not in ctx.code:
+            raise GraphError(f"unknown node {without!r}")
         alive = ctx.full & ~ctx.bit[ctx.code.get(without, 0)]
         return tuple(map(ctx.nameset, _components(ctx.adj, alive)))
 
@@ -471,15 +474,14 @@ class PieceDecomposition:
 
     ``delta_c`` maps each node to the number of connected components of the
     graph minus that node, which must agree with the number of pieces
-    containing it; the constructor cross-checks the two counts.  ``delta``
-    maps each node to the union of the pieces containing it, and a node is a
-    hub when every node of that union is adjacent to it or dominated by it.
+    containing it; the constructor cross-checks the two counts.  A node is a
+    hub when every node of the pieces containing it is adjacent to it or
+    dominated by it.
     """
 
     graph: DefiningGraph
     pieces: tuple[frozenset[frozenset[str]], ...]
     delta_c: Mapping[str, int]
-    delta: Mapping[str, frozenset[str]]
     hubs: frozenset[str]
 
     @property
@@ -581,6 +583,5 @@ def pieces(g: DefiningGraph) -> PieceDecomposition:
         graph=g,
         pieces=tuple(piece for _, piece in spanned),
         delta_c=MappingProxyType(delta_c),
-        delta=MappingProxyType({v: ctx.nameset(delta[ctx.code[v]]) for v in g.nodes}),
         hubs=hubs,
     )

@@ -39,9 +39,10 @@ collapse step is replayed with one mask test before the core is used.
 Everything on this path is an integer bitmask: an ideal edge carries the
 mask of its inside over the half-edges, compatibility is a subset or
 covering test on two masks, a simplex is the mask of its vertex indices,
-and the certificate replays the collapse on masks of vertices.  Frozensets
-and vertex tuples appear only at the API edges (``inside``,
-``maximal_simplices``, failure messages).
+and the certificate replays the collapse on masks of vertices.  A complex
+keeps only its compatibility rows and its simplex count per dimension;
+its simplices are listed on demand.  Frozensets and vertex tuples appear
+only at the API edges (``inside``, ``maximal_simplices``, failure messages).
 """
 from __future__ import annotations
 
@@ -229,57 +230,46 @@ def enumerate_ideal_edges(h: HalfEdgeSet, legal_only: bool = False) -> list[Idea
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A flag complex on ideal-edge vertices, stored dimension by dimension.
+    """A flag complex on ideal-edge vertices, kept as its graph.
 
-    ``simplices_by_dim[q]`` holds the q-simplices as vertex bitmasks (bit
-    ``i`` stands for ``vertices[i]``), in the order they were built: each
-    simplex extends its parent by a vertex above the parent's highest one.
-    ``rows`` are the compatibility rows the complex was built from: bit
-    ``j`` of ``rows[i]`` is set when vertices ``i != j`` are compatible.
+    Bit ``j`` of ``rows[i]`` is set when vertices ``i != j`` are
+    compatible; the simplices are the cliques of that graph, and
+    ``clique_counts[q]`` counts the q-simplices.  They are listed only
+    when ``simplices_by_dim`` is first read.
     """
 
     h: HalfEdgeSet
     vertices: tuple[IdealEdge, ...]
-    simplices_by_dim: tuple[tuple[int, ...], ...]
     rows: tuple[int, ...] = field(compare=False, repr=False)
+    clique_counts: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.simplices_by_dim) - 1
+        return len(self.clique_counts) - 1
 
     @property
     def total_simplices(self) -> int:
-        return sum(len(level) for level in self.simplices_by_dim)
+        return sum(self.clique_counts)
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.simplices_by_dim)
+        return self.clique_counts
+
+    @cached_property
+    def simplices_by_dim(self) -> tuple[tuple[int, ...], ...]:
+        """The q-simplices as vertex bitmasks (bit ``i`` stands for
+        ``vertices[i]``), each extending its parent by a vertex above the
+        parent's highest one."""
+        levels = _clique_levels(self.rows, (1 << len(self.rows)) - 1)
+        return tuple(map(tuple, levels))
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
         """The facets as increasing tuples of vertex indices."""
-        out: list[tuple[int, ...]] = []
-        full = (1 << len(self.vertices)) - 1
-        for level in self.simplices_by_dim:
-            for simplex in level:
-                common = full
-                for i in _bit_indices(simplex):
-                    common &= self.rows[i]
-                if common & ~simplex == 0:
-                    out.append(_bit_indices(simplex))
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "half_edges": {
-                "pairs": [list(p) for p in self.h.pairs],
-                "singles": list(self.h.singles),
-            },
-            "vertices": [sorted(v.inside) for v in self.vertices],
-            "counts": list(self.counts()),
-            "dim": self.dim,
-            "maximal_simplices": sorted(
-                list(s) for s in self.maximal_simplices()
-            ),
-        }
+        return [
+            _bit_indices(simplex)
+            for level in self.simplices_by_dim
+            for simplex in level
+            if _common_closed(self.rows, simplex) == simplex
+        ]
 
 
 def _bit_indices(mask: int) -> tuple[int, ...]:
@@ -354,37 +344,51 @@ def build_complex(
     check_half_edge_cap(h.size)
     vertices = tuple(enumerate_ideal_edges(h, legal_only))
     rows = tuple(_compatibility_masks(vertices))
-    levels = _clique_levels(rows, (1 << len(rows)) - 1, max_simplices)
     return SimplicialComplex(
         h=h,
         vertices=vertices,
-        simplices_by_dim=tuple(tuple(level) for level in levels),
         rows=rows,
+        clique_counts=_clique_counts(rows, max_simplices),
     )
 
 
-def _clique_levels(
-    rows: Sequence[int], alive: int, max_simplices: int
-) -> list[list[int]]:
+def _clique_counts(rows: Sequence[int], max_simplices: int) -> tuple[int, ...]:
+    """The number of cliques of each size in the graph with neighbourhood
+    ``rows``, refusing more than ``max_simplices`` once an edge is counted.
+    The walk is that of :func:`_clique_levels`, but it keeps only the
+    candidate masks that are not empty."""
+    counts = [len(rows)]
+    cands = [m for i, row in enumerate(rows) if (m := row >> (i + 1) << (i + 1))]
+    total = len(rows)
+    while cands:
+        next_cands: list[int] = []
+        for m in cands:
+            total += m.bit_count()
+            if total > max_simplices:
+                raise SizeCapError(f"complex exceeds {max_simplices} simplices")
+            while m:
+                low = m & -m
+                m ^= low
+                if cand := m & rows[low.bit_length() - 1]:
+                    next_cands.append(cand)
+        counts.append(total - sum(counts))
+        cands = next_cands
+    return tuple(counts)
+
+
+def _clique_levels(rows: Sequence[int], alive: int) -> list[list[int]]:
     """The cliques of the graph on the vertices in ``alive``, level by
     level.  Each simplex carries the mask of the common neighbours above its
     highest vertex, and every set bit of that mask gives one simplex of the
     next dimension."""
     level = [1 << i for i in _bit_indices(alive)]
     levels: list[list[int]] = [level]
-    total = len(level)
     # Candidates of a vertex: its neighbours above it.
     cands = [(rows[i] >> (i + 1)) << (i + 1) for i in _bit_indices(alive)]
     while True:
         next_level: list[int] = []
         next_cands: list[int] = []
-        for simplex, cand in zip(level, cands):
-            if not cand:
-                continue
-            total += cand.bit_count()
-            if total > max_simplices:
-                raise SizeCapError(f"complex exceeds {max_simplices} simplices")
-            m = cand
+        for simplex, m in zip(level, cands):
             while m:
                 low = m & -m
                 m ^= low
@@ -540,26 +544,20 @@ def reduced_homology(
             f"{c.total_simplices} simplices exceeds the homology cap "
             f"{max_simplices}"
         )
-    return flag_homology(c.rows, c.simplices_by_dim)
+    return flag_homology(c.rows, c.dim)
 
 
-def flag_homology(
-    rows: Sequence[int], simplices_by_dim: Sequence[Sequence[int]]
-) -> HomologySummary:
-    """Reduced integral homology of the flag complex of the graph with
-    neighbourhood ``rows``, whose cliques are ``simplices_by_dim``.
+def flag_homology(rows: Sequence[int], dim: int) -> HomologySummary:
+    """Reduced integral homology of the flag complex of dimension ``dim``
+    on the graph with neighbourhood ``rows``.
 
-    It is computed on the core that the replay of :func:`flag_collapse`
-    leaves, and padded with zeros to the dimension of the whole complex.
-    When nothing collapses, ``simplices_by_dim`` is used as it is.
+    It is computed on the cliques of the core that the replay of
+    :func:`flag_collapse` leaves, and padded with zeros to ``dim``.  When
+    nothing collapses, the core is the whole graph.
     """
     core = replay_flag_collapse(rows, flag_collapse(rows).steps)
-    levels = simplices_by_dim
-    if core.steps:
-        total = sum(len(level) for level in levels)
-        levels = _clique_levels(core.rows, core.alive, total)
-    hom = reduced_homology_of_chain(levels)
-    pad = len(simplices_by_dim) - len(hom.reduced_betti)
+    hom = reduced_homology_of_chain(_clique_levels(core.rows, core.alive))
+    pad = dim + 1 - len(hom.reduced_betti)
     return HomologySummary(
         reduced_betti=hom.reduced_betti + (0,) * pad,
         torsion=hom.torsion + ((),) * pad,

@@ -533,6 +533,8 @@ IDEAL_COMPLEX_ARGS = {
     "3_3": ["3", "3", "--cap", "200000"],
     "0_6_full": ["0", "6", "--full"],
     "0_7_full": ["0", "7", "--full"],
+    "4_2": ["4", "2", "--cap", "2000000"],
+    "0_8_full": ["0", "8", "--full", "--cap", "200000"],
 }
 IDEAL_COMPLEX_SHA256 = {
     "2_3_json": "fb89443d1ccfc1cf4d7e83e8611dddf5e409f611a9b3bb67ddb5cfe49aac6406",
@@ -549,6 +551,10 @@ IDEAL_COMPLEX_SHA256 = {
     "0_6_full_text": "73dd5e72b152c2244a99bf884c1b2e92356afec92b8412894a7a15eeecd538d1",
     "0_7_full_json": "3bc40c32948e38c740bd6d313451603ce68a651da041940a1de03112647c4b36",
     "0_7_full_text": "9441204520ae54c9c642518341cb2b5faea3856dac3ddd268388e77c30b71fde",
+    "4_2_json": "36a1fc72696f7a3216c5ff6cada063fb430f20e177c09b44c632720f6ba9449a",
+    "4_2_text": "0e572c730cb25412caa52a7f2caca234bc12713055601dcb48648821ed74bc85",
+    "0_8_full_json": "c06571e344f91f8bca57ba86d9b7df2957f708af6f3422ad19b096fb99280857",
+    "0_8_full_text": "c508f1d01838f20c4e9913df1e63a3ab5e55d9d2d8d9e32190afc8d96c0ff237",
 }
 
 

@@ -300,7 +300,7 @@ def octahedron(start=0):
 
 
 def cliques(rows):
-    return ideal_edges._clique_levels(rows, (1 << len(rows)) - 1, 10**6)
+    return ideal_edges._clique_levels(rows, (1 << len(rows)) - 1)
 
 
 # (vertex count, edges, reduced Betti numbers of the flag complex)
@@ -337,7 +337,7 @@ class TestFlagCollapse:
         collapse = flag_collapse(rows)
         assert collapse.alive.bit_count() > 1
         levels = cliques(rows)
-        hom = flag_homology(rows, levels)
+        hom = flag_homology(rows, len(levels) - 1)
         assert hom.reduced_betti == betti
         assert hom == reduced_homology_of_chain(levels)
 
@@ -348,7 +348,8 @@ class TestFlagCollapse:
             collapse = flag_collapse(rows)
             assert replay_flag_collapse(rows, collapse.steps) == collapse
             levels = cliques(rows)
-            assert flag_homology(rows, levels) == reduced_homology_of_chain(levels)
+            hom = flag_homology(rows, len(levels) - 1)
+            assert hom == reduced_homology_of_chain(levels)
             cores.add((bool(collapse.steps), collapse.alive.bit_count() > 1))
         # Collapsed to a point, collapsed part way, and not at all.
         assert {(True, False), (True, True), (False, True)} <= cores
@@ -384,15 +385,20 @@ class TestFlagCollapse:
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_full_complexes_use_their_own_simplices(self, m, monkeypatch):
+        calls = []
+        clique_levels = ideal_edges._clique_levels
+
+        def counting(rows, alive):
+            calls.append(alive)
+            return clique_levels(rows, alive)
+
+        monkeypatch.setattr(ideal_edges, "_clique_levels", counting)
         c = build_complex(HalfEdgeSet.standard(0, m), max_simplices=200000)
         assert flag_collapse(c.rows).steps == ()
-
-        def refuse(*args):
-            raise AssertionError("a second clique enumeration")
-
-        monkeypatch.setattr(ideal_edges, "_clique_levels", refuse)
         hom = reduced_homology(c, max_simplices=200000)
         assert hom.reduced_betti[m - 4] == factorial(m - 2)
+        # Nothing collapses, so the one listing is of the whole graph.
+        assert calls == [(1 << len(c.vertices)) - 1]
 
     def test_legal_homology_lists_only_the_core(self, monkeypatch):
         c = build_complex(
@@ -411,6 +417,50 @@ class TestFlagCollapse:
         # Padded to the dimension of the whole complex.
         assert hom.reduced_betti == (0,) * (c.dim + 1)
         assert hom.torsion == ((),) * (c.dim + 1)
+
+
+# Every structure with 4 to 8 half-edges.
+SMALL_STRUCTURES = [
+    (r, s) for r in range(5) for s in range(9 - 2 * r) if 2 * r + s >= 4
+]
+
+
+class TestCliqueCounts:
+    def test_random_graphs_count_their_listing(self):
+        for n, edges in random_graphs():
+            rows = graph_rows(n, edges)
+            levels = cliques(rows)
+            counts = ideal_edges._clique_counts(rows, 10**6)
+            assert counts == tuple(len(level) for level in levels)
+
+    @pytest.mark.parametrize("legal_only", [True, False])
+    @pytest.mark.parametrize("r,s", SMALL_STRUCTURES)
+    def test_counts_match_the_listing(self, r, s, legal_only):
+        c = build_complex(
+            HalfEdgeSet.standard(r, s), legal_only=legal_only, max_simplices=200000
+        )
+        assert c.counts() == tuple(len(level) for level in c.simplices_by_dim)
+        assert c.total_simplices == sum(c.counts())
+        assert c.dim == len(c.simplices_by_dim) - 1
+
+    @pytest.mark.parametrize(
+        "r,s,legal_only", [(2, 2, True), (3, 2, True), (2, 4, True), (0, 6, False)]
+    )
+    def test_cap_boundary_is_exact(self, r, s, legal_only):
+        h = HalfEdgeSet.standard(r, s)
+        total = build_complex(h, legal_only, max_simplices=10**6).total_simplices
+        c = build_complex(h, legal_only, max_simplices=total)
+        assert c.total_simplices == total
+        with pytest.raises(SizeCapError, match=f"exceeds {total - 1} simplices"):
+            build_complex(h, legal_only, max_simplices=total - 1)
+
+    def test_legal_complex_stores_no_simplices(self):
+        c = build_complex(
+            HalfEdgeSet.standard(3, 3), legal_only=True, max_simplices=200000
+        )
+        assert reduced_homology(c, max_simplices=200000).trivial
+        assert "simplices_by_dim" not in vars(c)
+        assert c.counts()[0] == len(c.vertices)
 
 
 class TestReplay:
