@@ -111,7 +111,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return _input_error(str(exc))
     except UnicodeDecodeError as exc:
         return _input_error(f"{args.path}: not UTF-8 text ({exc})")
-    base_edge = tuple(args.e0.split(",")) if args.e0 else None
+    base_edge = tuple(args.e0.split(",")) if args.e0 is not None else None
     if base_edge is not None and len(base_edge) != 2:
         return _input_error(f"--e0 expects two nodes A,B, got {args.e0!r}")
     try:
@@ -213,10 +213,10 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
             "dim": c.dim,
         }
         if not args.no_homology:
-            hom = reduced_homology(c, max_simplices=args.cap)
+            hom = reduced_homology(c)
             payload["homology"] = hom.to_dict()
         if not args.full and args.r >= 2:
-            cert = morse_collapse_certificate(c, args.r, args.s)
+            cert = morse_collapse_certificate(c)
             payload["collapse_certificate"] = cert.to_dict()
     except StructureAnomalyError as exc:
         return _internal_error(exc)

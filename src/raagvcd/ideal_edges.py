@@ -16,7 +16,8 @@ replays a size-ordered collapse of the legal complex onto the star of a
 base vertex, checking every descending link is a cone and recursing into
 the one-smaller structure at the maximal-size vertices; a passing
 certificate establishes contractibility independently of the homology
-computation.
+computation.  It reads the complex's own vertices and rows, and enumerates
+each smaller structure once.
 
 Homology is read off a small core of the same homotopy type, found on the
 graph alone.  A vertex ``v`` is dominated by ``w != v`` when
@@ -39,10 +40,13 @@ collapse step is replayed with one mask test before the core is used.
 Everything on this path is an integer bitmask: an ideal edge carries the
 mask of its inside over the half-edges, compatibility is a subset or
 covering test on two masks, a simplex is the mask of its vertex indices,
-and the certificate replays the collapse on masks of vertices.  A complex
-keeps only its compatibility rows and its simplex count per dimension;
-its simplices are listed on demand.  Frozensets and vertex tuples appear
-only at the API edges (``inside``, ``maximal_simplices``, failure messages).
+the certificate replays the collapse on masks of vertices, and it matches
+a maximal vertex's link with the smaller structure by relabelling masks.
+A complex keeps only its compatibility rows and its simplex count per
+dimension, refused above its simplex cap; its simplices are listed on
+demand.  Frozensets and vertex tuples appear only at the API edges
+(``inside``, ``maximal_simplices``, failure messages) and in the half-edge
+names of a smaller structure, which name its certificate's base.
 """
 from __future__ import annotations
 
@@ -61,7 +65,7 @@ class IdealEdgeError(GraphError):
 
 
 class SizeCapError(GraphError):
-    """Enumeration or homology request beyond the desk-scale caps."""
+    """Enumeration beyond the desk-scale caps."""
 
 
 @dataclass(frozen=True)
@@ -339,7 +343,7 @@ def build_complex(
     """Flag complex on all (or only legal) ideal edges.
 
     Enumeration is capped at ``MAX_HALF_EDGES`` half-edges and
-    ``max_simplices`` total simplices.
+    ``max_simplices`` total simplices, vertices included.
     """
     check_half_edge_cap(h.size)
     vertices = tuple(enumerate_ideal_edges(h, legal_only))
@@ -354,12 +358,13 @@ def build_complex(
 
 def _clique_counts(rows: Sequence[int], max_simplices: int) -> tuple[int, ...]:
     """The number of cliques of each size in the graph with neighbourhood
-    ``rows``, refusing more than ``max_simplices`` once an edge is counted.
-    The walk is that of :func:`_clique_levels`, but it keeps only the
-    candidate masks that are not empty."""
-    counts = [len(rows)]
-    cands = [m for i, row in enumerate(rows) if (m := row >> (i + 1) << (i + 1))]
-    total = len(rows)
+    ``rows``, refusing more than ``max_simplices`` as soon as the running
+    total passes it.  The walk is that of :func:`_clique_levels`, started
+    from the empty clique, whose candidates are all vertices, but it keeps
+    only the candidate masks that are not empty."""
+    counts: list[int] = []
+    cands = [(1 << len(rows)) - 1]
+    total = 0
     while cands:
         next_cands: list[int] = []
         for m in cands:
@@ -535,15 +540,9 @@ def replay_flag_collapse(
     return FlagCollapse(tuple(steps), alive, tuple(rows))
 
 
-def reduced_homology(
-    c: SimplicialComplex, max_simplices: int = DEFAULT_SIMPLEX_CAP
-) -> HomologySummary:
-    """Reduced integral homology of the complex (cap-checked)."""
-    if c.total_simplices > max_simplices:
-        raise SizeCapError(
-            f"{c.total_simplices} simplices exceeds the homology cap "
-            f"{max_simplices}"
-        )
+def reduced_homology(c: SimplicialComplex) -> HomologySummary:
+    """Reduced integral homology of the complex, which
+    :func:`build_complex` has already held to its simplex cap."""
     return flag_homology(c.rows, c.dim)
 
 
@@ -688,65 +687,52 @@ class MorseCertificate:
         return out
 
 
-def morse_collapse_certificate(
-    c: SimplicialComplex, r: int, s: int
-) -> MorseCertificate:
-    """Certify contractibility of the legal complex on ``r`` pairs and
-    ``s`` singles by checking every descending link is a cone.
+def morse_collapse_certificate(c: SimplicialComplex) -> MorseCertificate:
+    """Certify contractibility of the legal complex ``c`` by checking every
+    descending link is a cone.
 
-    Requires ``r >= 2``.  Vertices outside the star of the base ideal edge
-    are processed in order of increasing size; each must be coned by the
-    apex obtained by adding the basepoint's partner (or the chosen single)
-    to its inside.  Maximal-size vertices (which only occur for
-    ``s >= 1``) instead have their entire link identified with the legal
-    complex one single smaller, which is certified recursively.
+    Requires at least two pairs.  Vertices outside the star of the base
+    ideal edge are processed in order of increasing size; each must be
+    coned by the apex obtained by adding the basepoint's partner (or the
+    chosen single) to its inside.  Maximal-size vertices (which occur only
+    when there are singles) instead have their entire link identified with
+    the legal complex one single smaller, which is certified recursively.
     """
-    if r < 2:
+    if c.h.r < 2:
         raise IdealEdgeError("collapse certificate requires at least two pairs")
-    if (c.h.r, c.h.s) != (r, s):
-        raise IdealEdgeError(
-            f"complex has structure ({c.h.r},{c.h.s}), not ({r},{s})"
-        )
-    legal: dict[tuple[int, int], list[IdealEdge]] = {}
-    if set(c.vertices) != set(_legal_edges(c.h, legal)):
+    if set(c.vertices) != set(enumerate_ideal_edges(c.h, legal_only=True)):
         raise IdealEdgeError("certificate requires the legal complex")
-    return _certify(c.h, {}, legal)
+    return _certify(c.h, c.vertices, c.rows, {})
 
 
-def _legal_edges(
-    h: HalfEdgeSet, legal: dict[tuple[int, int], list[IdealEdge]]
-) -> list[IdealEdge]:
-    """The legal ideal edges of the first half-edge set with the structure
-    ``(h.r, h.s)`` met in one certificate, which enumerates each structure
-    once.  Their masks are those of ``h`` too: bits follow the pairs, then
-    the singles, and the basepoint is bit 0, so which masks are legal
-    depends on the structure alone."""
+# Per structure (r, s) met in one certificate: the vertex index by mask, the
+# compatibility rows and the certificate of its legal complex.
+_Memo = dict[tuple[int, int], tuple[dict[int, int], Sequence[int], MorseCertificate]]
+
+
+def _legal_structure(
+    h: HalfEdgeSet, memo: _Memo
+) -> tuple[dict[int, int], Sequence[int], MorseCertificate]:
+    """The legal complex of the first half-edge set with the structure
+    ``(h.r, h.s)`` met in one certificate, enumerated and certified once.
+    Its masks serve every set with that structure: bits follow the pairs,
+    then the singles, and the basepoint is bit 0, so which masks are legal
+    and compatible depends on the structure alone."""
     key = (h.r, h.s)
-    if key not in legal:
-        legal[key] = enumerate_ideal_edges(h, legal_only=True)
-    return legal[key]
+    if key not in memo:
+        vertices = enumerate_ideal_edges(h, legal_only=True)
+        _certify(h, vertices, _compatibility_masks(vertices), memo)
+    return memo[key]
 
 
 def _certify(
-    h: HalfEdgeSet,
-    memo: dict[tuple[int, int], MorseCertificate],
-    legal: dict[tuple[int, int], list[IdealEdge]],
+    h: HalfEdgeSet, vertices: Sequence[IdealEdge], rows: Sequence[int], memo: _Memo
 ) -> MorseCertificate:
-    """Replay the collapse of one structure on vertex bitmasks: ``near[i]``
-    holds vertex ``i`` and every vertex compatible with it."""
-    key = (h.r, h.s)
-    if key in memo:
-        return memo[key]
-
-    # Each structure is enumerated just before it is first certified, so
-    # these are the edges of h itself.
-    vertices = _legal_edges(h, legal)
-    assert vertices[0].h == h
-    near = _compatibility_masks(vertices)
-    index = {}
-    for i, v in enumerate(vertices):
-        near[i] |= 1 << i
-        index[v.mask] = i
+    """Replay the collapse of the complex with these vertices and
+    compatibility rows on vertex bitmasks: ``near[i]`` holds vertex ``i``
+    and every vertex compatible with it."""
+    index = {v.mask: i for i, v in enumerate(vertices)}
+    near = [row | 1 << i for i, row in enumerate(rows)]
     a = h.basepoint
     partner = h.partner(a)
     assert partner is not None
@@ -780,12 +766,11 @@ def _certify(
         k = alpha.size
         checked += 1
         if h.s >= 1 and k == max_size:
-            link = near[i] ^ (1 << i)
-            for j in _bit_indices(link & ~below[k]):
+            for j in _bit_indices(rows[i] & ~below[k]):
                 failures.append(
                     f"link of maximal {alpha} contains non-descending {vertices[j]}"
                 )
-            sub_ok, sub = _check_maximal_link(h, alpha, vertices, link, memo, legal)
+            sub_ok, sub = _check_maximal_link(h, vertices, rows, i, memo)
             if not sub_ok:
                 failures.append(
                     f"link of maximal {alpha} does not match the smaller structure"
@@ -822,25 +807,29 @@ def _certify(
         failures=tuple(failures),
         sub=sub,
     )
-    memo[key] = cert
+    memo[(h.r, h.s)] = (index, rows, cert)
     return cert
 
 
 def _check_maximal_link(
     h: HalfEdgeSet,
-    alpha: IdealEdge,
-    vertices: list[IdealEdge],
-    link: int,
-    memo: dict[tuple[int, int], MorseCertificate],
-    legal: dict[tuple[int, int], list[IdealEdge]],
+    vertices: Sequence[IdealEdge],
+    rows: Sequence[int],
+    i: int,
+    memo: _Memo,
 ) -> tuple[bool, MorseCertificate | None]:
-    """Identify the link of a maximal-size vertex (the vertices in the
-    bitmask ``link``) with the legal complex on one fewer single and
-    certify that structure recursively.
+    """Identify the link of ``alpha``, the maximal-size vertex ``i``, with
+    the legal complex on one fewer single and certify that structure
+    recursively.
 
     The two outside half-edges collapse to a fresh half-edge which inherits
-    a pair slot exactly when one of them was half of a pair.
+    a pair slot exactly when one of them was half of a pair.  Every link
+    vertex is nested in ``alpha`` or holds both outside half-edges, so its
+    image is its mask relabelled bit by bit, both outside bits going to the
+    collapsed one.  The images must be the legal masks of the smaller
+    structure, each once, with the same compatibilities.
     """
+    alpha = vertices[i]
     out = sorted(alpha.outside)
     collapsed = f"({out[0]}+{out[1]})"
     pair_halves = {x for p in h.pairs for x in p}
@@ -860,31 +849,26 @@ def _check_maximal_link(
     # Keep the basepoint's pair first so the derived basepoint is unchanged.
     new_pairs.sort(key=lambda p: (h.basepoint not in p, p))
     derived = HalfEdgeSet(pairs=tuple(new_pairs), singles=tuple(new_singles))
+    index, derived_rows, sub = _legal_structure(derived, memo)
     if derived.basepoint != h.basepoint:
-        return False, _certify(derived, memo, legal)
+        return False, sub
 
-    def push(v: IdealEdge) -> IdealEdge | None:
-        if v.mask & ~alpha.mask == 0:
-            inside = v.inside
-        elif (v.mask | alpha.mask) == h.full:
-            inside = (v.inside & alpha.inside) | {collapsed}
-        else:
-            return None
-        try:
-            return IdealEdge(derived, inside)
-        except IdealEdgeError:
-            return None
-
-    members = [vertices[j] for j in _bit_indices(link)]
-    images: list[IdealEdge] = []
-    for v in members:
-        image = push(v)
-        if image is None or not image.legal:
-            return False, _certify(derived, memo, legal)
-        images.append(image)
-    expected = {w.mask for w in _legal_edges(derived, legal)}
-    if {w.mask for w in images} != expected or len(images) != len(expected):
-        return False, _certify(derived, memo, legal)
-    if _compatibility_masks(members) != _compatibility_masks(images):
-        return False, _certify(derived, memo, legal)
-    return True, _certify(derived, memo, legal)
+    to = [derived.bit.get(x, derived.bit[collapsed]) for x in h.bit]
+    link = rows[i]
+    image_of: dict[int, int] = {}
+    for j in _bit_indices(link):
+        image = 0
+        for k in _bit_indices(vertices[j].mask):
+            image |= to[k]
+        if _pairs_split(derived, image) > 1 or image not in index:
+            return False, sub
+        image_of[j] = index[image]
+    if not len(image_of) == len(set(image_of.values())) == len(index):
+        return False, sub
+    for j, p in image_of.items():
+        row = 0
+        for k in _bit_indices(rows[j] & link):
+            row |= 1 << image_of[k]
+        if row != derived_rows[p]:
+            return False, sub
+    return True, sub

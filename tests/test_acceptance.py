@@ -186,9 +186,9 @@ def test_ideal_edge_complexes():
                     legal_only=True,
                     max_simplices=200000,
                 )
-                hom = reduced_homology(c, max_simplices=200000)
+                hom = reduced_homology(c)
                 assert hom.trivial, (r, s, hom)
-                cert = morse_collapse_certificate(c, r, s)
+                cert = morse_collapse_certificate(c)
                 assert cert.ok, (r, s, cert.failures)
         expected_counts = {4: 3, 5: 15, 6: 105, 7: 945}
         for r, s in [(2, 0), (2, 1), (2, 2), (3, 0), (2, 3), (3, 1)]:

@@ -253,7 +253,7 @@ def test_simplices_faces_and_homology_match_references(monkeypatch, r, s, legal_
     # The collapse core agrees with the homology over every simplex, which
     # is also what the reference face lists must reproduce: reduced_homology
     # itself may never list the faces of the whole complex.
-    hom = reduced_homology(c, max_simplices=CAP)
+    hom = reduced_homology(c)
     assert homology.reduced_homology_of_chain(c.simplices_by_dim) == hom
     monkeypatch.setattr(homology, "_face_lists", lambda levels: ref_faces)
     assert homology.reduced_homology_of_chain(c.simplices_by_dim) == hom
@@ -282,7 +282,7 @@ CERTIFIED = [(r, s) for r, s in STRUCTURES if r >= 2]
 def test_certificate_matches_reference(r, s):
     h = HalfEdgeSet.standard(r, s)
     c = build_complex(h, legal_only=True, max_simplices=CAP)
-    cert = morse_collapse_certificate(c, r, s)
+    cert = morse_collapse_certificate(c)
     assert cert == ref_certify(h, {})
     assert cert.ok and cert.ties == 0
 
@@ -298,6 +298,6 @@ def test_certificate_matches_reference_on_all_ideal_edges(monkeypatch, r, s):
     monkeypatch.setattr(ideal_edges, "enumerate_ideal_edges", every_edge)
     h = HalfEdgeSet.standard(r, s)
     c = build_complex(h, max_simplices=CAP)
-    cert = morse_collapse_certificate(c, r, s)
+    cert = morse_collapse_certificate(c)
     assert cert == ref_certify(h, {})
     assert not cert.ok and cert.failures

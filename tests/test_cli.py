@@ -242,6 +242,16 @@ class TestFlagRanges:
         assert main(["ideal-complex", "2", "1", "--cap", "1"]) == 1
         assert "exceeds 1 simplices" in capsys.readouterr().err
 
+    def test_cap_bounds_edgeless_complexes(self, capsys):
+        # The full complex on 4 half-edges is 3 points and no edge.
+        argv = ["ideal-complex", "0", "4", "--full", "--no-homology", "--json"]
+        assert main([*argv, "--cap", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"] == [3]
+        assert main([*argv, "--cap", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: complex exceeds 1 simplices\n"
+
 
 class TestUpperCaps:
     @pytest.fixture
@@ -455,6 +465,13 @@ class TestAnalyzeErrors:
         # a-b is an edge of P5 but not of its core subgraph.
         assert main(["analyze", p5_file, "--witness", "--e0", e0]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_base_edge_exits_1(self, p5_file, capsys):
+        # An empty --e0 is a bad base edge, not a request for the default.
+        assert main(["analyze", p5_file, "--witness", "--e0", "", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --e0 expects two nodes A,B, got ''\n"
 
     @pytest.mark.parametrize("e0", ["a,zz", "c,b", ""])
     def test_base_edge_without_witness_exits_1(self, p5_file, capsys, e0):

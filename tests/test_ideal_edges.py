@@ -189,7 +189,7 @@ class TestHomology:
         c = build_complex(
             HalfEdgeSet.standard(r, s), legal_only=True, max_simplices=200000
         )
-        assert reduced_homology(c, max_simplices=200000).trivial
+        assert reduced_homology(c).trivial
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_full_complex_is_wedge_of_spheres(self, m, no_matrix_work):
@@ -198,34 +198,29 @@ class TestHomology:
         c = build_complex(HalfEdgeSet.standard(0, m), max_simplices=200000)
         assert c.counts()[0] == 2 ** (m - 1) - m - 1
         assert len(c.simplices_by_dim[-1]) == double_factorial_tree_count(m)
-        hom = reduced_homology(c, max_simplices=200000)
+        hom = reduced_homology(c)
         expected = [0] * (m - 3)
         expected[m - 4] = factorial(m - 2)
         assert hom.reduced_betti == tuple(expected)
         assert all(not t for t in hom.torsion)
 
-    def test_homology_cap(self):
-        c = build_complex(HalfEdgeSet.standard(3, 2), legal_only=True)
-        with pytest.raises(SizeCapError):
-            reduced_homology(c, max_simplices=10)
-
 
 class TestMorseCertificate:
     def test_single_vertex_vacuous(self):
         c = build_complex(HalfEdgeSet.standard(2, 0), legal_only=True)
-        cert = morse_collapse_certificate(c, 2, 0)
+        cert = morse_collapse_certificate(c)
         assert cert.ok
         assert cert.checked == 0
 
     def test_recursion_bottoms_out(self):
         c = build_complex(HalfEdgeSet.standard(2, 1), legal_only=True)
-        cert = morse_collapse_certificate(c, 2, 1)
+        cert = morse_collapse_certificate(c)
         assert cert.ok
         assert cert.sub is not None and (cert.sub.r, cert.sub.s) == (2, 0)
 
     def test_three_pairs_no_singles(self):
         c = build_complex(HalfEdgeSet.standard(3, 0), legal_only=True)
-        cert = morse_collapse_certificate(c, 3, 0)
+        cert = morse_collapse_certificate(c)
         assert cert.ok
         assert cert.sub is None
 
@@ -236,14 +231,14 @@ class TestMorseCertificate:
         c = build_complex(
             HalfEdgeSet.standard(r, s), legal_only=True, max_simplices=200000
         )
-        cert = morse_collapse_certificate(c, r, s)
+        cert = morse_collapse_certificate(c)
         assert cert.ok, cert.failures
         assert cert.ties == 0  # same-size vertices off the base star never touch
 
     def test_hypothesis_violation(self):
         c = build_complex(HalfEdgeSet.standard(1, 3), legal_only=True)
         with pytest.raises(IdealEdgeError):
-            morse_collapse_certificate(c, 1, 3)
+            morse_collapse_certificate(c)
 
     def test_single_pair_really_needs_the_hypothesis(self):
         # With one pair every bipartition is legal, and the legal complex is
@@ -258,19 +253,39 @@ class TestMorseCertificate:
             c = build_complex(
                 HalfEdgeSet.standard(r, s), legal_only=True, max_simplices=200000
             )
-            cert = morse_collapse_certificate(c, r, s)
+            cert = morse_collapse_certificate(c)
             assert cert.ok and cert.ties == 0
-            assert reduced_homology(c, max_simplices=200000).trivial
+            assert reduced_homology(c).trivial
 
     def test_requires_legal_complex(self):
         c = build_complex(HalfEdgeSet.standard(2, 1))
         with pytest.raises(IdealEdgeError):
-            morse_collapse_certificate(c, 2, 1)
+            morse_collapse_certificate(c)
 
-    def test_wrong_structure_rejected(self):
-        c = build_complex(HalfEdgeSet.standard(2, 1), legal_only=True)
-        with pytest.raises(IdealEdgeError):
-            morse_collapse_certificate(c, 2, 2)
+    def test_maximal_link_compatibility_is_read_from_the_rows(self):
+        # Drop one edge inside the link of a maximal vertex off the base
+        # star: the link no longer matches the smaller structure's
+        # compatibilities.
+        c = build_complex(HalfEdgeSet.standard(2, 2), legal_only=True)
+        base = IdealEdge(c.h, frozenset({"a1", "b1"}))
+        i = next(
+            i
+            for i, v in enumerate(c.vertices)
+            if v.size == c.h.size - 2 and not compatible(v, base)
+        )
+        link = [j for j in range(len(c.rows)) if c.rows[i] >> j & 1]
+        j, k = next((j, k) for j in link for k in link if c.rows[j] >> k & 1)
+        rows = list(c.rows)
+        rows[j] ^= 1 << k
+        rows[k] ^= 1 << j
+        cert = morse_collapse_certificate(
+            ideal_edges.SimplicialComplex(c.h, c.vertices, tuple(rows), c.clique_counts)
+        )
+        assert not cert.ok
+        assert (
+            f"link of maximal {c.vertices[i]} does not match the smaller structure"
+            in cert.failures
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +410,7 @@ class TestFlagCollapse:
         monkeypatch.setattr(ideal_edges, "_clique_levels", counting)
         c = build_complex(HalfEdgeSet.standard(0, m), max_simplices=200000)
         assert flag_collapse(c.rows).steps == ()
-        hom = reduced_homology(c, max_simplices=200000)
+        hom = reduced_homology(c)
         assert hom.reduced_betti[m - 4] == factorial(m - 2)
         # Nothing collapses, so the one listing is of the whole graph.
         assert calls == [(1 << len(c.vertices)) - 1]
@@ -412,7 +427,7 @@ class TestFlagCollapse:
             return face_lists(levels)
 
         monkeypatch.setattr(homology, "_face_lists", recording)
-        hom = reduced_homology(c, max_simplices=200000)
+        hom = reduced_homology(c)
         assert sizes == [[1]]
         # Padded to the dimension of the whole complex.
         assert hom.reduced_betti == (0,) * (c.dim + 1)
@@ -443,8 +458,17 @@ class TestCliqueCounts:
         assert c.total_simplices == sum(c.counts())
         assert c.dim == len(c.simplices_by_dim) - 1
 
+    # Legal (2,0) and full (0,4) have no edge: the cap counts vertices too.
     @pytest.mark.parametrize(
-        "r,s,legal_only", [(2, 2, True), (3, 2, True), (2, 4, True), (0, 6, False)]
+        "r,s,legal_only",
+        [
+            (2, 0, True),
+            (0, 4, False),
+            (2, 2, True),
+            (3, 2, True),
+            (2, 4, True),
+            (0, 6, False),
+        ],
     )
     def test_cap_boundary_is_exact(self, r, s, legal_only):
         h = HalfEdgeSet.standard(r, s)
@@ -458,7 +482,7 @@ class TestCliqueCounts:
         c = build_complex(
             HalfEdgeSet.standard(3, 3), legal_only=True, max_simplices=200000
         )
-        assert reduced_homology(c, max_simplices=200000).trivial
+        assert reduced_homology(c).trivial
         assert "simplices_by_dim" not in vars(c)
         assert c.counts()[0] == len(c.vertices)
 
