@@ -14,10 +14,10 @@ Conventions fixed once here: ``compose(phi, psi)`` applies ``psi`` first,
 and conjugation by a word ``w`` sends ``x`` to ``w x w^-1``.
 
 A map stores images only for its *support*, the nodes it moves: a dict
-from node code to the reduced image as signed codes of the graph's
-context (see :mod:`raagvcd.words`), the identity on every other node
-implicit.  The constructor reduces what it is given and :func:`compose`
-keeps the reduced results of applying ``phi`` without reducing them again.
+from node code to the reduced image as signed codes of the graph (see
+:mod:`raagvcd.words`), the identity on every other node implicit.  The
+constructor reduces what it is given and :func:`compose` keeps the reduced
+results of applying ``phi`` without reducing them again.
 Reduced words for one element are shuffles of one another, so a reduced
 image equals ``x`` exactly when it is the one-letter word ``x``, and that
 image is not stored.  ``images`` and ``inverse_images`` read as maps from
@@ -44,7 +44,6 @@ from typing import Iterable, Mapping, Sequence
 from .graph_core import (
     CoreSubgraph,
     DefiningGraph,
-    GraphContext,
     GraphError,
     PieceDecomposition,
     StructureAnomalyError,
@@ -69,18 +68,18 @@ Images = dict[int, tuple[int, ...]]
 
 
 class AutomorphismError(GraphError):
-    """Construction or composition over mismatched contexts, bad choices."""
+    """Construction or composition over mismatched graphs, bad choices."""
 
 
 class LiftError(AutomorphismError):
     """Lift construction failed or violated its projection postconditions."""
 
 
-def _image_map(ctx: GraphContext, moved: Images) -> Mapping[str, RaagWord]:
+def _image_map(g: DefiningGraph, moved: Images) -> Mapping[str, RaagWord]:
     """Every node, in graph order, to its image word."""
-    code = ctx.code
+    code = g.code
     return MappingProxyType(
-        {x: _word(ctx, moved.get(code[x], (code[x],))) for x in ctx.graph.nodes}
+        {x: _word(g, moved.get(code[x], (code[x],))) for x in g.nodes}
     )
 
 
@@ -92,7 +91,7 @@ class RaagAutomorphism:
     :meth:`inverse` is cached, so ``phi.inverse().inverse() is phi``.
     """
 
-    __slots__ = ("ctx", "_images", "_inverse_images", "_inverse", "_factors")
+    __slots__ = ("graph", "_images", "_inverse_images", "_inverse", "_factors")
 
     def __init__(
         self,
@@ -100,33 +99,28 @@ class RaagAutomorphism:
         images: Mapping[str, RaagWord],
         inverse_images: Mapping[str, RaagWord] | None = None,
     ):
-        ctx = graph.context
-        self.ctx, self._images = ctx, _moved_images(ctx, images)
+        self.graph, self._images = graph, _moved_images(graph, images)
         self._inverse_images = (
-            None if inverse_images is None else _moved_images(ctx, inverse_images)
+            None if inverse_images is None else _moved_images(graph, inverse_images)
         )
         self._inverse: RaagAutomorphism | None = None
         self._factors: tuple[RaagAutomorphism, RaagAutomorphism] | None = None
 
     @property
-    def graph(self) -> DefiningGraph:
-        return self.ctx.graph
-
-    @property
     def images(self) -> Mapping[str, RaagWord]:
         """Every node to its image word.  Each read builds the full map, so
         bind it once, or read one image with :meth:`image_of`."""
-        return _image_map(self.ctx, self._images)
+        return _image_map(self.graph, self._images)
 
     def image_of(self, node: str) -> RaagWord:
-        code = self.ctx.code[node]
-        return _word(self.ctx, self._images.get(code, (code,)))
+        code = self.graph.code[node]
+        return _word(self.graph, self._images.get(code, (code,)))
 
     def apply(self, w: RaagWord) -> RaagWord:
         """The image of ``w``, reduced."""
-        if w.ctx is not self.ctx:
+        if w.graph is not self.graph:
             raise AutomorphismError("word over a different graph")
-        return _word(self.ctx, _apply(self, _reduced_codes(self.ctx, w.codes)))
+        return _word(self.graph, _apply(self, _reduced_codes(self.graph, w.codes)))
 
     @property
     def inverse_images(self) -> Mapping[str, RaagWord] | None:
@@ -141,7 +135,7 @@ class RaagAutomorphism:
     def inverse(self) -> "RaagAutomorphism":
         if self._inverse is None:
             if self._inverse_images is not None:
-                inv = _wrap(self.ctx, self._inverse_images, self._images)
+                inv = _wrap(self.graph, self._inverse_images, self._images)
             elif self._factors is not None:
                 phi, psi = self._factors
                 inv = compose(psi.inverse(), phi.inverse())
@@ -160,18 +154,18 @@ class RaagAutomorphism:
 
     def moved_nodes(self) -> tuple[str, ...]:
         """Nodes whose image is not the generator itself, in graph order."""
-        code = self.ctx.code
+        code = self.graph.code
         return tuple(x for x in self.graph.nodes if code[x] in self._images)
 
     def equals(self, other: "RaagAutomorphism") -> bool:
         """Equality as maps, decided by both routes of :func:`equal` on
         every node either map moves; every other node is sent to itself by
         both."""
-        if self.ctx is not other.ctx:
+        if self.graph is not other.graph:
             return False
         mine, theirs = self._images, other._images
         return all(
-            _equal_codes(self.ctx, mine.get(c, (c,)), theirs.get(c, (c,)))
+            _equal_codes(self.graph, mine.get(c, (c,)), theirs.get(c, (c,)))
             for c in sorted(mine.keys() | theirs.keys())
         )
 
@@ -179,16 +173,16 @@ class RaagAutomorphism:
         """Adjacent generators must have commuting images.  An edge with
         both ends fixed maps to itself, so only edges at the support are
         checked, each once."""
-        ctx, images = self.ctx, self._images
+        g, images = self.graph, self._images
         for x, u in images.items():
-            nbrs = ctx.adj[x]
+            nbrs = g.adj[x]
             while nbrs:
                 y = (nbrs & -nbrs).bit_length()  # the code of the lowest bit
                 nbrs &= nbrs - 1
                 if y in images and y < x:
                     continue
                 v = images.get(y, (y,))
-                if not _equal_codes(ctx, u + v, v + u):
+                if not _equal_codes(g, u + v, v + u):
                     return False
         return True
 
@@ -203,28 +197,28 @@ class RaagAutomorphism:
         return f"RaagAutomorphism({moved or 'identity'})"
 
 
-def _moved_images(ctx: GraphContext, images: Mapping[str, RaagWord]) -> Images:
+def _moved_images(g: DefiningGraph, images: Mapping[str, RaagWord]) -> Images:
     """The reduced images of the nodes that ``images`` moves, by code."""
     out: Images = {}
     for x, img in images.items():
-        if x not in ctx.code:
+        if x not in g.code:
             raise AutomorphismError(f"image given for non-node {x!r}")
-        if img.ctx is not ctx:
+        if img.graph is not g:
             raise AutomorphismError("image word over a different graph")
-        code = ctx.code[x]
-        reduced = tuple(_reduced_codes(ctx, img.codes))
+        code = g.code[x]
+        reduced = tuple(_reduced_codes(g, img.codes))
         if reduced != (code,):
             out[code] = reduced
     return out
 
 
 def _wrap(
-    ctx: GraphContext, images: Images, inverse_images: Images | None
+    g: DefiningGraph, images: Images, inverse_images: Images | None
 ) -> RaagAutomorphism:
-    """A map from support images already reduced over ``ctx``, taken as
+    """A map from support images already reduced over ``g``, taken as
     they are."""
     phi = object.__new__(RaagAutomorphism)
-    phi.ctx, phi._images, phi._inverse_images = ctx, images, inverse_images
+    phi.graph, phi._images, phi._inverse_images = g, images, inverse_images
     phi._inverse = phi._factors = None
     return phi
 
@@ -242,7 +236,7 @@ def _apply(phi: RaagAutomorphism, codes: Sequence[int]) -> tuple[int, ...]:
         else:
             out.extend(img if c > 0 else _inverse(img))
             moved = True
-    return tuple(_reduced_codes(phi.ctx, out)) if moved else tuple(codes)
+    return tuple(_reduced_codes(phi.graph, out)) if moved else tuple(codes)
 
 
 def identity_automorphism(g: DefiningGraph) -> RaagAutomorphism:
@@ -254,19 +248,18 @@ def _conjugation(
 ) -> RaagAutomorphism:
     """Conjugation by ``w`` on ``nodes``: ``x -> w x w^-1``, every other
     node fixed."""
-    ctx = g.context
-    if w.ctx is not ctx:
+    if w.graph is not g:
         raise AutomorphismError("word over a different graph")
-    unknown = set(nodes) - ctx.code.keys()
+    unknown = set(nodes) - g.code.keys()
     if unknown:
         raise AutomorphismError(f"cannot conjugate non-nodes {sorted(unknown)}")
 
     def conjugates(a: tuple[int, ...], b: tuple[int, ...]) -> Images:
-        images = {c: _reduced_codes(ctx, (*a, c, *b)) for c in map(ctx.code.get, nodes)}
+        images = {c: _reduced_codes(g, (*a, c, *b)) for c in map(g.code.get, nodes)}
         return {x: tuple(img) for x, img in images.items() if img != [x]}
 
     inv = _inverse(w.codes)
-    return _wrap(ctx, conjugates(w.codes, inv), conjugates(inv, w.codes))
+    return _wrap(g, conjugates(w.codes, inv), conjugates(inv, w.codes))
 
 
 def inner_automorphism(g: DefiningGraph, w: RaagWord) -> RaagAutomorphism:
@@ -301,7 +294,7 @@ def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
     keeps ``phi``'s image.  The inverse is built on first use, as
     ``compose(psi.inverse(), phi.inverse())``.
     """
-    if psi.ctx is not phi.ctx:
+    if psi.graph is not phi.graph:
         raise AutomorphismError("automorphisms over different graphs")
     images = dict(phi._images)
     for code, img in psi._images.items():
@@ -310,7 +303,7 @@ def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
             images.pop(code, None)
         else:
             images[code] = mapped
-    result = _wrap(phi.ctx, images, None)
+    result = _wrap(phi.graph, images, None)
     if phi._invertible() and psi._invertible():
         result._factors = (phi, psi)
     return result
@@ -319,17 +312,17 @@ def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
 def _verifies_conjugator(phi: RaagAutomorphism, cand: RaagWord) -> bool:
     """Whether conjugation by ``cand`` gives ``phi``'s image on every node,
     the moved ones first."""
-    ctx, images = phi.ctx, phi._images
+    g, images = phi.graph, phi._images
     c, c_inv = cand.codes, _inverse(cand.codes)
-    nodes = sorted(range(1, len(ctx.names) + 1), key=lambda x: x not in images)
+    nodes = sorted(range(1, len(g.names) + 1), key=lambda x: x not in images)
     return all(
-        _equal_codes(ctx, images.get(x, (x,)), (*c, x, *c_inv)) for x in nodes
+        _equal_codes(g, images.get(x, (x,)), (*c, x, *c_inv)) for x in nodes
     )
 
 
-def _first_letters(ctx: GraphContext, codes: Sequence[int]) -> set[int]:
+def _first_letters(g: DefiningGraph, codes: Sequence[int]) -> set[int]:
     """Letters of a reduced word that shuffle to its front."""
-    star, bit = ctx.star, ctx.bit
+    star, bit = g.star, g.bit
     before = 0
     out = set()
     for c in codes:
@@ -360,21 +353,21 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
     non-inner, so the loop ends after at most ``L/2`` steps, at the
     identity exactly when ``phi`` is inner.
     """
-    ctx = phi.ctx
-    images = [phi._images.get(x, (x,)) for x in range(1, len(ctx.names) + 1)]
+    g = phi.graph
+    images = [phi._images.get(x, (x,)) for x in range(1, len(g.names) + 1)]
     chosen: list[int] = []
     while any(img != (x,) for x, img in enumerate(images, 1)):
         length = sum(map(len, images))
-        firsts = set().union(*(_first_letters(ctx, img) for img in images))
+        firsts = set().union(*(_first_letters(g, img) for img in images))
         for a in sorted(firsts, key=lambda c: (abs(c), c)):
-            trial = [tuple(_reduced_codes(ctx, (-a, *img, a))) for img in images]
+            trial = [tuple(_reduced_codes(g, (-a, *img, a))) for img in images]
             if sum(map(len, trial)) < length:
                 images = trial
                 chosen.append(a)
                 break
         else:
             return None
-    conjugator = _word(ctx, tuple(_reduced_codes(ctx, chosen)))
+    conjugator = _word(g, tuple(_reduced_codes(g, chosen)))
     if not _verifies_conjugator(phi, conjugator):
         raise AutomorphismError(
             f"length descent produced {conjugator}, which fails verification"
@@ -753,23 +746,23 @@ def _lattice_invariant(phi: RaagAutomorphism) -> dict[tuple, int]:
     shuffles of one another and ``h`` never passes ``x``, so the sides are
     well defined.
     """
-    ctx = phi.ctx
+    g = phi.graph
     out: dict[tuple, int] = {}
     for x in phi.moved_nodes():
-        code = ctx.code[x]
+        code = g.code[x]
         letters = phi._images[code]
         at = [i for i, c in enumerate(letters) if c in (code, -code)]
         if len(at) != 1 or letters[at[0]] != code:
             raise StructureAnomalyError(
-                f"image {_word(ctx, letters)} of {x!r} does not hold {x!r} "
+                f"image {_word(g, letters)} of {x!r} does not hold {x!r} "
                 "exactly once with exponent +1"
             )
         for i, c in enumerate(letters):
             if i == at[0]:
                 continue
-            h = ctx.names[abs(c) - 1]
+            h = g.names[abs(c) - 1]
             keys = [(x, h)]
-            if not ctx.star[code] & ctx.bit[c]:
+            if not g.star[code] & g.bit[c]:
                 keys.append((x, h, "L" if i < at[0] else "R"))
             for key in keys:
                 out[key] = out.get(key, 0) + (1 if c > 0 else -1)

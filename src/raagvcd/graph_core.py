@@ -12,9 +12,9 @@ and derives the combinatorial structure the bound formulas consume:
   edges included) together with hub detection.
 
 Everything here is a pure function of an immutable graph value.  The
-structure functions work on the graph's :class:`GraphContext`, built once
-per graph and shared with words and automorphisms, where node sets are bit
-masks over the sorted names; names come back only in the result values.
+structure functions work on the integer coding the graph carries, built
+once per graph and shared with words and automorphisms, where node sets are
+bit masks over the sorted names; names come back only in the result values.
 """
 from __future__ import annotations
 
@@ -57,32 +57,87 @@ class StructureAnomalyError(GraphError):
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-@dataclass(frozen=True)
+class _Codes(dict):
+    """Node names to codes; a name that is not a node raises."""
+
+    def __missing__(self, v: str) -> int:
+        raise GraphError(f"unknown node {v!r}")
+
+
 class DefiningGraph:
-    """A finite simple graph with named nodes.
+    """A finite simple graph with named nodes, coded as integers.
 
     ``nodes`` preserves first-appearance order; ``edges`` is a set of
     unordered pairs.  Simplicity (no loops, no multi-edges) and referential
-    integrity are enforced at construction.
+    integrity are enforced at construction.  Graphs are interned and
+    immutable: constructing a graph equal to a live one returns that object,
+    so equal graphs are one object and compare by identity.
+
+    The first construction also codes the nodes, for the structure functions
+    here, for words and for automorphisms.  Node ``names[i]`` has code
+    ``i + 1`` and bit ``1 << i``, so codes compare as the names do; a node
+    set is a mask, ``full`` the set of all nodes.  A letter is ``+code`` or
+    ``-code`` for the inverse, and the bit tables are indexed by letter, a
+    negative one counting from the end: ``bit[l]`` is the node's bit,
+    ``adj[l]`` its neighbours' bits and ``star[l]`` those and its own, so
+    ``l`` and ``m`` commute exactly when ``star[l] & bit[m]``.
     """
 
-    nodes: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    # The coding sits in slots, read fast by every layer; ``__dict__`` holds
+    # the cached properties.
+    __slots__ = (
+        "nodes", "edges", "names", "code", "full", "bit", "adj", "star",
+        "__dict__", "__weakref__",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.nodes:
+    def __new__(
+        cls, nodes: tuple[str, ...], edges: frozenset[frozenset[str]]
+    ) -> "DefiningGraph":
+        g = _GRAPHS.get((nodes, edges))
+        if g is not None:
+            return g
+        if not nodes:
             raise GraphError("graph has no nodes")
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
+        node_set = set(nodes)
+        if len(node_set) != len(nodes):
             raise GraphError("duplicate node names")
-        for name in self.nodes:
+        for name in nodes:
             if not _NAME_RE.match(name):
                 raise GraphError(f"bad node name {name!r}")
-        for e in self.edges:
+        for e in edges:
             if len(e) != 2:
                 raise GraphError(f"self-loop or malformed edge {sorted(e)}")
             if not e <= node_set:
                 raise GraphError(f"edge {sorted(e)} references unknown node")
+
+        names = tuple(sorted(nodes))
+        code = _Codes(zip(names, range(1, len(names) + 1)))
+        bits = [1 << i for i in range(len(names))]
+        adj = [0] * len(bits)
+        for a, b in edges:
+            adj[code[a] - 1] |= bits[code[b] - 1]
+            adj[code[b] - 1] |= bits[code[a] - 1]
+        tables = (bits, adj, [m | b for m, b in zip(adj, bits)])
+        bit, adj, star = ([0, *t, *t[::-1]] for t in tables)
+        g = super().__new__(cls)
+        coded = (nodes, edges, names, code, (1 << len(bits)) - 1, bit, adj, star)
+        for slot, value in zip(cls.__slots__, coded):  # in the slots' order
+            object.__setattr__(g, slot, value)
+        _GRAPHS[nodes, edges] = g
+        return g
+
+    # One method refuses both setting (name, value) and deleting (name).
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"DefiningGraph is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"DefiningGraph(nodes={self.nodes!r}, edges={self.edges!r})"
+
+    def __reduce__(self) -> tuple:
+        """Copies and pickles construct again, so they are interned too."""
+        return DefiningGraph, (self.nodes, self.edges)
 
     @staticmethod
     def from_edges(
@@ -94,26 +149,32 @@ class DefiningGraph:
         order.update(dict.fromkeys(isolated))
         return DefiningGraph(tuple(order), frozenset(frozenset(pair) for pair in pairs))
 
+    def nameset(self, mask: int) -> frozenset[str]:
+        """The names of the nodes in ``mask``."""
+        names = self.names
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    def above(self, link: int) -> int:
+        """The nodes whose links contain ``link``: its common neighbours."""
+        common = self.full
+        for c in _codes(link):
+            common &= self.adj[c]
+        return common
+
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
         return {v: self.link(v) for v in self.nodes}
 
-    @cached_property
-    def context(self) -> "GraphContext":
-        """The integer coding of this graph, built on first use and shared
-        by every equal graph."""
-        ctx = _CONTEXTS.get((self.nodes, self.edges))
-        if ctx is None:
-            ctx = _CONTEXTS[self.nodes, self.edges] = GraphContext(self)
-        return ctx
-
     def link(self, v: str) -> frozenset[str]:
-        ctx = self.context
-        return ctx.nameset(ctx.adj[ctx.code[v]])
+        return self.nameset(self.adj[self.code[v]])
 
     def degree(self, v: str) -> int:
-        ctx = self.context
-        return ctx.adj[ctx.code[v]].bit_count()
+        return self.adj[self.code[v]].bit_count()
 
     @property
     def num_nodes(self) -> int:
@@ -137,11 +198,10 @@ class DefiningGraph:
         Components are ordered by their smallest member for determinism;
         ``without`` must be a node of the graph.
         """
-        ctx = self.context
-        if without is not None and without not in ctx.code:
-            raise GraphError(f"unknown node {without!r}")
-        alive = ctx.full & ~ctx.bit[ctx.code.get(without, 0)]
-        return tuple(map(ctx.nameset, _components(ctx.adj, alive)))
+        alive = self.full
+        if without is not None:
+            alive ^= self.bit[self.code[without]]
+        return tuple(map(self.nameset, _components(self.adj, alive)))
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -154,52 +214,7 @@ class DefiningGraph:
         )
 
 
-class GraphContext:
-    """Integer codes for the nodes of a graph, built once per graph for the
-    structure functions here, for words and for automorphisms.
-
-    Node ``names[i]`` has code ``i + 1`` and bit ``1 << i``, so codes compare
-    as the names do; a node set is a mask, ``full`` the set of all nodes.  A
-    letter is ``+code`` or ``-code`` for the inverse, and the bit tables are
-    indexed by letter, a negative one counting from the end: ``bit[l]`` is
-    the node's bit, ``adj[l]`` its neighbours' bits and ``star[l]`` those
-    and its own, so ``l`` and ``m`` commute exactly when ``star[l] & bit[m]``.
-    """
-
-    __slots__ = ("graph", "names", "code", "full", "bit", "adj", "star", "__weakref__")
-
-    def __init__(self, graph: DefiningGraph):
-        self.graph = graph
-        self.names = tuple(sorted(graph.nodes))
-        code = self.code = {x: i + 1 for i, x in enumerate(self.names)}
-        bits = [1 << i for i in range(len(self.names))]
-        adj = [0] * len(bits)
-        for a, b in graph.edges:
-            adj[code[a] - 1] |= bits[code[b] - 1]
-            adj[code[b] - 1] |= bits[code[a] - 1]
-        self.full = (1 << len(bits)) - 1
-        tables = (bits, adj, [m | b for m, b in zip(adj, bits)])
-        self.bit, self.adj, self.star = ([0, *t, *t[::-1]] for t in tables)
-
-    def nameset(self, mask: int) -> frozenset[str]:
-        """The names of the nodes in ``mask``."""
-        names = self.names
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(names[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
-
-    def above(self, link: int) -> int:
-        """The nodes whose links contain ``link``: its common neighbours."""
-        common = self.full
-        for c in _codes(link):
-            common &= self.adj[c]
-        return common
-
-
-_CONTEXTS: WeakValueDictionary = WeakValueDictionary()
+_GRAPHS: WeakValueDictionary = WeakValueDictionary()
 
 
 def _codes(mask: int) -> Iterator[int]:
@@ -321,8 +336,7 @@ def validate(g: DefiningGraph) -> ValidationReport:
     test asks for a node adjacent to every other node such that no edge
     avoids it.
     """
-    ctx = g.context
-    rows = ctx.adj
+    rows = g.adj
     codes = range(1, g.num_nodes + 1)
     triangle_free = not any(rows[u] & rows[w] for u in codes for w in _codes(rows[u]))
     square_free = not any(
@@ -331,11 +345,11 @@ def validate(g: DefiningGraph) -> ValidationReport:
         for w in range(u + 1, g.num_nodes + 1)
     )
     is_star = g.num_edges == g.num_nodes - 1 and any(
-        rows[c] == ctx.full ^ ctx.bit[c] for c in codes
+        rows[c] == g.full ^ g.bit[c] for c in codes
     )
 
     return ValidationReport(
-        is_connected=_component(rows, 1, ctx.full) == ctx.full,
+        is_connected=_component(rows, 1, g.full) == g.full,
         triangle_free=triangle_free,
         square_free=square_free,
         is_star=is_star,
@@ -363,30 +377,29 @@ class DominationOrder:
     maximal_classes: tuple[frozenset[str], ...]
 
     def leq(self, v: str, w: str) -> bool:
-        ctx = self.graph.context
-        return not ctx.adj[ctx.code[v]] & ~ctx.adj[ctx.code[w]]
+        g = self.graph
+        return not g.adj[g.code[v]] & ~g.adj[g.code[w]]
 
     def dominators(self, v: str) -> frozenset[str]:
-        ctx = self.graph.context
-        c = ctx.code[v]
-        return ctx.nameset(ctx.above(ctx.adj[c]) & ~ctx.bit[c])
+        g = self.graph
+        c = g.code[v]
+        return g.nameset(g.above(g.adj[c]) & ~g.bit[c])
 
     def maximal_nodes(self) -> frozenset[str]:
         return frozenset(v for cls in self.maximal_classes for v in cls)
 
 
 def domination_order(g: DefiningGraph) -> DominationOrder:
-    ctx = g.context
     by_link: dict[int, int] = {}
     for c in range(1, g.num_nodes + 1):
-        by_link[ctx.adj[c]] = by_link.get(ctx.adj[c], 0) | ctx.bit[c]
+        by_link[g.adj[c]] = by_link.get(g.adj[c], 0) | g.bit[c]
     # Classes come out ordered by their smallest member.  A class is maximal
     # when every node whose link contains the class's link lies in it.
-    classes = tuple(map(ctx.nameset, by_link.values()))
+    classes = tuple(map(g.nameset, by_link.values()))
     maximal = tuple(
         cls
         for cls, (link, members) in zip(classes, by_link.items())
-        if ctx.above(link) == members
+        if g.above(link) == members
     )
     return DominationOrder(graph=g, classes=classes, maximal_classes=maximal)
 
@@ -453,9 +466,8 @@ def gamma_zero(
 
     # Connectivity of the span is expected for every eligible graph; it is
     # recorded rather than repaired so that a violation surfaces as a finding.
-    ctx = g.context
-    mask = sum(ctx.bit[ctx.code[v]] for v in reps)
-    spans_connected = _component(ctx.adj, mask & -mask, mask) == mask
+    mask = sum(g.bit[g.code[v]] for v in reps)
+    spans_connected = _component(g.adj, mask & -mask, mask) == mask
 
     return CoreSubgraph(
         graph=g,
@@ -535,15 +547,14 @@ def _blocks(rows: list[int], roots: Iterable[int]) -> list[list[tuple[int, int]]
 def pieces(g: DefiningGraph) -> PieceDecomposition:
     """Decompose a connected graph into pieces, cross-checking both
     separation-count definitions."""
-    ctx = g.context
-    rows, names = ctx.adj, ctx.names
-    if _component(rows, 1, ctx.full) != ctx.full:
+    rows, names = g.adj, g.names
+    if _component(rows, 1, g.full) != g.full:
         raise GraphError("graph must be connected to split into pieces")
     spanned = []
-    for group in _blocks(rows, [ctx.code[v] for v in g.nodes]):
+    for group in _blocks(rows, [g.code[v] for v in g.nodes]):
         span = 0
         for v, w in group:
-            span |= ctx.bit[v] | ctx.bit[w]
+            span |= g.bit[v] | g.bit[w]
         piece = frozenset(frozenset((names[v - 1], names[w - 1])) for v, w in group)
         spanned.append((span, piece))
     # By smallest node; the sort is stable, so ties keep the discovery order.
@@ -556,12 +567,12 @@ def pieces(g: DefiningGraph) -> PieceDecomposition:
             membership[c] += 1
             delta[c] |= span
 
-    delta_c = {v: len(_components(rows, ctx.full ^ ctx.bit[ctx.code[v]])) for v in g.nodes}
+    delta_c = {v: len(_components(rows, g.full ^ g.bit[g.code[v]])) for v in g.nodes}
     for v, comps in delta_c.items():
-        if comps != membership[ctx.code[v]]:
+        if comps != membership[g.code[v]]:
             raise StructureAnomalyError(
                 f"separation count mismatch at {v}: removing it leaves {comps} "
-                f"components but it lies in {membership[ctx.code[v]]} pieces"
+                f"components but it lies in {membership[g.code[v]]} pieces"
             )
 
     # Block decomposition identity for a connected graph: the excesses of the
@@ -575,8 +586,8 @@ def pieces(g: DefiningGraph) -> PieceDecomposition:
 
     hubs = frozenset(
         v
-        for v, c in ctx.code.items()
-        if all(not rows[u] & ~rows[c] for u in _codes(delta[c] & ~ctx.star[c]))
+        for v, c in g.code.items()
+        if all(not rows[u] & ~rows[c] for u in _codes(delta[c] & ~g.star[c]))
     )
 
     return PieceDecomposition(

@@ -14,8 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import DefiningGraph, GraphError, StructureAnomalyError
-from .words import RaagWord, generator
-from .autos import RaagAutomorphism, compose, inner_automorphism, inner_vectors
+from .words import generator
+from .autos import (
+    RaagAutomorphism,
+    compose,
+    inner_automorphism,
+    inner_vectors,
+    partial_conjugation,
+    transvection,
+)
 
 
 class PsigmaError(GraphError):
@@ -54,13 +61,13 @@ def psigma_vcd(n: int, k: int) -> int:
     return 2 * spec.n - 3
 
 
-def _x(g: DefiningGraph, i: int, exp: int = 1) -> RaagWord:
-    return generator(g, f"x{i}", exp)
-
-
 def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:
     """The named commuting family: conjugating generators for the fixed
     range, left/right multiplications for the free range.
+
+    ``gamma_i`` sends ``x_i`` to ``x1^-1 x_i x1``, ``lambda_i`` to
+    ``x1 x_i`` and ``rho_i`` to ``x_i x1``; each fixes every other
+    generator.
 
     Requires ``k >= 1``; for ``k = 0`` the family is not defined (only the
     dimension formula applies).  All pairs commute exactly in Aut(F_n),
@@ -70,35 +77,13 @@ def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:
     if spec.k < 1:
         raise PsigmaError("generator family requires k >= 1")
     g = spec.free_graph
-    x1 = _x(g, 1)
-    x1_inv = _x(g, 1, -1)
-    out: list[tuple[str, RaagAutomorphism]] = []
-    for i in range(2, spec.k + 1):
-        xi = _x(g, i)
-        out.append(
-            (
-                f"gamma_{i}",
-                RaagAutomorphism(
-                    g,
-                    {f"x{i}": x1_inv * xi * x1},
-                    {f"x{i}": x1 * xi * x1_inv},
-                ),
-            )
-        )
+    out = [
+        (f"gamma_{i}", partial_conjugation(g, "x1", [f"x{i}"]).inverse())
+        for i in range(2, spec.k + 1)
+    ]
     for i in range(spec.k + 1, spec.n + 1):
-        xi = _x(g, i)
-        out.append(
-            (
-                f"lambda_{i}",
-                RaagAutomorphism(g, {f"x{i}": x1 * xi}, {f"x{i}": x1_inv * xi}),
-            )
-        )
-        out.append(
-            (
-                f"rho_{i}",
-                RaagAutomorphism(g, {f"x{i}": xi * x1}, {f"x{i}": xi * x1_inv}),
-            )
-        )
+        out.append((f"lambda_{i}", transvection(g, f"x{i}", "x1", "left")))
+        out.append((f"rho_{i}", transvection(g, f"x{i}", "x1", "right")))
     for idx, (_, phi) in enumerate(out):
         for _, psi in out[idx + 1 :]:
             first = compose(phi, psi)
@@ -133,7 +118,7 @@ def outer_rank(spec: PsigmaSpec, family: list[tuple[str, RaagAutomorphism]]) -> 
         raise PsigmaError("outer rank via the inner line requires k >= 1")
     g = spec.free_graph
     (line,) = inner_vectors(
-        [phi for _, phi in family], [inner_automorphism(g, _x(g, 1, -1))]
+        [phi for _, phi in family], [inner_automorphism(g, generator(g, "x1", -1))]
     )
     if line is None:
         raise StructureAnomalyError(

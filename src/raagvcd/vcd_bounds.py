@@ -25,6 +25,7 @@ from .graph_core import (
     pieces,
     require_eligible,
 )
+from .psigma import psigma_vcd
 
 LOWER_BASE = "BASE"
 LOWER_NONHUB_NODE = "NONHUB_NODE"
@@ -89,16 +90,22 @@ def upper_bound(
 ) -> BoundResult:
     """General upper bound, cross-checked against its specializations.
 
-    The general value is ``(pi - 1)`` plus, over core nodes ``v``, the term
-    ``2|v| - 3 - max(|v|_U - 1, 0)``.  When every maximal node is alone in
-    its class the simplified valence/edge-count form must agree, and when
-    the core is the graph minus its leaves the leaf/Euler form must agree;
-    disagreement raises a structure anomaly.
+    The general value is ``(pi - 1)`` plus, over core nodes ``v``, the
+    dimension of PSigma(|v|, |v|_U) (:func:`raagvcd.psigma.psigma_vcd`),
+    which is ``2|v| - 3 - max(|v|_U - 1, 0)``.  PSigma needs valence at
+    least 2, so a core node of smaller valence raises a structure anomaly.
+    When every maximal node is alone in its class the simplified
+    valence/edge-count form must agree, and when the core is the graph minus
+    its leaves the leaf/Euler form must agree; disagreement raises a
+    structure anomaly.
     """
     pi = decomposition.count
+    valences = {v: core.valence(v) for v in sorted(core.nodes)}
+    low = [v for v, n in valences.items() if n < 2]
+    if low:
+        raise StructureAnomalyError(f"core nodes of valence below 2: {low}")
     terms = {
-        v: 2 * core.valence(v) - 3 - max(core.unique_maximal_valence(v) - 1, 0)
-        for v in sorted(core.nodes)
+        v: psigma_vcd(n, core.unique_maximal_valence(v)) for v, n in valences.items()
     }
     value = (pi - 1) + sum(terms.values())
     case = UPPER_GENERAL

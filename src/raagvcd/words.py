@@ -10,11 +10,12 @@ only if they are shuffles of each other, so canonical forms decide
 equality; we also decide equality by reducing ``u * v**-1`` and cross-check
 the two routes on every call.
 
-Internally a word is a tuple of signed node codes of the graph's
-:class:`~raagvcd.graph_core.GraphContext`: codes follow the sorted node
-names, ``-c`` is the inverse of ``c``, and whether two letters commute is
-one bit test.  ``letters``, ``parse_word`` and ``str`` speak node names and
-convert at the edge.
+Internally a word holds its graph, which carries the integer coding of
+its nodes (:class:`~raagvcd.graph_core.DefiningGraph`), and a tuple of
+signed node codes: codes follow the sorted node names, ``-c`` is the
+inverse of ``c``, and whether two letters commute is one bit test.
+``letters``, ``parse_word`` and ``str`` speak node names and convert at the
+edge.
 
 The canonical form is built with a heap: each letter waits for the last
 earlier letter of every generator it does not commute with, and the least
@@ -27,13 +28,13 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .graph_core import DefiningGraph, GraphContext, GraphError
+from .graph_core import DefiningGraph, GraphError
 
 Letter = tuple[str, int]
 
 
 class WordError(GraphError):
-    """Bad word: unknown letter, malformed syntax, or context mismatch."""
+    """Bad word: unknown letter, malformed syntax, or graph mismatch."""
 
 
 class ReductionAnomalyError(GraphError):
@@ -42,48 +43,44 @@ class ReductionAnomalyError(GraphError):
 
 class RaagWord:
     """An immutable word over the generators of a defining graph, stored as
-    signed codes of the graph's context; words over equal graphs share it."""
+    signed codes of the graph."""
 
-    __slots__ = ("ctx", "codes")
+    __slots__ = ("graph", "codes")
 
     def __init__(self, graph: DefiningGraph, letters: Iterable[Letter]):
-        ctx = graph.context
+        code = graph.code
         codes = []
         for gen, exp in letters:
-            if gen not in ctx.code:
+            if gen not in code:
                 raise WordError(f"letter {gen!r} is not a node of the graph")
             if exp not in (1, -1):
                 raise WordError(f"letter exponent must be +-1, got {exp}")
-            codes.append(ctx.code[gen] * exp)
-        _set(self, "ctx", ctx)
+            codes.append(code[gen] * exp)
+        _set(self, "graph", graph)
         _set(self, "codes", tuple(codes))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"RaagWord is immutable: cannot set {name!r}")
 
     @property
-    def graph(self) -> DefiningGraph:
-        return self.ctx.graph
-
-    @property
     def letters(self) -> tuple[Letter, ...]:
-        names = self.ctx.names
+        names = self.graph.names
         return tuple((names[abs(c) - 1], 1 if c > 0 else -1) for c in self.codes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RaagWord):
             return NotImplemented
-        return self.ctx is other.ctx and self.codes == other.codes
+        return self.graph is other.graph and self.codes == other.codes
 
     def __hash__(self) -> int:
         return hash(self.codes)
 
     def __mul__(self, other: "RaagWord") -> "RaagWord":
-        _require_same_context(self, other)
-        return _word(self.ctx, self.codes + other.codes)
+        _require_same_graph(self, other)
+        return _word(self.graph, self.codes + other.codes)
 
     def inverse(self) -> "RaagWord":
-        return _word(self.ctx, _inverse(self.codes))
+        return _word(self.graph, _inverse(self.codes))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -105,11 +102,11 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _word(ctx: GraphContext, codes: tuple[int, ...]) -> RaagWord:
-    """Wrap codes of ``ctx`` without the per-letter check of the
+def _word(g: DefiningGraph, codes: tuple[int, ...]) -> RaagWord:
+    """Wrap codes of ``g`` without the per-letter check of the
     constructor; only for codes taken from checked words."""
     w = _new(RaagWord)
-    _set(w, "ctx", ctx)
+    _set(w, "graph", g)
     _set(w, "codes", codes)
     return w
 
@@ -136,7 +133,7 @@ def parse_word(graph: DefiningGraph, text: str) -> RaagWord:
     A lone ``1`` is the empty word, as ``str`` prints it, unless the graph
     has a node named ``1``; then it is that generator.
     """
-    if text.split() == ["1"] and "1" not in graph.adjacency:
+    if text.split() == ["1"] and "1" not in graph.code:
         return empty_word(graph)
     letters: list[Letter] = []
     for token in text.split():
@@ -155,12 +152,12 @@ def parse_word(graph: DefiningGraph, text: str) -> RaagWord:
     return RaagWord(graph, letters)
 
 
-def _require_same_context(w1: RaagWord, w2: RaagWord) -> None:
-    if w1.ctx is not w2.ctx:
+def _require_same_graph(w1: RaagWord, w2: RaagWord) -> None:
+    if w1.graph is not w2.graph:
         raise WordError("words live over different defining graphs")
 
 
-def _reduced_codes(ctx: GraphContext, codes: Iterable[int]) -> list[int]:
+def _reduced_codes(g: DefiningGraph, codes: Iterable[int]) -> list[int]:
     """Greedy left-to-right reduction.
 
     Each incoming letter scans leftward through the commuting suffix of the
@@ -168,7 +165,7 @@ def _reduced_codes(ctx: GraphContext, codes: Iterable[int]) -> list[int]:
     inverse letter found there cancels, otherwise the letter is appended.
     The output never contains a cancellable pair.
     """
-    star, bit = ctx.star, ctx.bit
+    star, bit = g.star, g.bit
     out: list[int] = []
     for c in codes:
         commuting = star[c]
@@ -194,10 +191,10 @@ def reduce_word(w: RaagWord) -> RaagWord:
     >>> str(reduce_word(parse_word(g, "a c a^-1")))
     'a c a^-1'
     """
-    return _word(w.ctx, tuple(_reduced_codes(w.ctx, w.codes)))
+    return _word(w.graph, tuple(_reduced_codes(w.graph, w.codes)))
 
 
-def _canonical_codes(ctx: GraphContext, codes: Sequence[int]) -> list[int]:
+def _canonical_codes(g: DefiningGraph, codes: Sequence[int]) -> list[int]:
     """Lexicographically least shuffle of an already-reduced word.
 
     Letters are ordered by generator name, a positive letter before its
@@ -223,7 +220,7 @@ def _canonical_codes(ctx: GraphContext, codes: Sequence[int]) -> list[int]:
     n = len(codes)
     if n < 2:
         return list(codes)
-    adj, bit = ctx.adj, ctx.bit
+    adj, bit = g.adj, g.bit
     keys = [(c * 2 if c > 0 else 1 - c * 2) * n + i for i, c in enumerate(codes)]
     waiting = [0] * n
     releases: list[list[int]] = [[] for _ in codes]
@@ -258,20 +255,20 @@ def canonical(w: RaagWord) -> RaagWord:
     >>> str(canonical(parse_word(g, "c a")))
     'c a'
     """
-    ctx = w.ctx
-    return _word(ctx, tuple(_canonical_codes(ctx, _reduced_codes(ctx, w.codes))))
+    g = w.graph
+    return _word(g, tuple(_canonical_codes(g, _reduced_codes(g, w.codes))))
 
 
-def _equal_codes(ctx: GraphContext, u: Sequence[int], v: Sequence[int]) -> bool:
-    """:func:`equal` on codes of ``ctx``, both routes cross-checked.  Equal
+def _equal_codes(g: DefiningGraph, u: Sequence[int], v: Sequence[int]) -> bool:
+    """:func:`equal` on codes of ``g``, both routes cross-checked.  Equal
     reduced codes have equal canonical forms without computing them."""
-    via_product = not _reduced_codes(ctx, (*u, *_inverse(v)))
-    u, v = _reduced_codes(ctx, u), _reduced_codes(ctx, v)
-    via_canonical = u == v or _canonical_codes(ctx, u) == _canonical_codes(ctx, v)
+    via_product = not _reduced_codes(g, (*u, *_inverse(v)))
+    u, v = _reduced_codes(g, u), _reduced_codes(g, v)
+    via_canonical = u == v or _canonical_codes(g, u) == _canonical_codes(g, v)
     if via_product != via_canonical:
         raise ReductionAnomalyError(
-            f"equality routes disagree on {_word(ctx, tuple(u))} vs "
-            f"{_word(ctx, tuple(v))}: product={via_product} canonical={via_canonical}"
+            f"equality routes disagree on {_word(g, tuple(u))} vs "
+            f"{_word(g, tuple(v))}: product={via_product} canonical={via_canonical}"
         )
     return via_product
 
@@ -283,8 +280,8 @@ def equal(w1: RaagWord, w2: RaagWord) -> bool:
     compares canonical forms.  A disagreement raises, since it would mean the
     reduction machinery is broken.
     """
-    _require_same_context(w1, w2)
-    return _equal_codes(w1.ctx, w1.codes, w2.codes)
+    _require_same_graph(w1, w2)
+    return _equal_codes(w1.graph, w1.codes, w2.codes)
 
 
 def cyclic_reduce(w: RaagWord) -> tuple[RaagWord, RaagWord]:
@@ -302,19 +299,19 @@ def cyclic_reduce(w: RaagWord) -> tuple[RaagWord, RaagWord]:
     >>> str(conj), str(core)
     ('a', 'c')
     """
-    ctx = w.ctx
-    codes = _reduced_codes(ctx, w.codes)
+    g = w.graph
+    codes = _reduced_codes(g, w.codes)
     conj: list[int] = []
-    while (pair := _cancelling_ends(ctx, codes)) is not None:
+    while (pair := _cancelling_ends(g, codes)) is not None:
         conj.append(codes[pair[0]])
-        codes = _reduced_codes(ctx, [c for m, c in enumerate(codes) if m not in pair])
-    return _word(ctx, tuple(_reduced_codes(ctx, conj))), _word(ctx, tuple(codes))
+        codes = _reduced_codes(g, [c for m, c in enumerate(codes) if m not in pair])
+    return _word(g, tuple(_reduced_codes(g, conj))), _word(g, tuple(codes))
 
 
-def _cancelling_ends(ctx: GraphContext, codes: list[int]) -> tuple[int, int] | None:
+def _cancelling_ends(g: DefiningGraph, codes: list[int]) -> tuple[int, int] | None:
     """The first positions ``(i, j)`` of a letter movable to the front and
     an inverse letter movable to the end, or ``None``."""
-    star, bit = ctx.star, ctx.bit
+    star, bit = g.star, g.bit
     n = len(codes)
     for i, c in enumerate(codes):
         if any(not star[c] & bit[d] for d in codes[:i]):

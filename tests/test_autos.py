@@ -303,9 +303,18 @@ class TestStoredImages:
         with pytest.raises(AutomorphismError):
             RaagAutomorphism(g_p5, {"a": generator(g_c5l, "u")})
 
+    def test_image_of_unknown_node_raises(self):
+        p3 = DefiningGraph.from_edges([("a", "b"), ("b", "c")])
+        with pytest.raises(GraphError, match="unknown node 'zz'"):
+            transvection(p3, "a", "b").image_of("zz")
+
     def test_structurally_equal_graph_accepted(self, g_p5):
-        twin = DefiningGraph(g_p5.nodes, g_p5.edges)
-        assert twin is not g_p5 and twin == g_p5
+        # An equal graph built another way is the same object, so maps and
+        # words over either work together.
+        from raagvcd.graph_core import parse_graph
+
+        twin = parse_graph("".join(f"edge {a} {b}\n" for a, b in zip("abcd", "bcde")))
+        assert twin is g_p5
         phi = transvection(g_p5, "a", "b")
         psi = transvection(twin, "a", "c")
         both = compose(phi, psi)
@@ -958,6 +967,11 @@ class TestProjection:
 
     def test_identity_projects_to_identity(self, g_p5):
         assert project_local(identity_automorphism(g_p5), "d").is_identity()
+
+    def test_unknown_node_raises(self):
+        p3 = DefiningGraph.from_edges([("a", "b"), ("b", "c")])
+        with pytest.raises(GraphError, match="unknown node 'zz'"):
+            project_local(identity_automorphism(p3), "zz")
 
     def test_local_inner_witness_exact(self, g_p5):
         phi = partial_conjugation(g_p5, "b", ["d", "e"])

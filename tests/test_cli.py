@@ -43,24 +43,25 @@ class TestAnalyze:
     @pytest.mark.parametrize("witness", [False, True])
     def test_analyze_builds_one_context_per_graph(self, tmp_path, monkeypatch, witness):
         # The structure layer and, with --witness, words and automorphisms
-        # all read the parsed graph's one GraphContext.  The node names are
-        # used by no other test, so no context cached for an equal graph
-        # can stand in for a new one.
+        # all read the parsed graph, which is coded once, on construction.
+        # A fresh interning table is patched in, so every graph analyze
+        # builds is coded afresh and recorded.
         import raagvcd.cli as cli
+        from weakref import WeakValueDictionary
+
         from raagvcd import graph_core
-        from raagvcd.graph_core import GraphContext
+
+        class RecordingTable(WeakValueDictionary):
+            def __setitem__(self, key, graph):
+                built.append(graph)
+                super().__setitem__(key, graph)
 
         path = tmp_path / "ctx.graph"
         prefix = "ctxw" if witness else "ctxa"
         path.write_text("".join(f"edge {prefix}{i} {prefix}{i + 1}\n" for i in range(6)))
         built, rows_seen, sets = [], set(), []
-        init = GraphContext.__init__
         component = graph_core._component
         build = cli.build_generator_set
-
-        def counting_init(self, graph):
-            init(self, graph)
-            built.append(self)
 
         def recording_component(rows, start, alive):
             rows_seen.add(id(rows))
@@ -70,19 +71,19 @@ class TestAnalyze:
             sets.append(build(*args, **kwargs))
             return sets[-1]
 
-        monkeypatch.setattr(GraphContext, "__init__", counting_init)
+        monkeypatch.setattr(graph_core, "_GRAPHS", RecordingTable())
         monkeypatch.setattr(graph_core, "_component", recording_component)
         monkeypatch.setattr(cli, "build_generator_set", recording_build)
         flags = ["--witness"] if witness else []
         assert main(["analyze", str(path), "--json", *flags]) == 0
-        (ctx,) = [c for c in built if prefix + "0" in c.code]
-        assert rows_seen == {id(ctx.adj)}
+        (g,) = [h for h in built if prefix + "0" in h.code]
+        assert rows_seen == {id(g.adj)}
         if witness:
             (gs,) = sets
-            assert gs.graph.context is ctx
-            assert all(e.automorphism.ctx is ctx for e in gs.entries)
+            assert gs.graph is g
+            assert all(e.automorphism.graph is g for e in gs.entries)
         else:
-            assert built == [ctx] and not sets
+            assert built == [g] and not sets
 
     def test_explicit_base_edge(self, p5_file, capsys):
         assert main(["analyze", p5_file, "--witness", "--e0", "c,b", "--json"]) == 0

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -298,6 +300,60 @@ class TestGraphValue:
         assert len(p3.components()) == 1
         with pytest.raises(GraphError, match="unknown node 'zz'"):
             p3.components(without="zz")
+
+    def test_link_and_degree_of_unknown_node(self):
+        p3 = DefiningGraph.from_edges([("a", "b"), ("b", "c")])
+        with pytest.raises(GraphError, match="unknown node 'zz'"):
+            p3.link("zz")
+        with pytest.raises(GraphError, match="unknown node 'zz'"):
+            p3.degree("zz")
+
+
+class TestInterning:
+    def test_equal_graph_is_the_same_object(self, g_p5):
+        assert DefiningGraph(g_p5.nodes, g_p5.edges) is g_p5
+        flipped = [("a", "b"), ("c", "b"), ("c", "d"), ("e", "d")]
+        assert DefiningGraph.from_edges(flipped) is g_p5
+        assert copy.copy(g_p5) is g_p5 and copy.deepcopy(g_p5) is g_p5
+        assert pickle.loads(pickle.dumps(g_p5)) is g_p5
+
+    def test_reordered_nodes_give_another_graph(self, g_p5):
+        from raagvcd.words import WordError, generator
+
+        reordered = DefiningGraph(tuple(reversed(g_p5.nodes)), g_p5.edges)
+        assert reordered is not g_p5 and reordered.nodes[0] == "e"
+        with pytest.raises(WordError):
+            generator(g_p5, "a") * generator(reordered, "a")
+
+    def test_graph_is_immutable(self, g_p5):
+        with pytest.raises(AttributeError):
+            g_p5.nodes = ("a",)
+        with pytest.raises(AttributeError):
+            g_p5.extra = 1
+        with pytest.raises(AttributeError):
+            del g_p5.code
+        assert g_p5.code["a"] == 1
+
+    def test_graph_freed_without_the_cycle_collector(self):
+        # A graph holds no reference back to itself, so once the report that
+        # reads it is gone, reference counting alone frees it.
+        import gc
+        import weakref
+
+        from raagvcd.vcd_bounds import vcd_report
+
+        text = "".join(f"edge rc{i} rc{i + 1}\n" for i in range(6))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = parse_graph(text)
+            report = vcd_report(g)
+            ref = weakref.ref(g)
+            del g, report
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # Name-based oracles: the structure functions as they were written over

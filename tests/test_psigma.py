@@ -60,6 +60,27 @@ class TestGenerators:
         assert equal(gamma2.image_of("x1"), parse_word(g, "x1"))
         assert equal(gamma2.image_of("x2"), parse_word(g, "x1^-1 x2 x1"))
 
+    def test_images_of_the_family(self):
+        # gamma_i: x_i -> x1^-1 x_i x1; lambda_i: x_i -> x1 x_i;
+        # rho_i: x_i -> x_i x1; each fixes every other generator.
+        spec = PsigmaSpec(5, 3)
+        expected = {
+            "gamma_2": ("x2", "x1^-1 x2 x1", "x1 x2 x1^-1"),
+            "gamma_3": ("x3", "x1^-1 x3 x1", "x1 x3 x1^-1"),
+            "lambda_4": ("x4", "x1 x4", "x1^-1 x4"),
+            "rho_4": ("x4", "x4 x1", "x4 x1^-1"),
+            "lambda_5": ("x5", "x1 x5", "x1^-1 x5"),
+            "rho_5": ("x5", "x5 x1", "x5 x1^-1"),
+        }
+        family = psigma_generators(spec)
+        assert [name for name, _ in family] == list(expected)
+        for name, phi in family:
+            x, image, inverse_image = expected[name]
+            assert phi.moved_nodes() == (x,)
+            assert str(phi.image_of(x)) == image
+            assert str(phi.inverse().image_of(x)) == inverse_image
+            assert phi.has_verified_inverse()
+
     def test_k_zero_has_no_family(self):
         with pytest.raises(PsigmaError):
             psigma_generators(PsigmaSpec(3, 0))

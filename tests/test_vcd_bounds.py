@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from raagvcd.graph_core import (
     DefiningGraph,
     IneligibleGraphError,
+    StructureAnomalyError,
     gamma_zero,
     pieces,
 )
@@ -90,6 +93,13 @@ class TestUpperBound:
         _, upper = bounds_of(g_square)
         assert dict(upper.terms) == {"a": 1, "b": 1}
         assert upper.value == 2
+
+    def test_core_node_of_valence_one_raises(self, g_p5):
+        # A hand-built core with the leaf a among its nodes: PSigma(1, k)
+        # does not exist, so the bound refuses before summing.
+        core = dataclasses.replace(gamma_zero(g_p5), nodes=frozenset("abcd"))
+        with pytest.raises(StructureAnomalyError, match="valence below 2"):
+            upper_bound(g_p5, core, pieces(g_p5))
 
 
 class TestReport:
