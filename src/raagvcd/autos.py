@@ -8,7 +8,8 @@ decision for every commutator, the exact inner rank (one integer solve,
 :func:`inner_vectors`, which :func:`inner_lattice` and the partially
 symmetric family share) that turns that set into a lower-bound witness, and
 the projection to / lift from the free groups on vertex links used in the
-tree case.
+tree case.  A projection is itself a :class:`RaagAutomorphism`, over the
+edgeless graph on the link: an automorphism of the link's free group.
 
 Conventions fixed once here: ``compose(phi, psi)`` applies ``psi`` first,
 and conjugation by a word ``w`` sends ``x`` to ``w x w^-1``.
@@ -31,9 +32,11 @@ every node name to a word.  Work is done over supports only:
 * ``respects_relations`` checks the edges that meet the support; the
   images of an edge with both ends fixed are its ends, which commute.
 
-``inverse()`` is built once and cached on both maps.  A composite records
-its two factors instead of building inverse images, and builds
-``compose(psi.inverse(), phi.inverse())`` on first call.
+A map is a value: every slot is set once, when it is built, and no method
+writes one afterwards.  ``inverse()`` swaps the stored images and inverse
+images.  A composite records its two factors instead of inverse images,
+and its ``inverse()`` is ``compose(psi.inverse(), phi.inverse())``, built
+again on every call.
 """
 from __future__ import annotations
 
@@ -57,11 +60,9 @@ from .words import (
     _inverse,
     _reduced_codes,
     _word,
-    canonical,
     empty_word,
     equal,
     generator,
-    reduce_word,
 )
 
 Images = dict[int, tuple[int, ...]]
@@ -84,14 +85,16 @@ def _image_map(g: DefiningGraph, moved: Images) -> Mapping[str, RaagWord]:
 
 
 class RaagAutomorphism:
-    """An endomorphism given by generator images, usually with a stored
-    two-sided inverse certifying that it is an automorphism.
+    """An endomorphism given by generator images, usually with stored
+    inverse images (or, for a composite, two invertible factors) certifying
+    that it is an automorphism.
 
-    Images are stored reduced for the moved nodes only, and
-    :meth:`inverse` is cached, so ``phi.inverse().inverse() is phi``.
+    Images are stored reduced for the moved nodes only.  The slots are set
+    at construction and never written again; equal maps are compared with
+    :meth:`equals`, not by identity.
     """
 
-    __slots__ = ("graph", "_images", "_inverse_images", "_inverse", "_factors")
+    __slots__ = ("graph", "_images", "_inverse_images", "_factors")
 
     def __init__(
         self,
@@ -103,7 +106,6 @@ class RaagAutomorphism:
         self._inverse_images = (
             None if inverse_images is None else _moved_images(graph, inverse_images)
         )
-        self._inverse: RaagAutomorphism | None = None
         self._factors: tuple[RaagAutomorphism, RaagAutomorphism] | None = None
 
     @property
@@ -125,7 +127,7 @@ class RaagAutomorphism:
     @property
     def inverse_images(self) -> Mapping[str, RaagWord] | None:
         """The images of the inverse, or ``None`` if there is no inverse; a
-        composite builds its inverse on first read."""
+        composite builds its inverse on each read."""
         return self.inverse().images if self._invertible() else None
 
     def _invertible(self) -> bool:
@@ -133,20 +135,12 @@ class RaagAutomorphism:
         return self._inverse_images is not None or self._factors is not None
 
     def inverse(self) -> "RaagAutomorphism":
-        if self._inverse is None:
-            if self._inverse_images is not None:
-                inv = _wrap(self.graph, self._inverse_images, self._images)
-            elif self._factors is not None:
-                phi, psi = self._factors
-                inv = compose(psi.inverse(), phi.inverse())
-                inv._factors = self._factors = None
-                inv._inverse_images = self._images
-                self._inverse_images = inv._images
-            else:
-                raise AutomorphismError("no stored inverse")
-            inv._inverse = self
-            self._inverse = inv
-        return self._inverse
+        if self._inverse_images is not None:
+            return _wrap(self.graph, self._inverse_images, self._images)
+        if self._factors is not None:
+            phi, psi = self._factors
+            return compose(psi.inverse(), phi.inverse())
+        raise AutomorphismError("no stored inverse")
 
     def is_identity(self) -> bool:
         """Whether every generator is fixed: the support is empty."""
@@ -213,13 +207,16 @@ def _moved_images(g: DefiningGraph, images: Mapping[str, RaagWord]) -> Images:
 
 
 def _wrap(
-    g: DefiningGraph, images: Images, inverse_images: Images | None
+    g: DefiningGraph,
+    images: Images,
+    inverse_images: Images | None,
+    factors: tuple[RaagAutomorphism, RaagAutomorphism] | None = None,
 ) -> RaagAutomorphism:
     """A map from support images already reduced over ``g``, taken as
     they are."""
     phi = object.__new__(RaagAutomorphism)
     phi.graph, phi._images, phi._inverse_images = g, images, inverse_images
-    phi._inverse = phi._factors = None
+    phi._factors = factors
     return phi
 
 
@@ -291,8 +288,8 @@ def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
     """``compose(phi, psi)(x) = phi(psi(x))``: right-to-left application.
 
     Only ``psi``'s support is mapped through ``phi``; every other node
-    keeps ``phi``'s image.  The inverse is built on first use, as
-    ``compose(psi.inverse(), phi.inverse())``.
+    keeps ``phi``'s image.  When both factors are invertible the result
+    keeps them, and its inverse is ``compose(psi.inverse(), phi.inverse())``.
     """
     if psi.graph is not phi.graph:
         raise AutomorphismError("automorphisms over different graphs")
@@ -303,10 +300,8 @@ def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
             images.pop(code, None)
         else:
             images[code] = mapped
-    result = _wrap(phi.graph, images, None)
-    if phi._invertible() and psi._invertible():
-        result._factors = (phi, psi)
-    return result
+    factors = (phi, psi) if phi._invertible() and psi._invertible() else None
+    return _wrap(phi.graph, images, None, factors)
 
 
 def _verifies_conjugator(phi: RaagAutomorphism, cand: RaagWord) -> bool:
@@ -618,8 +613,11 @@ def build_generator_set(
     One partial conjugation per (core node, component of the graph minus it
     not containing its toward-base neighbor); two transvections per leaf;
     two per non-leaf node outside the core.  The count must come out to
-    ``(pieces - 1) + 2(nodes - core nodes)``, and with ``certify`` set the
-    commutation certificates and inner lattice rank are populated.
+    ``(pieces - 1) + 2(nodes - core nodes)``, and every generator must
+    respect the relations and have a verified inverse; these are internal
+    invariants, so a failure raises :class:`StructureAnomalyError`.  With
+    ``certify`` set the commutation certificates and inner lattice rank are
+    populated.
     """
     if core is None:
         core = gamma_zero(g)
@@ -680,16 +678,16 @@ def build_generator_set(
 
     expected = (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes)
     if len(entries) != expected:
-        raise AutomorphismError(
+        raise StructureAnomalyError(
             f"generator count {len(entries)} != expected {expected}"
         )
     for entry in entries:
         if not entry.automorphism.respects_relations():
-            raise AutomorphismError(
+            raise StructureAnomalyError(
                 f"generator {entry.describe()} does not respect the relations"
             )
         if not entry.automorphism.has_verified_inverse():
-            raise AutomorphismError(
+            raise StructureAnomalyError(
                 f"generator {entry.describe()} has no verified inverse"
             )
 
@@ -933,47 +931,30 @@ def _power_automorphism(a: RaagAutomorphism, n: int) -> RaagAutomorphism:
     return result
 
 
-@dataclass(frozen=True)
-class LocalProjection:
-    """The induced action on the free group of a node's link.
+def project_local(phi: RaagAutomorphism, v: str) -> RaagAutomorphism:
+    """The map ``phi`` induces on the free group of the link of ``v``.
 
-    Images are obtained by deleting every letter outside the link and
-    freely reducing; the link spans no edges in a triangle-free graph, so
-    the local group really is free.
+    Each link node's image is ``phi``'s image with every letter outside the
+    link deleted, freely reduced.  The link spans no edges in a
+    triangle-free graph, so its group is free, and the result is a map over
+    the edgeless graph on the link: the automorphism of the link's free
+    group that ``phi`` induces.  It stores no inverse images, so its
+    :meth:`~RaagAutomorphism.inverse` raises.
     """
-
-    node: str
-    free_graph: DefiningGraph
-    images: Mapping[str, RaagWord]
-
-    def is_identity(self) -> bool:
-        return all(
-            canonical(img).letters == ((x, 1),) for x, img in self.images.items()
-        )
-
-
-def project_local(phi: RaagAutomorphism, v: str) -> LocalProjection:
-    """Restrict ``phi`` to the link of ``v`` by deleting outside letters."""
     g = phi.graph
     lk = sorted(g.link(v))
     if not lk:
         raise AutomorphismError(f"{v!r} has an empty link")
     local = DefiningGraph(tuple(lk), frozenset())
     keep = set(lk)
-    images = {}
-    for w in lk:
-        letters = tuple(
-            (gen, exp) for gen, exp in phi.image_of(w).letters if gen in keep
+    images = {
+        w: RaagWord(
+            local,
+            tuple((gen, exp) for gen, exp in phi.image_of(w).letters if gen in keep),
         )
-        images[w] = reduce_word(RaagWord(local, letters))
-    return LocalProjection(
-        node=v, free_graph=local, images=MappingProxyType(images)
-    )
-
-
-def local_inner_witness(proj: LocalProjection) -> RaagWord | None:
-    """Exact test: is the local action conjugation by one free-group word?"""
-    return inner_conjugator(RaagAutomorphism(proj.free_graph, proj.images))
+        for w in lk
+    }
+    return RaagAutomorphism(local, images)
 
 
 def lift_local(
@@ -987,8 +968,9 @@ def lift_local(
     lift fixes ``v``, conjugates ``w`` by its word, and conjugates every
     node beyond ``w`` (in the component of the tree minus ``v`` containing
     ``w``) by the same word.  The projection back to ``v`` must reproduce
-    the input and every other interior node's projection must be an inner
-    map of its link free group.
+    the input and every other interior node's projection must be inner
+    (:func:`inner_conjugator` finds a conjugator); otherwise
+    :class:`LiftError` is raised.
     """
     if not (g.is_connected() and g.num_edges == g.num_nodes - 1):
         raise LiftError("lift construction requires a tree")
@@ -1016,15 +998,15 @@ def lift_local(
 
     back = project_local(lifted, v)
     for w_node in sorted(lk):
-        local_c = RaagWord(back.free_graph, conjugators[w_node].letters)
-        expected = local_c * generator(back.free_graph, w_node) * local_c.inverse()
-        if not equal(back.images[w_node], expected):
+        local_c = RaagWord(back.graph, conjugators[w_node].letters)
+        expected = local_c * generator(back.graph, w_node) * local_c.inverse()
+        if not equal(back.image_of(w_node), expected):
             raise LiftError(
                 f"projection at {v!r} does not reproduce the input on {w_node!r}"
             )
     interior = [u for u in g.nodes if g.degree(u) >= 2 and u != v]
     for u in interior:
-        if local_inner_witness(project_local(lifted, u)) is None:
+        if inner_conjugator(project_local(lifted, u)) is None:
             raise LiftError(
                 f"projection at {u!r} is not an inner map of its link"
             )

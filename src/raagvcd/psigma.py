@@ -38,14 +38,19 @@ class PsigmaSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise PsigmaError(f"free group rank must be at least 2, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise PsigmaError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
+        _check_rank(self.n, self.k)
 
     @property
     def free_graph(self) -> DefiningGraph:
         return free_group_graph(self.n)
+
+
+def _check_rank(n: int, k: int) -> None:
+    """Raise :class:`PsigmaError` unless ``n >= 2`` and ``0 <= k <= n``."""
+    if n < 2:
+        raise PsigmaError(f"free group rank must be at least 2, got {n}")
+    if not 0 <= k <= n:
+        raise PsigmaError(f"need 0 <= k <= n, got k={k}, n={n}")
 
 
 def free_group_graph(n: int) -> DefiningGraph:
@@ -55,10 +60,8 @@ def free_group_graph(n: int) -> DefiningGraph:
 
 def psigma_vcd(n: int, k: int) -> int:
     """Dimension formula: ``2n - k - 2`` for ``k >= 1``, else ``2n - 3``."""
-    spec = PsigmaSpec(n, k)
-    if spec.k >= 1:
-        return 2 * spec.n - spec.k - 2
-    return 2 * spec.n - 3
+    _check_rank(n, k)
+    return 2 * n - k - 2 if k >= 1 else 2 * n - 3
 
 
 def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:

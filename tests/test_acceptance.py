@@ -13,8 +13,8 @@ from raagvcd.words import equal, generator, word
 from raagvcd.autos import (
     build_generator_set,
     default_choices,
+    inner_conjugator,
     lift_local,
-    local_inner_witness,
     project_local,
     verify_commuting,
 )
@@ -172,7 +172,7 @@ def test_lift_round_trip():
                 assert equal(back.images[w], expected)
             for u in interior:
                 if u != v:
-                    assert local_inner_witness(project_local(lifted, u)) is not None
+                    assert inner_conjugator(project_local(lifted, u)) is not None
             attempts += 1
         assert attempts == 1 + 2 + 5 + 10 + 22
 

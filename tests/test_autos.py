@@ -38,7 +38,6 @@ from raagvcd.autos import (
     inner_conjugator,
     inner_lattice,
     lift_local,
-    local_inner_witness,
     partial_conjugation,
     project_local,
     transvection,
@@ -246,21 +245,21 @@ class TestInnerConjugatorOracle:
 
 
 class TestStoredImages:
-    """Cached inverses and the letter-level identity test."""
+    """Stored inverses and the letter-level identity test."""
 
-    def test_inverse_is_cached_both_ways(self, g_p5):
+    def test_inverse_round_trips_both_ways(self, g_p5):
         phi = partial_conjugation(g_p5, "b", ["d", "e"])
         inv = phi.inverse()
-        assert phi.inverse() is inv
-        assert inv.inverse() is phi
+        assert phi.inverse().equals(inv)
+        assert inv.inverse().equals(phi)
         assert compose(phi, inv).is_identity()
 
-    def test_composite_inverse_is_cached(self, g_c5l):
+    def test_composite_inverse_round_trips(self, g_c5l):
         phi = compose(
             transvection(g_c5l, "u", "v1"), partial_conjugation(g_c5l, "v2", ["u"])
         )
-        assert phi.inverse() is phi.inverse()
-        assert phi.inverse().inverse() is phi
+        assert phi.inverse().equals(phi.inverse())
+        assert phi.inverse().inverse().equals(phi)
         assert phi.has_verified_inverse()
 
     def test_missing_inverse_still_raises(self, g_p5):
@@ -441,7 +440,7 @@ class TestLazyInverse:
         expected = compose(psi.inverse(), phi.inverse())
         assert both.inverse().equals(expected)
         assert _dense_equals(both.inverse(), expected)
-        assert both.inverse().inverse() is both
+        assert both.inverse().inverse().equals(both)
         assert compose(both, both.inverse()).is_identity()
 
     def test_inverse_images_readable_on_composite(self, g_c5l):
@@ -451,9 +450,21 @@ class TestLazyInverse:
         assert inv_images is not None
         assert set(inv_images) == set(g_c5l.nodes)
         inv = both.inverse()
-        assert all(inv_images[x] == inv.images[x] for x in g_c5l.nodes)
-        assert inv.inverse_images == both.images
-        assert inv._inverse_images is both._images  # shared, not rebuilt
+        assert all(equal(inv_images[x], inv.images[x]) for x in g_c5l.nodes)
+        assert all(equal(inv.inverse_images[x], both.images[x]) for x in g_c5l.nodes)
+
+    def test_reads_leave_composite_slots_unchanged(self, g_c5l):
+        # A map is a value: building or checking its inverse writes nothing.
+        phi, psi = self._pair(g_c5l)
+        both = compose(phi, psi)
+        before = {name: getattr(both, name) for name in RaagAutomorphism.__slots__}
+        images = dict(both._images)
+        both.inverse()
+        assert both.inverse_images is not None
+        assert both.has_verified_inverse()
+        for name, value in before.items():
+            assert getattr(both, name) is value, name
+        assert both._images == images
 
     def test_has_verified_inverse_on_composites(self, g_c5l, g_grid):
         phi, psi = self._pair(g_c5l)
@@ -461,6 +472,30 @@ class TestLazyInverse:
         assert compose(phi, compose(psi, compose(phi.inverse(), psi))).has_verified_inverse()
         for a in _random_automorphisms(g_grid, random.Random("lazy"), 20):
             assert a.has_verified_inverse()
+
+    @pytest.mark.parametrize("through", ["generator_set", "inverse"])
+    def test_graph_freed_without_the_cycle_collector(self, through):
+        # No map refers back to its inverse, so once the maps are gone
+        # reference counting alone frees the graph they hold.
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = DefiningGraph.from_edges(
+                [(f"fr{i}", f"fr{i + 1}") for i in range(5)] + [("fr2", "fx")]
+            )
+            if through == "generator_set":
+                kept = build_generator_set(g)
+            else:
+                kept = transvection(g, "fr0", "fr2").inverse()
+            ref = weakref.ref(g)
+            del g, kept
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_factor_without_inverse_still_raises(self, g_p5):
         bare = RaagAutomorphism(g_p5, {"a": parse_word(g_p5, "a b")})
@@ -954,6 +989,42 @@ class TestLatticeChecksExit3:
         assert "exactly once" in capsys.readouterr().err
 
 
+class TestGeneratorSetChecksExit3:
+    """A generator set that fails its own count, relation or inverse check
+    is an internal invariant broken: ``analyze --witness`` exits 3."""
+
+    _run = TestLatticeChecksExit3._run
+
+    def test_generator_without_stored_inverse(self, tmp_path, capsys, monkeypatch):
+        def bare(g, node, target, side="right"):
+            return RaagAutomorphism(g, {node: generator(g, node) * generator(g, target)})
+
+        monkeypatch.setattr(autos_module, "transvection", bare)
+        assert self._run(tmp_path) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal invariant broken" in captured.err
+        assert "has no verified inverse" in captured.err
+
+    def test_generator_breaking_relations(self, tmp_path, capsys, monkeypatch):
+        # a -> a e, with e outside the star of a's neighbour b.
+        def far(g, node, target, side="right"):
+            x, e = generator(g, node), generator(g, "e")
+            return RaagAutomorphism(g, {node: x * e}, {node: x * e.inverse()})
+
+        monkeypatch.setattr(autos_module, "transvection", far)
+        assert self._run(tmp_path) == 3
+        captured = capsys.readouterr()
+        assert "internal invariant broken" in captured.err
+        assert "does not respect the relations" in captured.err
+
+    def test_generator_count_mismatch(self, g_p5):
+        dec = pieces(g_p5)
+        extra = dataclasses.replace(dec, pieces=dec.pieces + dec.pieces[:1])
+        with pytest.raises(StructureAnomalyError, match="generator count"):
+            build_generator_set(g_p5, gamma_zero(g_p5), extra)
+
+
 class TestProjection:
     def test_partial_conjugation_projects_at_c(self, g_p5):
         phi = partial_conjugation(g_p5, "b", ["d", "e"])
@@ -976,31 +1047,37 @@ class TestProjection:
     def test_local_inner_witness_exact(self, g_p5):
         phi = partial_conjugation(g_p5, "b", ["d", "e"])
         proj = project_local(phi, "c")
-        witness = local_inner_witness(proj)
+        witness = inner_conjugator(proj)
         assert witness is not None and str(witness) == "b"
         # A genuinely non-inner local action has no witness.
-        lk = project_local(identity_automorphism(g_p5), "c").free_graph
+        lk = project_local(identity_automorphism(g_p5), "c").graph
         swap = {"b": generator(lk, "d"), "d": generator(lk, "b")}
-        from raagvcd.autos import LocalProjection
+        assert inner_conjugator(RaagAutomorphism(lk, swap)) is None
 
-        assert local_inner_witness(LocalProjection("c", lk, swap)) is None
+    def test_projection_is_a_map_of_the_link_free_group(self, g_p5):
+        proj = project_local(partial_conjugation(g_p5, "b", ["d", "e"]), "c")
+        assert isinstance(proj, RaagAutomorphism)
+        assert proj.graph.nodes == ("b", "d") and not proj.graph.edges
+        assert proj.graph is project_local(identity_automorphism(g_p5), "c").graph
+        assert proj.moved_nodes() == ("d",)
+        assert proj.respects_relations()
 
 
 class TestLift:
     def test_lift_reproduces_partial_conjugation(self, g_p5):
-        lk = project_local(identity_automorphism(g_p5), "c").free_graph
+        lk = project_local(identity_automorphism(g_p5), "c").graph
         lifted = lift_local(
             g_p5, "c", {"b": empty_word(lk), "d": generator(lk, "b")}
         )
         assert lifted.equals(partial_conjugation(g_p5, "b", ["d", "e"]))
 
     def test_trivial_data_lifts_to_identity(self, g_p5):
-        lk = project_local(identity_automorphism(g_p5), "c").free_graph
+        lk = project_local(identity_automorphism(g_p5), "c").graph
         lifted = lift_local(g_p5, "c", {"b": empty_word(lk), "d": empty_word(lk)})
         assert lifted.is_identity()
 
     def test_lift_conjugates_whole_branch(self, g_p5):
-        lk = project_local(identity_automorphism(g_p5), "c").free_graph
+        lk = project_local(identity_automorphism(g_p5), "c").graph
         lifted = lift_local(
             g_p5, "c", {"b": generator(lk, "d"), "d": empty_word(lk)}
         )
@@ -1035,4 +1112,4 @@ class TestLift:
                     assert equal(back.images[w], expected)
                 for u in interior:
                     if u != v:
-                        assert local_inner_witness(project_local(lifted, u)) is not None
+                        assert inner_conjugator(project_local(lifted, u)) is not None

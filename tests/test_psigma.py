@@ -40,6 +40,18 @@ class TestFormula:
     def test_bad_k(self):
         with pytest.raises(PsigmaError):
             PsigmaSpec(3, 4)
+        # The spec and the formula share one check and its messages.
+        for n, k, message in [
+            (1, 0, "free group rank must be at least 2, got 1"),
+            (0, 0, "free group rank must be at least 2, got 0"),
+            (1, 5, "free group rank must be at least 2, got 1"),
+            (3, 4, "need 0 <= k <= n, got k=4, n=3"),
+            (3, -1, "need 0 <= k <= n, got k=-1, n=3"),
+        ]:
+            for build in (PsigmaSpec, psigma_vcd):
+                with pytest.raises(PsigmaError) as exc:
+                    build(n, k)
+                assert str(exc.value) == message
 
 
 class TestGenerators:
