@@ -57,6 +57,7 @@ from .graph_core import (
 from .words import (
     RaagWord,
     _equal_codes,
+    _front_positions,
     _inverse,
     _reduced_codes,
     _word,
@@ -315,18 +316,6 @@ def _verifies_conjugator(phi: RaagAutomorphism, cand: RaagWord) -> bool:
     )
 
 
-def _first_letters(g: DefiningGraph, codes: Sequence[int]) -> set[int]:
-    """Letters of a reduced word that shuffle to its front."""
-    star, bit = g.star, g.bit
-    before = 0
-    out = set()
-    for c in codes:
-        if not before & ~star[c]:
-            out.add(c)
-        before |= bit[c]
-    return out
-
-
 def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
     """Decide whether ``phi`` is inner: return a word ``g`` with
     ``phi(x) = g x g^-1`` for every generator, or ``None`` if there is none.
@@ -353,7 +342,7 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
     chosen: list[int] = []
     while any(img != (x,) for x, img in enumerate(images, 1)):
         length = sum(map(len, images))
-        firsts = set().union(*(_first_letters(g, img) for img in images))
+        firsts = {img[i] for img in images for i in _front_positions(g, img)}
         for a in sorted(firsts, key=lambda c: (abs(c), c)):
             trial = [tuple(_reduced_codes(g, (-a, *img, a))) for img in images]
             if sum(map(len, trial)) < length:

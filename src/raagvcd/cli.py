@@ -28,7 +28,6 @@ from .ideal_edges import (
     DEFAULT_SIMPLEX_CAP,
     HalfEdgeSet,
     build_complex,
-    check_half_edge_cap,
     morse_collapse_certificate,
     reduced_homology,
 )
@@ -184,18 +183,8 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
     if args.cap < 1:
         return _input_error(f"--cap must be at least 1, got {args.cap}")
     try:
-        if args.r >= 0 and args.s >= 0:
-            # Before any half-edge name is built: 2r + s can be huge.
-            check_half_edge_cap(2 * args.r + args.s)
         h = HalfEdgeSet.standard(args.r, args.s)
-        if h.size < 4:
-            # No ideal edges: the complex is empty, and its reduced homology
-            # (Z in degree -1) has no place in the output.
-            return _input_error(
-                f"ideal-complex needs at least 4 half-edges (2r + s), got {h.size}"
-            )
-        legal_only = not args.full
-        c = build_complex(h, legal_only=legal_only, max_simplices=args.cap)
+        c = build_complex(h, legal_only=not args.full, max_simplices=args.cap)
         # The ideal edges are the splits of the m half-edges into two sides
         # of at least two each, 2^(m-1) - m - 1 of them; the complex's
         # vertices are all of them with --full and the legal ones without.

@@ -50,7 +50,6 @@ names of a smaller structure, which name its certificate's base.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -66,6 +65,10 @@ class IdealEdgeError(GraphError):
 
 class SizeCapError(GraphError):
     """Enumeration beyond the desk-scale caps."""
+
+
+MAX_HALF_EDGES = 10
+DEFAULT_SIMPLEX_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,15 @@ class HalfEdgeSet:
 
     @staticmethod
     def standard(r: int, s: int) -> "HalfEdgeSet":
+        """Pairs ``a1/A1 .. ar/Ar`` and singles ``b1 .. bs``.  Negative
+        counts, then more than ``MAX_HALF_EDGES`` half-edges, are refused
+        before any name is built, so a huge ``2r + s`` costs nothing."""
         if r < 0 or s < 0:
             raise IdealEdgeError("pair/single counts must be nonnegative")
+        if 2 * r + s > MAX_HALF_EDGES:
+            raise SizeCapError(
+                f"{2 * r + s} half-edges exceeds the enumeration cap {MAX_HALF_EDGES}"
+            )
         return HalfEdgeSet(
             pairs=tuple((f"a{i}", f"A{i}") for i in range(1, r + 1)),
             singles=tuple(f"b{i}" for i in range(1, s + 1)),
@@ -214,13 +224,8 @@ def compatible(alpha: IdealEdge, beta: IdealEdge) -> bool:
 
 
 def enumerate_ideal_edges(h: HalfEdgeSet, legal_only: bool = False) -> list[IdealEdge]:
-    """All ideal edges in deterministic (size, lexicographic) order."""
-    if h.size < 4:
-        warnings.warn(
-            f"no ideal edges on {h.size} half-edges (need at least 4)",
-            stacklevel=2,
-        )
-        return []
+    """All ideal edges in deterministic (size, lexicographic) order; none
+    on fewer than 4 half-edges."""
     rest = sorted(h.universe - {h.basepoint})
     out: list[IdealEdge] = []
     for extra in range(1, h.size - 2):
@@ -288,15 +293,13 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
 
 def _compatibility_masks(vertices: Sequence[IdealEdge]) -> list[int]:
     """Bit ``j`` of entry ``i`` is set when vertices ``i != j`` are
-    compatible.
+    compatible; ``vertices`` is not empty.
 
     Built from ``holding[k]``, the vertices whose inside holds half-edge
     ``k``: the insides around vertex ``i`` hold all of its inside, those
     nested in it hold no half-edge outside it, and those covering the rest
     with it hold every half-edge outside it.
     """
-    if not vertices:
-        return []
     h = vertices[0].h
     for v in vertices[1:]:
         _same_structure(h, v.h)
@@ -321,20 +324,6 @@ def _compatibility_masks(vertices: Sequence[IdealEdge]) -> list[int]:
     return out
 
 
-MAX_HALF_EDGES = 10
-DEFAULT_SIMPLEX_CAP = 20000
-
-
-def check_half_edge_cap(size: int) -> None:
-    """Refuse ``size`` half-edges beyond ``MAX_HALF_EDGES``.  Callers that
-    take ``r`` and ``s`` from outside check ``2r + s`` before building any
-    half-edge name."""
-    if size > MAX_HALF_EDGES:
-        raise SizeCapError(
-            f"{size} half-edges exceeds the enumeration cap {MAX_HALF_EDGES}"
-        )
-
-
 def build_complex(
     h: HalfEdgeSet,
     legal_only: bool = False,
@@ -342,10 +331,19 @@ def build_complex(
 ) -> SimplicialComplex:
     """Flag complex on all (or only legal) ideal edges.
 
-    Enumeration is capped at ``MAX_HALF_EDGES`` half-edges and
-    ``max_simplices`` total simplices, vertices included.
+    ``h`` needs at least 4 half-edges, so that the complex has a vertex
+    (:class:`IdealEdgeError` otherwise), and at most ``MAX_HALF_EDGES``;
+    the complex is capped at ``max_simplices`` total simplices, vertices
+    included (:class:`SizeCapError` beyond either cap).
     """
-    check_half_edge_cap(h.size)
+    if h.size < 4:
+        raise IdealEdgeError(
+            f"a blow-up complex needs at least 4 half-edges (2r + s), got {h.size}"
+        )
+    if h.size > MAX_HALF_EDGES:
+        raise SizeCapError(
+            f"{h.size} half-edges exceeds the enumeration cap {MAX_HALF_EDGES}"
+        )
     vertices = tuple(enumerate_ideal_edges(h, legal_only))
     rows = tuple(_compatibility_masks(vertices))
     return SimplicialComplex(

@@ -284,14 +284,28 @@ def equal(w1: RaagWord, w2: RaagWord) -> bool:
     return _equal_codes(w1.graph, w1.codes, w2.codes)
 
 
+def _front_positions(g: DefiningGraph, codes: Sequence[int]) -> list[int]:
+    """Positions of the letters that shuffle to the front of ``codes``
+    (each commutes with every earlier letter), in one pass."""
+    star, bit = g.star, g.bit
+    before = 0
+    out = []
+    for i, c in enumerate(codes):
+        if not before & ~star[c]:
+            out.append(i)
+        before |= bit[c]
+    return out
+
+
 def cyclic_reduce(w: RaagWord) -> tuple[RaagWord, RaagWord]:
     """Split ``w`` as ``conjugator * core * conjugator**-1`` with cyclically
     reduced core.
 
-    A letter movable to the front (commuting with every earlier letter) that
-    cancels a letter movable to the end is extracted into the conjugator;
+    The first letter movable to the front whose inverse is movable to the
+    end is extracted into the conjugator with the leftmost such inverse;
     repeat to a fixpoint.  The core then admits no cancellation even across
-    the wrap.
+    the wrap.  In a reduced word the front letter comes before the end
+    letter, or the two would cancel.
 
     >>> from raagvcd.graph_core import DefiningGraph
     >>> g = DefiningGraph.from_edges([("a", "b"), ("b", "c")])
@@ -302,23 +316,14 @@ def cyclic_reduce(w: RaagWord) -> tuple[RaagWord, RaagWord]:
     g = w.graph
     codes = _reduced_codes(g, w.codes)
     conj: list[int] = []
-    while (pair := _cancelling_ends(g, codes)) is not None:
-        conj.append(codes[pair[0]])
-        codes = _reduced_codes(g, [c for m, c in enumerate(codes) if m not in pair])
+    while True:
+        last = len(codes) - 1
+        # The leftmost end position of each letter: later entries win.
+        ends = {codes[last - k]: last - k for k in _front_positions(g, codes[::-1])}
+        fronts = (i for i in _front_positions(g, codes) if -codes[i] in ends)
+        if (i := next(fronts, None)) is None:
+            break
+        j = ends[-codes[i]]
+        conj.append(codes[i])
+        codes = _reduced_codes(g, codes[:i] + codes[i + 1 : j] + codes[j + 1 :])
     return _word(g, tuple(_reduced_codes(g, conj))), _word(g, tuple(codes))
-
-
-def _cancelling_ends(g: DefiningGraph, codes: list[int]) -> tuple[int, int] | None:
-    """The first positions ``(i, j)`` of a letter movable to the front and
-    an inverse letter movable to the end, or ``None``."""
-    star, bit = g.star, g.bit
-    n = len(codes)
-    for i, c in enumerate(codes):
-        if any(not star[c] & bit[d] for d in codes[:i]):
-            continue  # not movable to the front
-        for j in range(n):
-            if j != i and codes[j] == -c and all(
-                star[c] & bit[codes[m]] for m in range(j + 1, n) if m != i
-            ):
-                return i, j
-    return None

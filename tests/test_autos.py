@@ -676,6 +676,52 @@ class TestCommutation:
         cert = gs.certificates[(min(i, j), max(i, j))]
         assert cert.exact
 
+    @staticmethod
+    def _two_generators(g, a, b):
+        """The generator set of ``g`` with ``a`` and ``b`` as its only
+        entries.  Every pair of a real generator set commutes exactly, so
+        only a set like this reaches the commutator and its decision."""
+        gs = build_generator_set(g, certify=False)
+        entries = tuple(
+            dataclasses.replace(gs.entries[0], automorphism=phi) for phi in (a, b)
+        )
+        return dataclasses.replace(gs, entries=entries)
+
+    def test_inner_commutator_certified_by_its_conjugator(self, g_p5):
+        # e -> e d against conjugation by e: the commutator is conjugation
+        # by d.
+        gs = self._two_generators(
+            g_p5,
+            transvection(g_p5, "e", "d", "right"),
+            inner_automorphism(g_p5, generator(g_p5, "e")),
+        )
+        certs = verify_commuting(gs)
+        cert = certs[(0, 1)]
+        assert not cert.exact and cert.certified
+        assert str(cert.conjugator) == "d"
+        assert cert.to_dict() == {
+            "pair": [0, 1],
+            "conjugator": "d",
+            "exact": False,
+            "certified": True,
+        }
+        assert dataclasses.replace(gs, certificates=certs).uncertified_pairs() == []
+
+    def test_outer_commutator_uncertified(self, g_c5l):
+        # u -> v2 u against u -> v5 u: the commutator sends u alone to
+        # v5^-1 v2^-1 v5 v2 u, so it is not inner.
+        gs = self._two_generators(
+            g_c5l,
+            transvection(g_c5l, "u", "v2", "left"),
+            transvection(g_c5l, "u", "v5", "left"),
+        )
+        certs = verify_commuting(gs)
+        cert = certs[(0, 1)]
+        assert not cert.exact and not cert.certified
+        assert cert.to_dict()["conjugator"] is None
+        with_certs = dataclasses.replace(gs, certificates=certs)
+        assert with_certs.uncertified_pairs() == [(0, 1)]
+
 
 class TestInnerLattice:
     def test_independence_modulo_lattice_on_c5l(self, g_c5l):

@@ -40,6 +40,26 @@ class TestAnalyze:
         assert ws["outer_rank"] == 5
         assert all(c["certified"] for c in ws["commutation_certificates"])
 
+    def test_witness_reports_uncertified_pairs(self, p5_file, capsys, monkeypatch):
+        import dataclasses
+
+        from raagvcd import autos
+        from raagvcd import cli as cli_module
+
+        def one_uncertified(*args, **kwargs):
+            gs = autos.build_generator_set(*args, **kwargs)
+            certs = dict(gs.certificates)
+            first = min(certs)
+            certs[first] = dataclasses.replace(
+                certs[first], conjugator=None, exact=False
+            )
+            return dataclasses.replace(gs, certificates=certs)
+
+        monkeypatch.setattr(cli_module, "build_generator_set", one_uncertified)
+        assert main(["analyze", p5_file, "--witness"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "commutation certificates: 1 pairs UNCERTIFIED"
+
     @pytest.mark.parametrize("witness", [False, True])
     def test_analyze_builds_one_context_per_graph(self, tmp_path, monkeypatch, witness):
         # The structure layer and, with --witness, words and automorphisms
@@ -289,14 +309,15 @@ class TestUpperCaps:
         "r,s", [(5, 1), (0, 11), (1000000, 0), (10**30, 10**30)]
     )
     def test_half_edge_cap_before_any_half_edge(self, capsys, monkeypatch, r, s):
-        # 2r + s is checked before the half-edge names are built, so a huge
-        # count exits at once instead of building millions of names.
+        # ``HalfEdgeSet.standard`` checks 2r + s before it builds the
+        # half-edge names, so a huge count exits at once instead of building
+        # millions of names.
         from raagvcd.ideal_edges import HalfEdgeSet
 
         def forbidden(*args, **kwargs):
             raise AssertionError("half-edges built before the cap check")
 
-        monkeypatch.setattr(HalfEdgeSet, "standard", staticmethod(forbidden))
+        monkeypatch.setattr(HalfEdgeSet, "__init__", forbidden)
         assert main(["ideal-complex", str(r), str(s), "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
@@ -539,6 +560,9 @@ GOLDEN_SHA256 = {
     "grid_3x3": "2ecb9f62f26f547161c0d5763ac3a58e92964c088d12adc60a64fd2dc2e80cf0",
     "c5l": "c7f478b322a789d5ba8b64bf915c96343538ce7d6a198346cda9e5adb856fbb6",
     "psigma_10_5": "f25b88afb09a0cfb80b1a98aef71c90763b45c3110a9335f43e59779195e3906",
+    "spider_5_3_text": "6911f1680640e642bc6c76becb3a05e7d996940633b6b201e8c3f143f6e841e6",
+    "grid_3x3_text": "907a8fffe66149404c53720bbe70a9f89554b544baa01c6618b2957711fe6557",
+    "c5l_text": "d2888a1a29cf57ff31846caaa9a3a5e006a439fc54e6a4e8fb6df15c90fb344d",
 }
 
 # sha256 of the stdout of ``ideal-complex``, JSON and text; pinned so that
@@ -591,6 +615,23 @@ class TestGoldenOutput:
         assert main(["analyze", str(path), "--witness", "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+    @pytest.mark.parametrize(
+        "name, edges",
+        [
+            ("spider_5_3", _spider_5_3_edges()),
+            ("grid_3x3", _grid_3x3_edges()),
+            ("c5l", _C5L_EDGES),
+        ],
+    )
+    def test_witness_text(self, tmp_path, capsys, name, edges):
+        path = tmp_path / f"{name}.graph"
+        path.write_text(_edge_text(edges))
+        assert main(["analyze", str(path), "--witness"]) == 0
+        out = capsys.readouterr().out
+        assert "commutation certificates: all pairs certified" in out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == GOLDEN_SHA256[f"{name}_text"]
 
     def test_psigma_json(self, capsys):
         assert main(["psigma", "10", "5", "--json"]) == 0

@@ -66,10 +66,12 @@ class TestEnumeration:
         assert len(edges) == 3
         assert all(e.legal for e in edges)
 
-    def test_too_small_warns_and_returns_empty(self):
-        h = HalfEdgeSet.standard(1, 1)
-        with pytest.warns(UserWarning):
+    def test_too_small_returns_empty(self, recwarn):
+        for r, s in [(1, 1), (0, 3), (1, 0), (0, 1)]:
+            h = HalfEdgeSet.standard(r, s)
             assert enumerate_ideal_edges(h) == []
+            assert enumerate_ideal_edges(h, legal_only=True) == []
+        assert len(recwarn) == 0
 
     def test_legality_filter_never_passes_double_splits(self):
         for r, s in [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]:
@@ -164,8 +166,29 @@ class TestComplex:
     def test_size_caps(self):
         with pytest.raises(SizeCapError):
             build_complex(HalfEdgeSet.standard(5, 1))  # 11 half-edges
+        # A hand-built set skips ``standard``; the complex keeps its own cap.
+        eleven = HalfEdgeSet(pairs=(), singles=tuple(f"h{i}" for i in range(11)))
+        with pytest.raises(SizeCapError, match="11 half-edges exceeds the .* cap 10"):
+            build_complex(eleven)
         with pytest.raises(SizeCapError):
             build_complex(HalfEdgeSet.standard(3, 2), max_simplices=10)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            HalfEdgeSet.standard(1, 1),
+            HalfEdgeSet.standard(0, 3),
+            HalfEdgeSet(pairs=(("p", "q"),), singles=("z",)),
+            HalfEdgeSet.standard(0, 1),
+        ],
+        ids=["1-1", "0-3", "hand-built", "0-1"],
+    )
+    @pytest.mark.parametrize("legal_only", [False, True])
+    def test_fewer_than_four_half_edges_refused(self, h, legal_only):
+        # No ideal edge exists on them: the complex would be empty, with
+        # reduced homology Z in degree -1.
+        with pytest.raises(IdealEdgeError, match="at least 4 half-edges"):
+            build_complex(h, legal_only=legal_only)
 
 
 class TestHomology:

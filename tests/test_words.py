@@ -472,6 +472,49 @@ class TestCyclicReduce:
             assert again_conj.is_empty
             assert canonical(again_core).letters == canonical(core).letters
 
+    @pytest.mark.parametrize("graph", ["g_grid", "g_c5l", "p4"])
+    def test_matches_the_pair_search(self, request, graph):
+        # Conjugated random words, so that most have something to extract.
+        if graph == "p4":
+            g = DefiningGraph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+        else:
+            g = request.getfixturevalue(graph)
+        rng = random.Random(43)
+        for _ in range(400):
+            outer = random_word(g, rng, rng.randrange(4))
+            w = outer * random_word(g, rng, rng.randrange(16)) * outer.inverse()
+            conj, core = cyclic_reduce(w)
+            assert (conj.codes, core.codes) == reference_cyclic_reduce(w)
+
+
+def reference_cyclic_reduce(w):
+    """Cyclic reduction by the direct pair search: the first letter that
+    shuffles to the front with the first inverse letter that shuffles to the
+    end, each checked against every letter in its way."""
+    from raagvcd.words import _reduced_codes
+
+    g = w.graph
+    star, bit = g.star, g.bit
+
+    def cancelling_ends(codes):
+        n = len(codes)
+        for i, c in enumerate(codes):
+            if any(not star[c] & bit[d] for d in codes[:i]):
+                continue
+            for j in range(n):
+                if j != i and codes[j] == -c and all(
+                    star[c] & bit[codes[m]] for m in range(j + 1, n) if m != i
+                ):
+                    return i, j
+        return None
+
+    codes = _reduced_codes(g, w.codes)
+    conj = []
+    while (pair := cancelling_ends(codes)) is not None:
+        conj.append(codes[pair[0]])
+        codes = _reduced_codes(g, [c for m, c in enumerate(codes) if m not in pair])
+    return tuple(_reduced_codes(g, conj)), tuple(codes)
+
 
 class TestValidation:
     """The public constructors still check every letter; only internal
