@@ -325,7 +325,8 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
     ``x -> a^-1 phi(x) a`` for the first candidate ``a`` that lowers ``L``,
     the candidates being the first letters of the images in (name,
     exponent) order.  The answer is the product of the chosen letters,
-    verified once against every generator.
+    verified once against every generator; a failed verification raises
+    :class:`StructureAnomalyError`.
 
     The decision is exact on every defining graph.  If ``phi`` is inner, let
     ``g`` be a shortest conjugator.  Its first letter ``a`` is not central,
@@ -353,7 +354,7 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
             return None
     conjugator = _word(g, tuple(_reduced_codes(g, chosen)))
     if not _verifies_conjugator(phi, conjugator):
-        raise AutomorphismError(
+        raise StructureAnomalyError(
             f"length descent produced {conjugator}, which fails verification"
         )
     return conjugator

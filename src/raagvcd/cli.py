@@ -3,9 +3,12 @@
 Four commands: ``analyze`` a graph file, ``psigma`` for the free-group
 family, ``ideal-complex`` for the blow-up complexes, and ``verify`` to run
 the invariant suite over a generated corpus.  Exit codes: 0 success,
-1 parse or usage failure, 2 ineligible graph, 3 invariant violation found
-by verify or an internal invariant broken during analyze, psigma or
-ideal-complex.
+1 parse, usage or input failure, 2 ineligible graph, 3 invariant violation
+found by verify or an internal invariant broken in any command (a failed
+word-equality cross-check or conjugator verification included).
+
+:func:`main` is the one place that turns errors into exit codes; each
+command keeps its happy path and its refusals of out-of-range flags.
 """
 from __future__ import annotations
 
@@ -16,11 +19,10 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .autos import AutomorphismError, build_generator_set, default_choices
+from .autos import build_generator_set, default_choices
 from .graph_core import (
     GraphError,
     IneligibleGraphError,
-    ParseError,
     StructureAnomalyError,
     parse_graph,
 )
@@ -31,7 +33,7 @@ from .ideal_edges import (
     morse_collapse_certificate,
     reduced_homology,
 )
-from .psigma import PsigmaError, PsigmaSpec, psigma_generators, psigma_vcd, outer_rank
+from .psigma import PsigmaSpec, psigma_generators, psigma_vcd, outer_rank
 from .vcd_bounds import vcd_report
 
 EXIT_OK = 0
@@ -95,49 +97,24 @@ def _input_error(message: str) -> int:
     return EXIT_PARSE
 
 
-def _internal_error(exc: StructureAnomalyError) -> int:
-    print(f"internal invariant broken: {exc}", file=sys.stderr)
-    return EXIT_VIOLATION
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.e0 is not None and not args.witness:
         return _input_error("--e0 chooses the witness base edge and needs --witness")
     try:
         text = Path(args.path).read_text(encoding="utf-8")
-        g = parse_graph(text)
-    except (OSError, ParseError) as exc:
-        return _input_error(str(exc))
     except UnicodeDecodeError as exc:
         return _input_error(f"{args.path}: not UTF-8 text ({exc})")
+    g = parse_graph(text)
     base_edge = tuple(args.e0.split(",")) if args.e0 is not None else None
     if base_edge is not None and len(base_edge) != 2:
         return _input_error(f"--e0 expects two nodes A,B, got {args.e0!r}")
-    try:
-        report = vcd_report(g)
-    except IneligibleGraphError as exc:
-        payload = exc.report.to_dict()
-        _emit(
-            payload,
-            args.json,
-            lambda p: "graph not eligible: " + exc.report.failure_summary(),
-        )
-        return EXIT_INELIGIBLE
-    except StructureAnomalyError as exc:
-        return _internal_error(exc)
-
+    report = vcd_report(g)
     payload = report.to_dict()
     if args.witness:
         core = report.core
         decomposition = report.decomposition
-        try:
-            choices = default_choices(g, core, decomposition, base_edge=base_edge)
-        except AutomorphismError as exc:
-            return _input_error(str(exc))
-        try:
-            gs = build_generator_set(g, core, decomposition, choices)
-        except StructureAnomalyError as exc:
-            return _internal_error(exc)
+        choices = default_choices(g, core, decomposition, base_edge=base_edge)
+        gs = build_generator_set(g, core, decomposition, choices)
         payload["witness_set"] = gs.to_dict()
     _emit(payload, args.json, _render_report)
     return EXIT_OK
@@ -146,22 +123,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_psigma(args: argparse.Namespace) -> int:
     if args.n > MAX_PSIGMA_RANK:
         return _input_error(f"psigma N must be at most {MAX_PSIGMA_RANK}, got {args.n}")
-    try:
-        spec = PsigmaSpec(args.n, args.k)
-        payload: dict = {
-            "n": spec.n,
-            "k": spec.k,
-            "vcd": psigma_vcd(spec.n, spec.k),
-        }
-        if spec.k >= 1:
-            gens = psigma_generators(spec)
-            payload["generators"] = [name for name, _ in gens]
-            payload["generator_count"] = len(gens)
-            payload["outer_rank"] = outer_rank(spec, gens)
-    except PsigmaError as exc:
-        return _input_error(str(exc))
-    except StructureAnomalyError as exc:
-        return _internal_error(exc)
+    spec = PsigmaSpec(args.n, args.k)
+    payload: dict = {
+        "n": spec.n,
+        "k": spec.k,
+        "vcd": psigma_vcd(spec.n, spec.k),
+    }
+    if spec.k >= 1:
+        gens = psigma_generators(spec)
+        payload["generators"] = [name for name, _ in gens]
+        payload["generator_count"] = len(gens)
+        payload["outer_rank"] = outer_rank(spec, gens)
 
     def render(p: dict) -> str:
         lines = [f"PSigma({p['n']},{p['k']}): vcd = {p['vcd']}"]
@@ -182,35 +154,30 @@ def _cmd_psigma(args: argparse.Namespace) -> int:
 def _cmd_ideal_complex(args: argparse.Namespace) -> int:
     if args.cap < 1:
         return _input_error(f"--cap must be at least 1, got {args.cap}")
-    try:
-        h = HalfEdgeSet.standard(args.r, args.s)
-        c = build_complex(h, legal_only=not args.full, max_simplices=args.cap)
-        # The ideal edges are the splits of the m half-edges into two sides
-        # of at least two each, 2^(m-1) - m - 1 of them; the complex's
-        # vertices are all of them with --full and the legal ones without.
-        legal_edges = (
-            sum(1 for v in c.vertices if v.legal) if args.full else len(c.vertices)
-        )
-        payload = {
-            "r": args.r,
-            "s": args.s,
-            "half_edges": h.size,
-            "ideal_edges": 2 ** (h.size - 1) - h.size - 1,
-            "legal_ideal_edges": legal_edges,
-            "complex": "full" if args.full else "legal",
-            "counts": list(c.counts()),
-            "dim": c.dim,
-        }
-        if not args.no_homology:
-            hom = reduced_homology(c)
-            payload["homology"] = hom.to_dict()
-        if not args.full and args.r >= 2:
-            cert = morse_collapse_certificate(c)
-            payload["collapse_certificate"] = cert.to_dict()
-    except StructureAnomalyError as exc:
-        return _internal_error(exc)
-    except GraphError as exc:
-        return _input_error(str(exc))
+    h = HalfEdgeSet.standard(args.r, args.s)
+    c = build_complex(h, legal_only=not args.full, max_simplices=args.cap)
+    # The ideal edges are the splits of the m half-edges into two sides
+    # of at least two each, 2^(m-1) - m - 1 of them; the complex's
+    # vertices are all of them with --full and the legal ones without.
+    legal_edges = (
+        sum(1 for v in c.vertices if v.legal) if args.full else len(c.vertices)
+    )
+    payload = {
+        "r": args.r,
+        "s": args.s,
+        "half_edges": h.size,
+        "ideal_edges": 2 ** (h.size - 1) - h.size - 1,
+        "legal_ideal_edges": legal_edges,
+        "complex": "full" if args.full else "legal",
+        "counts": list(c.counts()),
+        "dim": c.dim,
+    }
+    if not args.no_homology:
+        hom = reduced_homology(c)
+        payload["homology"] = hom.to_dict()
+    if not args.full and args.r >= 2:
+        cert = morse_collapse_certificate(c)
+        payload["collapse_certificate"] = cert.to_dict()
 
     def render(p: dict) -> str:
         lines = [
@@ -319,8 +286,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and map its failure, if any, to an exit code: an
+    ineligible graph prints its validation report (2), a broken internal
+    invariant one line (3), and any other graph error or an unreadable
+    graph file one ``error:`` line (1)."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IneligibleGraphError as exc:
+        summary = "graph not eligible: " + exc.report.failure_summary()
+        _emit(exc.report.to_dict(), args.json, lambda p: summary)
+        return EXIT_INELIGIBLE
+    except StructureAnomalyError as exc:
+        print(f"internal invariant broken: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except (GraphError, OSError) as exc:
+        return _input_error(str(exc))
 
 
 if __name__ == "__main__":

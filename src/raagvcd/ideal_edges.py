@@ -40,8 +40,9 @@ collapse step is replayed with one mask test before the core is used.
 Everything on this path is an integer bitmask: an ideal edge carries the
 mask of its inside over the half-edges, compatibility is a subset or
 covering test on two masks, a simplex is the mask of its vertex indices,
-the certificate replays the collapse on masks of vertices, and it matches
-a maximal vertex's link with the smaller structure by relabelling masks.
+the certificate checks that its vertices are the legal masks, each once,
+and replays the collapse on them, and it matches a maximal vertex's link
+with the smaller structure by relabelling masks.
 A complex keeps only its compatibility rows and its simplex count per
 dimension, refused above its simplex cap; its simplices are listed on
 demand.  Frozensets and vertex tuples appear only at the API edges
@@ -550,8 +551,11 @@ def flag_homology(rows: Sequence[int], dim: int) -> HomologySummary:
 
     It is computed on the cliques of the core that the replay of
     :func:`flag_collapse` leaves, and padded with zeros to ``dim``.  When
-    nothing collapses, the core is the whole graph.
+    nothing collapses, the core is the whole graph.  A graph with no vertex
+    is refused: the empty complex has reduced homology Z in degree -1.
     """
+    if not rows:
+        raise IdealEdgeError("the empty complex has reduced homology Z in degree -1")
     core = replay_flag_collapse(rows, flag_collapse(rows).steps)
     hom = reduced_homology_of_chain(_clique_levels(core.rows, core.alive))
     pad = dim + 1 - len(hom.reduced_betti)
@@ -696,11 +700,19 @@ def morse_collapse_certificate(c: SimplicialComplex) -> MorseCertificate:
     when there are singles) instead have their entire link identified with
     the legal complex one single smaller, which is certified recursively.
     """
-    if c.h.r < 2:
+    h, vertices = c.h, c.vertices
+    if h.r < 2:
         raise IdealEdgeError("collapse certificate requires at least two pairs")
-    if set(c.vertices) != set(enumerate_ideal_edges(c.h, legal_only=True)):
+    # An inside holding the basepoint splits at most one pair in
+    # (r + 1) * 2^(r+s-1) ways; m + 1 of them leave a side of fewer than two
+    # half-edges: the basepoint alone, everything, and everything but one.
+    legal = (h.r + 1) * 2 ** (h.r + h.s - 1) - h.size - 1
+    if not (
+        len(vertices) == len({v.mask for v in vertices}) == legal
+        and all(v.h == h and v.legal for v in vertices)
+    ):
         raise IdealEdgeError("certificate requires the legal complex")
-    return _certify(c.h, c.vertices, c.rows, {})
+    return _certify(h, vertices, c.rows, {})
 
 
 # Per structure (r, s) met in one certificate: the vertex index by mask, the
@@ -733,11 +745,12 @@ def _certify(
     near = [row | 1 << i for i, row in enumerate(rows)]
     a = h.basepoint
     partner = h.partner(a)
-    assert partner is not None
+    if partner is None:
+        raise StructureAnomalyError(f"basepoint {a} has no partner")
     cone_extra = partner if h.s == 0 else h.singles[0]
     base = IdealEdge(h, frozenset((a, cone_extra)))
     if base.mask not in index:
-        raise IdealEdgeError("base ideal edge is missing from the legal complex")
+        raise StructureAnomalyError("base ideal edge is missing from the legal complex")
 
     # Heights: 0 on the base star, the size elsewhere.  below[k] holds the
     # vertices of height < k, sized[k] those off the star of size k.

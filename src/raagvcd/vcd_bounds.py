@@ -16,9 +16,9 @@ from typing import Mapping
 from .graph_core import (
     CoreSubgraph,
     DefiningGraph,
+    GraphError,
     PieceDecomposition,
     StructureAnomalyError,
-    TieBreak,
     ValidationReport,
     domination_order,
     gamma_zero,
@@ -177,7 +177,7 @@ def unique_cycle_length(g: DefiningGraph) -> int:
     """Length of the unique simple cycle of a connected graph with Euler
     characteristic zero, found by peeling leaves."""
     if g.euler_characteristic != 0:
-        raise ValueError("graph does not have Euler characteristic zero")
+        raise GraphError("graph does not have Euler characteristic zero")
     degrees = {v: g.degree(v) for v in g.nodes}
     alive = set(g.nodes)
     frontier = [v for v in alive if degrees[v] == 1]
@@ -192,7 +192,7 @@ def unique_cycle_length(g: DefiningGraph) -> int:
     return len(alive)
 
 
-def vcd_report(g: DefiningGraph, tie_break: TieBreak | None = None) -> VcdReport:
+def vcd_report(g: DefiningGraph) -> VcdReport:
     """Run the full pipeline and assemble the report.
 
     Raises :class:`IneligibleGraphError` when a hypothesis fails (star
@@ -201,7 +201,7 @@ def vcd_report(g: DefiningGraph, tie_break: TieBreak | None = None) -> VcdReport
     """
     validation = require_eligible(g)
     order = domination_order(g)
-    core = gamma_zero(g, order, tie_break)
+    core = gamma_zero(g, order)
     if not core.spans_connected:
         raise StructureAnomalyError(
             "representatives of maximal classes span a disconnected subgraph"

@@ -28,17 +28,13 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .graph_core import DefiningGraph, GraphError
+from .graph_core import DefiningGraph, GraphError, StructureAnomalyError
 
 Letter = tuple[str, int]
 
 
 class WordError(GraphError):
     """Bad word: unknown letter, malformed syntax, or graph mismatch."""
-
-
-class ReductionAnomalyError(GraphError):
-    """The two equality routes disagreed; indicates an internal bug."""
 
 
 class RaagWord:
@@ -266,7 +262,7 @@ def _equal_codes(g: DefiningGraph, u: Sequence[int], v: Sequence[int]) -> bool:
     u, v = _reduced_codes(g, u), _reduced_codes(g, v)
     via_canonical = u == v or _canonical_codes(g, u) == _canonical_codes(g, v)
     if via_product != via_canonical:
-        raise ReductionAnomalyError(
+        raise StructureAnomalyError(
             f"equality routes disagree on {_word(g, tuple(u))} vs "
             f"{_word(g, tuple(v))}: product={via_product} canonical={via_canonical}"
         )
@@ -277,8 +273,8 @@ def equal(w1: RaagWord, w2: RaagWord) -> bool:
     """Group equality, decided twice and cross-checked.
 
     Route one reduces ``w1 * w2**-1`` and asks for the empty word; route two
-    compares canonical forms.  A disagreement raises, since it would mean the
-    reduction machinery is broken.
+    compares canonical forms.  A disagreement would mean the reduction
+    machinery is broken, and raises :class:`StructureAnomalyError`.
     """
     _require_same_graph(w1, w2)
     return _equal_codes(w1.graph, w1.codes, w2.codes)

@@ -137,6 +137,12 @@ class TestInnerBounded:
         assert found is not None
         assert equal(found, w)
 
+    def test_failed_verification_is_a_structure_anomaly(self, g_c5l, monkeypatch):
+        phi = inner_automorphism(g_c5l, parse_word(g_c5l, "v3 v1 v2"))
+        monkeypatch.setattr(autos_module, "_verifies_conjugator", lambda phi, w: False)
+        with pytest.raises(StructureAnomalyError, match="fails verification"):
+            inner_conjugator(phi)
+
 
 @functools.cache
 def _reduced_words(g, bound):

@@ -291,13 +291,14 @@ def test_certificate_matches_reference(r, s):
 def test_certificate_matches_reference_on_all_ideal_edges(monkeypatch, r, s):
     # With every ideal edge taken as a vertex the collapse fails: apexes are
     # illegal or not bipartitions, and maximal links differ from the smaller
-    # structure.
+    # structure.  morse_collapse_certificate refuses that complex at the
+    # door, so the replay is called directly.
     def every_edge(h, legal_only=False):
         return enumerate_ideal_edges(h)
 
     monkeypatch.setattr(ideal_edges, "enumerate_ideal_edges", every_edge)
     h = HalfEdgeSet.standard(r, s)
     c = build_complex(h, max_simplices=CAP)
-    cert = morse_collapse_certificate(c)
+    cert = ideal_edges._certify(c.h, c.vertices, c.rows, {})
     assert cert == ref_certify(h, {})
     assert not cert.ok and cert.failures

@@ -526,6 +526,63 @@ class TestAnalyzeErrors:
         assert "internal invariant broken: forced" in capsys.readouterr().err
 
 
+class TestExitCodes:
+    """``main`` maps every command's errors to one exit code each."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "GRID", "--witness"],
+            ["psigma", "4", "2"],
+            ["verify", "--max-nodes", "4"],
+        ],
+    )
+    def test_failed_equality_cross_check_exits_3(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        from raagvcd import autos, words
+
+        def disagreeing(g, u, v):
+            # The words layer's own cross-check, run on two distinct
+            # generators whose canonical forms are made to match.
+            with monkeypatch.context() as m:
+                m.setattr(words, "_canonical_codes", lambda g, codes: [])
+                return words._equal_codes(g, (1,), (2,))
+
+        monkeypatch.setattr(autos, "_equal_codes", disagreeing)
+        grid = tmp_path / "grid.graph"
+        grid.write_text(_edge_text(_grid_3x3_edges()))
+        argv = [str(grid) if a == "GRID" else a for a in argv]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal invariant broken: equality routes disagree on "
+        )
+        assert len(captured.err.splitlines()) == 1
+
+    def test_ineligible_json_report_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "star.graph"
+        path.write_text("edge a b\nedge a c\nedge a d\n")
+        assert main(["analyze", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "eligible": False,
+            "is_connected": True,
+            "is_star": True,
+            "square_free": True,
+            "triangle_free": True,
+        }
+        assert captured.err == ""
+
+    def test_unreadable_graph_file_exits_1(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
 def _edge_text(edges):
     return "".join(f"edge {a} {b}\n" for a, b in edges)
 

@@ -3,6 +3,7 @@ and against a dense reduction of the full boundary matrices."""
 
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -195,3 +196,45 @@ def test_invariant_factors_of_diagonal_matrix():
     red = reduce_boundary(2, 2, {(0, 0): 2, (1, 1): 3})
     assert red.rank == 2
     assert red.torsion == (6,)
+
+
+def determinant(m):
+    """By expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * determinant([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def determinant_divisor_reduction(mat):
+    """Rank and torsion from the determinant divisors: d_k is the gcd of the
+    k x k minors, the k-th invariant factor is d_k / d_(k-1), and the rank
+    is the largest k with d_k != 0."""
+    m, n = len(mat), len(mat[0])
+    factors, previous = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                d = gcd(d, determinant([[mat[i][j] for j in cols] for i in rows]))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return BoundaryReduction(len(factors), tuple(f for f in factors if f > 1))
+
+
+def test_smith_reduction_matches_determinant_divisors():
+    rng = random.Random(2009)
+    for _ in range(400):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [
+            [rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        entries = {
+            (i, j): v for i, row in enumerate(mat) for j, v in enumerate(row) if v
+        }
+        assert reduce_boundary(m, n, entries) == determinant_divisor_reduction(mat), mat

@@ -285,6 +285,37 @@ class TestMorseCertificate:
         with pytest.raises(IdealEdgeError):
             morse_collapse_certificate(c)
 
+    def test_legal_count_closed_form(self):
+        for m in range(4, 11):
+            for r in range(1, m // 2 + 1):
+                s = m - 2 * r
+                h = HalfEdgeSet.standard(r, s)
+                legal = enumerate_ideal_edges(h, legal_only=True)
+                assert len(legal) == (r + 1) * 2 ** (r + s - 1) - m - 1, (r, s)
+
+    def test_refuses_near_legal_vertex_sets(self):
+        # One vertex short, a repeated vertex, an illegal one and one over
+        # another half-edge set: each fails exactly one of the door checks.
+        c = build_complex(HalfEdgeSet.standard(2, 2), legal_only=True)
+        legal = list(c.vertices)
+        illegal = next(e for e in enumerate_ideal_edges(c.h) if not e.legal)
+        other = HalfEdgeSet(pairs=(("a1", "A1"), ("a2", "A2")), singles=("c1", "c2"))
+        foreign = IdealEdge(
+            other, frozenset(x.replace("b", "c") for x in legal[-1].inside)
+        )
+        assert foreign.mask == legal[-1].mask
+        for vertices in (
+            legal[1:],
+            [legal[0], *legal[:-1]],
+            [illegal, *legal[1:]],
+            [*legal[:-1], foreign],
+        ):
+            bad = ideal_edges.SimplicialComplex(
+                c.h, tuple(vertices), c.rows, c.clique_counts
+            )
+            with pytest.raises(IdealEdgeError, match="requires the legal complex"):
+                morse_collapse_certificate(bad)
+
     def test_maximal_link_compatibility_is_read_from_the_rows(self):
         # Drop one edge inside the link of a maximal vertex off the base
         # star: the link no longer matches the smaller structure's
@@ -378,6 +409,11 @@ class TestFlagCollapse:
         hom = flag_homology(rows, len(levels) - 1)
         assert hom.reduced_betti == betti
         assert hom == reduced_homology_of_chain(levels)
+
+    def test_empty_graph_refused(self):
+        # The empty complex has reduced homology Z in degree -1.
+        with pytest.raises(IdealEdgeError, match="degree -1"):
+            flag_homology([], -1)
 
     def test_random_graphs_match_all_simplex_homology(self):
         cores = set()

@@ -4,6 +4,7 @@ import pytest
 
 from raagvcd.graph_core import (
     DefiningGraph,
+    GraphError,
     IneligibleGraphError,
     StructureAnomalyError,
     gamma_zero,
@@ -149,6 +150,15 @@ class TestReport:
         assert report.upper.value == report2.upper.value
         assert report.exact == report2.exact
         assert report.applicable == report2.applicable
+
+    def test_unique_cycle_length_needs_chi_zero(self, g_p5):
+        # A tree (chi = 1) and two squares sharing a path (chi = -1).
+        theta = DefiningGraph.from_edges(
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e"), ("e", "c")]
+        )
+        for g in (g_p5, theta):
+            with pytest.raises(GraphError, match="Euler characteristic zero"):
+                unique_cycle_length(g)
 
     def test_square_with_trees_cycle_tag(self):
         for g in squares_with_trees():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from raagvcd.corpus import spider
-from raagvcd.graph_core import DefiningGraph
+from raagvcd import words
+from raagvcd.graph_core import DefiningGraph, StructureAnomalyError
 from raagvcd.words import (
     RaagWord,
     WordError,
@@ -139,6 +140,14 @@ class TestEqual:
             w = random_word(g_p5, rng, 4)
             assert equal(u * w, v * w)
             assert equal(w * u, w * v)
+
+    def test_disagreeing_routes_raise_structure_anomaly(self, g_p5, monkeypatch):
+        # Canonical forms that always match make the routes disagree on
+        # unequal words; equal ones still agree.
+        monkeypatch.setattr(words, "_canonical_codes", lambda g, codes: [])
+        assert equal(parse_word(g_p5, "a b"), parse_word(g_p5, "b a"))
+        with pytest.raises(StructureAnomalyError, match="equality routes disagree"):
+            equal(parse_word(g_p5, "a c"), parse_word(g_p5, "c a"))
 
 
 class TestCanonical:
