@@ -6,10 +6,11 @@ of the standard commuting generator set (partial conjugations plus
 transvections onto nodes outside the core subgraph) with an innerness
 decision for every commutator, the exact inner rank (one integer solve,
 :func:`inner_vectors`, which :func:`inner_lattice` and the partially
-symmetric family share) that turns that set into a lower-bound witness, and
-the projection to / lift from the free groups on vertex links used in the
-tree case.  A projection is itself a :class:`RaagAutomorphism`, over the
-edgeless graph on the link: an automorphism of the link's free group.
+symmetric family share, on the echelon of :mod:`raagvcd.zmatrix`) that
+turns that set into a lower-bound witness, and the projection to / lift
+from the free groups on vertex links used in the tree case.  A projection
+is itself a :class:`RaagAutomorphism`, over the edgeless graph on the
+link: an automorphism of the link's free group.
 
 Conventions fixed once here: ``compose(phi, psi)`` applies ``psi`` first,
 and conjugation by a word ``w`` sends ``x`` to ``w x w^-1``.
@@ -65,6 +66,7 @@ from .words import (
     equal,
     generator,
 )
+from .zmatrix import echelon
 
 Images = dict[int, tuple[int, ...]]
 
@@ -763,51 +765,24 @@ def _solve_over_z(
     """For each right-hand side ``b``, the integer vector ``e`` with
     ``sum_i e[i] * columns[i] == b``, or ``None`` if there is none.
 
-    One elimination with integer row operations serves every right-hand
-    side: a column takes a pivot row with entry +-1 when it has one, and
-    otherwise the rows are combined by Euclid's algorithm until one holds
-    the gcd.  Both keep the set of integer solutions, so back substitution
-    that divides exactly finds the solution whenever there is one.  The
-    columns must be independent, which makes that solution unique; if they
-    are not, :class:`StructureAnomalyError` is raised.
+    One :func:`~raagvcd.zmatrix.echelon` over the unknowns' columns serves
+    every right-hand side.  Its integer row operations keep the set of
+    integer solutions, so back substitution that divides exactly finds the
+    solution whenever there is one.  The columns must be independent, which
+    makes that solution unique; if they are not (a column has no pivot),
+    :class:`StructureAnomalyError` is raised.
     """
     n = len(columns)
     rows_by_key: dict[tuple, dict[int, int]] = {}
     for j, col in enumerate((*columns, *rhs)):
         for key, v in col.items():
             rows_by_key.setdefault(key, {})[j] = v
-    rows = list(rows_by_key.values())
-
-    def subtract(row: dict[int, int], q: int, pivot: dict[int, int]) -> None:
-        for j, v in pivot.items():
-            w = row.get(j, 0) - q * v
-            if w:
-                row[j] = w
-            else:
-                row.pop(j, None)
-
-    pivots: list[dict[int, int]] = []
-    for j in range(n):
-        hits = [r for r in rows if j in r]
-        if not hits:
-            raise StructureAnomalyError(
-                f"inner-lattice columns are dependent: column {j} has no pivot"
-            )
-        while True:
-            pivot = next((r for r in hits if r[j] in (1, -1)), None)
-            if pivot is None:
-                pivot = min(hits, key=lambda r: abs(r[j]))
-            for r in hits:
-                if r is not pivot:
-                    subtract(r, r[j] // pivot[j], pivot)
-            hits = [r for r in hits if j in r]
-            if len(hits) == 1:
-                break
-        pivots.append(pivot)
-        rows = [r for r in rows if r is not pivot]
+    pivots, rest = echelon(list(rows_by_key.values()), range(n))
+    if len(pivots) < n:
+        raise StructureAnomalyError("inner-lattice columns are dependent")
 
     def back_substitute(k: int) -> tuple[int, ...] | None:
-        if any(k in r for r in rows):
+        if any(k in r for r in rest):
             return None  # inconsistent in a row with no pivot
         e = [0] * n
         for j in reversed(range(n)):
@@ -900,14 +875,8 @@ def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
         pair: vector for pair, vector in zip(pairs, solutions) if vector is not None
     }
 
-    found = list(witnesses)
-    if not found:
-        rank = 0
-    elif any(p[0] * q[1] - p[1] * q[0] != 0 for p in found for q in found):
-        rank = 2
-    else:
-        rank = 1
-
+    found = [{i: x for i, x in enumerate(pair) if x} for pair in witnesses]
+    rank = len(echelon(found, range(2))[0])
     return InnerLatticeResult(rank=rank, witnesses=witnesses, complete=True)
 
 

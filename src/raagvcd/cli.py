@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -289,19 +290,29 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and map its failure, if any, to an exit code: an
     ineligible graph prints its validation report (2), a broken internal
     invariant one line (3), and any other graph error or an unreadable
-    graph file one ``error:`` line (1)."""
+    graph file one ``error:`` line (1).  A closed stdout prints nothing
+    and exits 1."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except IneligibleGraphError as exc:
-        summary = "graph not eligible: " + exc.report.failure_summary()
-        _emit(exc.report.to_dict(), args.json, lambda p: summary)
-        return EXIT_INELIGIBLE
-    except StructureAnomalyError as exc:
-        print(f"internal invariant broken: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except (GraphError, OSError) as exc:
-        return _input_error(str(exc))
+        try:
+            code = args.func(args)
+        except IneligibleGraphError as exc:
+            summary = "graph not eligible: " + exc.report.failure_summary()
+            _emit(exc.report.to_dict(), args.json, lambda p: summary)
+            code = EXIT_INELIGIBLE
+        except StructureAnomalyError as exc:
+            print(f"internal invariant broken: {exc}", file=sys.stderr)
+            code = EXIT_VIOLATION
+        except BrokenPipeError:
+            raise
+        except (GraphError, OSError) as exc:
+            code = _input_error(str(exc))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Stdout on the null device: the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -418,7 +418,6 @@ class CoreSubgraph:
     """
 
     graph: DefiningGraph
-    representatives: tuple[str, ...]
     nodes: frozenset[str]
     edges: frozenset[frozenset[str]]
     unique_maximal: frozenset[str]
@@ -454,8 +453,7 @@ def gamma_zero(
     for rep, cls in zip(picks, order.maximal_classes):
         if rep not in cls:
             raise GraphError(f"tie-break chose {rep!r} outside its class {sorted(cls)}")
-    reps = tuple(sorted(picks))
-    rep_set = frozenset(reps)
+    rep_set = frozenset(picks)
 
     core_edges = frozenset(e for e in g.edges if e <= rep_set)
     unique_maximal = frozenset(
@@ -466,12 +464,11 @@ def gamma_zero(
 
     # Connectivity of the span is expected for every eligible graph; it is
     # recorded rather than repaired so that a violation surfaces as a finding.
-    mask = sum(g.bit[g.code[v]] for v in reps)
+    mask = sum(g.bit[g.code[v]] for v in rep_set)
     spans_connected = _component(g.adj, mask & -mask, mask) == mask
 
     return CoreSubgraph(
         graph=g,
-        representatives=reps,
         nodes=rep_set,
         edges=core_edges,
         unique_maximal=unique_maximal,

@@ -31,15 +31,16 @@ critical.  The result is exact over the integers:
 
 When no two critical cells lie in adjacent degrees every Morse boundary is
 zero and H_q is free of rank c_q, with no matrix work.  Otherwise the small
-Morse boundary matrices go through a dense Smith reduction with exact
-arithmetic.  No floating point is used anywhere.
+Morse boundary matrices go through the sparse Smith reduction of
+:mod:`raagvcd.zmatrix`.  No floating point is used anywhere.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
+
+from .zmatrix import _invariant_factors, smith_diagonal
 
 
 @dataclass(frozen=True)
@@ -63,67 +64,6 @@ class HomologySummary:
         }
 
 
-def _dense_smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Diagonalize over Z by elementary operations; returns the diagonal."""
-    if not mat or not mat[0]:
-        return []
-    m, n = len(mat), len(mat[0])
-    diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # Locate the smallest nonzero entry in the remaining block.
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if mat[i][j] != 0 and (
-                    pivot is None or abs(mat[i][j]) < abs(mat[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        mat[t], mat[pi] = mat[pi], mat[t]
-        for row in mat:
-            row[t], row[pj] = row[pj], row[t]
-        p = mat[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if mat[i][t] != 0:
-                q = mat[i][t] // p
-                for j in range(t, n):
-                    mat[i][j] -= q * mat[t][j]
-                if mat[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if mat[t][j] != 0:
-                q = mat[t][j] // p
-                for i in range(t, m):
-                    mat[i][j] -= q * mat[i][t]
-                if mat[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue  # nonzero remainders appeared; repeat with smaller pivot
-        diag.append(abs(p))
-        t += 1
-    return diag
-
-
-def _invariant_factors(diagonal: Sequence[int]) -> list[int]:
-    """Normalize a diagonal to the divisibility chain d1 | d2 | ..."""
-    factors = [abs(d) for d in diagonal if d != 0]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a != 0:
-                    g = gcd(a, b)
-                    factors[i], factors[j] = g, a * b // g
-                    changed = True
-    return sorted(factors)
-
-
 @dataclass(frozen=True)
 class BoundaryReduction:
     rank: int
@@ -134,10 +74,11 @@ def reduce_boundary(
     n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]
 ) -> BoundaryReduction:
     """Rank and invariant factors (>1) of an integer matrix."""
-    mat = [[0] * n_cols for _ in range(n_rows)]
+    rows: dict[int, dict[int, int]] = {}
     for (r, c), val in entries.items():
-        mat[r][c] = val
-    factors = _invariant_factors(_dense_smith_diagonal(mat))
+        if val:
+            rows.setdefault(r, {})[c] = val
+    factors = _invariant_factors(smith_diagonal(list(rows.values())))
     return BoundaryReduction(
         rank=len(factors), torsion=tuple(d for d in factors if d > 1)
     )

@@ -19,7 +19,6 @@ from .graph_core import (
     GraphError,
     PieceDecomposition,
     StructureAnomalyError,
-    ValidationReport,
     domination_order,
     gamma_zero,
     pieces,
@@ -142,7 +141,6 @@ class VcdReport:
     and the exact dimension when the bounds agree."""
 
     graph: DefiningGraph
-    validation: ValidationReport
     core: CoreSubgraph
     decomposition: PieceDecomposition
     lower: BoundResult
@@ -270,7 +268,6 @@ def vcd_report(g: DefiningGraph) -> VcdReport:
 
     return VcdReport(
         graph=g,
-        validation=validation,
         core=core,
         decomposition=decomposition,
         lower=lower,

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -988,6 +990,74 @@ class TestIntegerSolve:
     def test_dependent_columns_raise(self, cols):
         with pytest.raises(StructureAnomalyError, match="dependent"):
             _solve_over_z(cols, [{"a": 1}])
+
+    def test_matches_rational_elimination(self):
+        # Outside oracle: Gauss-Jordan over Q.  An integer solution exists
+        # exactly when the rational one does and is integral.
+        rng = random.Random(1993)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            keys = range(rng.randint(n, n + 2))
+            cols = [
+                {k: v for k in keys if (v := rng.choice((0, 0, 1, -1, 2, -3, 4, 5)))}
+                for _ in range(n)
+            ]
+            if n > 1 and rng.random() < 0.2:
+                coeffs = [rng.randint(-2, 2) for _ in cols[1:]]
+                cols[0] = combine(coeffs, cols[1:], keys)
+            if rational_solve(cols, {}, keys)[0] < n:
+                with pytest.raises(StructureAnomalyError, match="dependent"):
+                    _solve_over_z(cols, [{}])
+                seen["dependent"] += 1
+                continue
+            e = [rng.randint(-5, 5) for _ in cols]
+            rhs = [
+                combine(e, cols, keys),
+                {k: v for k in keys if (v := rng.randint(-6, 6))},
+            ]
+            for b, got in zip(rhs, _solve_over_z(cols, rhs)):
+                q = rational_solve(cols, b, keys)[1]
+                if q is None:
+                    case, expected = "inconsistent", None
+                elif all(x.denominator == 1 for x in q):
+                    case, expected = "integral", tuple(int(x) for x in q)
+                else:
+                    case, expected = "non-integral", None
+                assert got == expected, (cols, b)
+                seen[case] += 1
+        cases = ("dependent", "inconsistent", "integral", "non-integral")
+        assert min(seen[c] for c in cases) >= 20, seen
+
+
+def combine(coeffs, cols, keys):
+    """The column sum_i coeffs[i] * cols[i], zeros dropped."""
+    return {
+        k: v for k in keys if (v := sum(a * c.get(k, 0) for a, c in zip(coeffs, cols)))
+    }
+
+
+def rational_solve(cols, b, keys):
+    """Gauss-Jordan over Q on ``[A | b]``: the rank of ``A``, and the
+    solution ``e`` of ``A e = b`` if ``A`` has full column rank and the
+    system is consistent (else ``None``)."""
+    n = len(cols)
+    m = [[Fraction(c.get(k, 0)) for c in cols] + [Fraction(b.get(k, 0))] for k in keys]
+    rank = 0
+    for j in range(n):
+        i = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if i is None:
+            continue
+        m[rank], m[i] = m[i], m[rank]
+        m[rank] = [x / m[rank][j] for x in m[rank]]
+        for i in range(len(m)):
+            f = m[i][j]
+            if i != rank and f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    if rank < n or any(row[n] for row in m[rank:]):
+        return rank, None
+    return rank, [m[i][n] for i in range(n)]
 
 
 class TestLatticeInvariant:

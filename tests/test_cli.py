@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import raagvcd
 from raagvcd.cli import main
 
 P5_TEXT = "edge a b\nedge b c\nedge c d\nedge d e\n"
@@ -581,6 +586,36 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psigma", "4", "2"],
+            ["verify", "--max-nodes", "8"],
+            ["analyze", "STAR", "--json"],
+        ],
+    )
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, argv):
+        # The read end of stdout is closed before the child writes, so its
+        # first write fails: with stdout buffered, for psigma's 110 bytes
+        # and the star's validation report at main's flush, for verify's
+        # 127 KB inside print.
+        star = tmp_path / "star.graph"
+        star.write_text("edge a b\nedge a c\nedge a d\n")
+        argv = [str(star) if a == "STAR" else a for a in argv]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(raagvcd.__file__).parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "raagvcd", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == ""
 
 
 def _edge_text(edges):

@@ -440,7 +440,6 @@ def oracle_core(g, tie_break=min):
             seen.add(u)
             stack.extend(adj[u] & rep_set - seen)
     return {
-        "representatives": reps,
         "nodes": rep_set,
         "edges": frozenset(e for e in g.edges if e <= rep_set),
         "unique_maximal": frozenset(min(cls) for cls in maximal if len(cls) == 1),

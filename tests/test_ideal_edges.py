@@ -37,7 +37,7 @@ def double_factorial_tree_count(m: int) -> int:
 
 @pytest.fixture
 def no_matrix_work(monkeypatch):
-    """Fail if the homology reaches the dense Smith step: on these complexes
+    """Fail if the homology reaches the Smith reduction: on these complexes
     the coreduction leaves no critical cells in adjacent degrees."""
 
     def refuse(n_rows, n_cols, entries):
