@@ -18,7 +18,6 @@ from .graph_core import (
 from .vcd_bounds import BoundResult, VcdReport, lower_bound, upper_bound, vcd_report
 from .words import RaagWord, canonical, cyclic_reduce, equal, parse_word, reduce_word
 from .autos import (
-    GeneratorChoices,
     GeneratorSet,
     RaagAutomorphism,
     build_generator_set,

@@ -41,7 +41,7 @@ again on every call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -72,7 +72,8 @@ Images = dict[int, tuple[int, ...]]
 
 
 class AutomorphismError(GraphError):
-    """Construction or composition over mismatched graphs, bad choices."""
+    """Construction or composition over mismatched graphs, or a base edge
+    or core subgraph that cannot carry the generator set."""
 
 
 class LiftError(AutomorphismError):
@@ -362,111 +363,13 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
     return conjugator
 
 
-@dataclass(frozen=True)
-class GeneratorChoices:
-    """The discrete choices the generator set depends on.
-
-    ``base_edge`` is an edge of the core subgraph; ``spanning_tree`` a
-    spanning tree of the core containing it.  ``toward_base`` maps each core
-    node to its tree-neighbor one step closer to the base edge (the two base
-    endpoints point at each other); ``dominating_rep`` assigns each node
-    outside the core a dominating core node.
-    """
-
-    base_edge: tuple[str, str]
-    spanning_tree: frozenset[frozenset[str]]
-    toward_base: Mapping[str, str]
-    dominating_rep: Mapping[str, str]
-
-
-def default_choices(
-    g: DefiningGraph,
-    core: CoreSubgraph,
-    decomposition: PieceDecomposition,
-    base_edge: tuple[str, str] | None = None,
-    spanning_tree: Iterable[frozenset[str]] | None = None,
-) -> GeneratorChoices:
-    """Build choices; the default base edge prefers non-hub endpoints.
-
-    Preferring an edge whose endpoints are not hubs realizes the strongest
-    lower-bound case reachable for the graph.
-    """
-    core_edges = core.edges
-    if not core_edges:
-        raise AutomorphismError("core subgraph has no edges")
-
-    if base_edge is None:
-        def score(e: frozenset[str]) -> tuple[int, tuple[str, str]]:
-            hubs = sum(1 for v in e if decomposition.is_hub(v))
-            return (hubs, tuple(sorted(e)))
-
-        best = min(core_edges, key=score)
-        v0, w0 = sorted(best)
-    else:
-        v0, w0 = base_edge
-        if frozenset((v0, w0)) not in core_edges:
-            raise AutomorphismError(
-                f"base edge {base_edge} is not an edge of the core subgraph"
-            )
-
-    if spanning_tree is None:
-        toward = _orient_toward(core_edges, (v0, w0), core.nodes)
-        if len(toward) != core.num_nodes:
-            raise AutomorphismError("core subgraph is not connected")
-        tree = frozenset(frozenset(e) for e in toward.items())
-    else:
-        tree = frozenset(frozenset(e) for e in spanning_tree)
-        toward = _validate_tree(core, tree, (v0, w0))
-
-    order = domination_order(g)
-    dominating: dict[str, str] = {}
-    for p in g.nodes:
-        if p in core.nodes:
-            continue
-        doms = order.dominators(p)
-        in_unique = sorted(doms & core.unique_maximal)
-        in_core = sorted(doms & core.nodes)
-        if in_unique:
-            dominating[p] = in_unique[0]
-        elif in_core:
-            dominating[p] = in_core[0]
-        else:
-            raise AutomorphismError(f"no core node dominates {p!r}")
-
-    return GeneratorChoices(
-        base_edge=(v0, w0),
-        spanning_tree=tree,
-        toward_base=MappingProxyType(toward),
-        dominating_rep=MappingProxyType(dominating),
-    )
-
-
-def _validate_tree(
-    core: CoreSubgraph, tree: frozenset[frozenset[str]], base: tuple[str, str]
-) -> dict[str, str]:
-    """Check that ``tree`` spans the core through ``base``; return each core
-    node's tree neighbour toward ``base``."""
-    if frozenset(base) not in tree:
-        raise AutomorphismError("spanning tree does not contain the base edge")
-    if not tree <= core.edges:
-        raise AutomorphismError("spanning tree uses non-core edges")
-    if len(tree) != len(core.nodes) - 1:
-        raise AutomorphismError("spanning tree has the wrong number of edges")
-    toward = _orient_toward(tree, base, core.nodes)
-    if len(toward) != len(core.nodes):
-        raise AutomorphismError("spanning tree does not span the core subgraph")
-    return toward
-
-
-def _orient_toward(
-    edges: frozenset[frozenset[str]], base: tuple[str, str], nodes: frozenset[str]
-) -> dict[str, str]:
-    """Breadth-first search over ``edges`` from both ends of ``base``,
-    neighbours in sorted order: each reached node's parent, the ends each
+def _orient_toward(core: CoreSubgraph, base: tuple[str, str]) -> dict[str, str]:
+    """Breadth-first search over the core from both ends of ``base``,
+    neighbours in sorted order: each core node's parent, the ends each
     other's."""
     v0, w0 = base
-    adj: dict[str, list[str]] = {v: [] for v in nodes}
-    for e in edges:
+    adj: dict[str, list[str]] = {v: [] for v in core.nodes}
+    for e in core.edges:
         a, b = sorted(e)
         adj[a].append(b)
         adj[b].append(a)
@@ -478,6 +381,8 @@ def _orient_toward(
             if nbr not in toward:
                 toward[nbr] = u
                 queue.append(nbr)
+    if len(toward) != core.num_nodes:
+        raise AutomorphismError("core subgraph is not connected")
     return toward
 
 
@@ -491,16 +396,8 @@ KIND_TRANSVECTION_LEFT = "transvection_left"
 @dataclass(frozen=True)
 class GeneratorEntry:
     kind: str
+    label: str
     automorphism: RaagAutomorphism
-    provenance: Mapping[str, object]
-
-    def describe(self) -> str:
-        p = self.provenance
-        if self.kind == KIND_PARTIAL_CONJUGATION:
-            supp = ",".join(p["support"])
-            return f"conj[{p['by']}]({supp})"
-        side = "left" if self.kind == KIND_TRANSVECTION_LEFT else "right"
-        return f"transv_{side}({p['node']} by {p['target']})"
 
 
 @dataclass(frozen=True)
@@ -544,7 +441,7 @@ class InnerLatticeResult:
 @dataclass(frozen=True)
 class GeneratorSet:
     graph: DefiningGraph
-    choices: GeneratorChoices
+    base_edge: tuple[str, str]
     entries: tuple[GeneratorEntry, ...]
     certificates: Mapping[tuple[int, int], CommutationCertificate] | None
     inner: InnerLatticeResult | None
@@ -573,10 +470,8 @@ class GeneratorSet:
 
     def to_dict(self) -> dict:
         out: dict = {
-            "base_edge": list(self.choices.base_edge),
-            "generators": [
-                {"kind": e.kind, "label": e.describe()} for e in self.entries
-            ],
+            "base_edge": list(self.base_edge),
+            "generators": [{"kind": e.kind, "label": e.label} for e in self.entries],
             "count": self.count,
         }
         if self.certificates is not None:
@@ -596,14 +491,24 @@ def build_generator_set(
     g: DefiningGraph,
     core: CoreSubgraph | None = None,
     decomposition: PieceDecomposition | None = None,
-    choices: GeneratorChoices | None = None,
+    base_edge: tuple[str, str] | None = None,
     *,
     certify: bool = True,
 ) -> GeneratorSet:
-    """Emit the commuting generator set determined by ``choices``.
+    """Emit the commuting generator set attached to ``base_edge``.
+
+    ``base_edge`` must be an edge of the core subgraph.  By default it is
+    the edge with the fewest hub endpoints, least by name among those,
+    which realizes the strongest lower-bound case reachable for the graph.
+    Each core node's toward-base neighbour is its parent in the
+    breadth-first search of the core from both base endpoints, neighbours
+    in sorted order, the endpoints pointing at each other.  Each non-leaf
+    node outside the core is transvected by a dominating core node: the
+    least by name among the unique-maximal ones, or among all core nodes
+    if none is unique-maximal.
 
     One partial conjugation per (core node, component of the graph minus it
-    not containing its toward-base neighbor); two transvections per leaf;
+    not containing its toward-base neighbour); two transvections per leaf;
     two per non-leaf node outside the core.  The count must come out to
     ``(pieces - 1) + 2(nodes - core nodes)``, and every generator must
     respect the relations and have a verified inverse; these are internal
@@ -615,58 +520,51 @@ def build_generator_set(
         core = gamma_zero(g)
     if decomposition is None:
         decomposition = pieces(g)
-    if choices is None:
-        choices = default_choices(g, core, decomposition)
-    else:
-        _validate_tree(core, choices.spanning_tree, choices.base_edge)
+    if core.graph is not g or decomposition.graph is not g:
+        raise AutomorphismError("core or decomposition of another graph")
+    if not core.edges:
+        raise AutomorphismError("core subgraph has no edges")
+    if base_edge is None:
+        best = min(
+            core.edges, key=lambda e: (sum(map(decomposition.is_hub, e)), sorted(e))
+        )
+        base_edge = tuple(sorted(best))
+    elif frozenset(base_edge) not in core.edges:
+        raise AutomorphismError(
+            f"base edge {base_edge} is not an edge of the core subgraph"
+        )
+    toward = _orient_toward(core, base_edge)
 
     entries: list[GeneratorEntry] = []
-
     for v in sorted(core.nodes):
-        target = choices.toward_base[v]
+        target = toward[v]
         for comp in g.components(without=v):
-            if target in comp:
-                continue
-            entries.append(
-                GeneratorEntry(
-                    kind=KIND_PARTIAL_CONJUGATION,
-                    automorphism=partial_conjugation(g, target, comp),
-                    provenance={
-                        "node": v,
-                        "by": target,
-                        "support": tuple(sorted(comp)),
-                    },
-                )
-            )
+            if target not in comp:
+                phi = partial_conjugation(g, target, comp)
+                label = f"conj[{target}]({','.join(sorted(comp))})"
+                entries.append(GeneratorEntry(KIND_PARTIAL_CONJUGATION, label, phi))
 
     for u in sorted(g.leaves):
         (neighbor,) = g.link(u)
         for kind, target in (
             (KIND_LEAF_RIGHT_NEIGHBOR, neighbor),
-            (KIND_LEAF_RIGHT_TOWARD, choices.toward_base[neighbor]),
+            (KIND_LEAF_RIGHT_TOWARD, toward[neighbor]),
         ):
-            entries.append(
-                GeneratorEntry(
-                    kind=kind,
-                    automorphism=transvection(g, u, target, "right"),
-                    provenance={"node": u, "target": target},
-                )
-            )
+            phi = transvection(g, u, target)
+            entries.append(GeneratorEntry(kind, f"transv_right({u} by {target})", phi))
 
-    outside = sorted(set(g.nodes) - core.nodes - g.leaves)
-    for p in outside:
-        target = choices.dominating_rep[p]
+    order = domination_order(g)
+    for p in sorted(set(g.nodes) - core.nodes - g.leaves):
+        doms = order.dominators(p)
+        target = min(doms & core.unique_maximal or doms & core.nodes, default=None)
+        if target is None:
+            raise AutomorphismError(f"no core node dominates {p!r}")
         for kind, side in (
             (KIND_TRANSVECTION_RIGHT, "right"),
             (KIND_TRANSVECTION_LEFT, "left"),
         ):
-            entries.append(
-                GeneratorEntry(
-                    kind=kind,
-                    automorphism=transvection(g, p, target, side),
-                    provenance={"node": p, "target": target},
-                )
-            )
+            phi = transvection(g, p, target, side)
+            entries.append(GeneratorEntry(kind, f"transv_{side}({p} by {target})", phi))
 
     expected = (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes)
     if len(entries) != expected:
@@ -676,30 +574,16 @@ def build_generator_set(
     for entry in entries:
         if not entry.automorphism.respects_relations():
             raise StructureAnomalyError(
-                f"generator {entry.describe()} does not respect the relations"
+                f"generator {entry.label} does not respect the relations"
             )
         if not entry.automorphism.has_verified_inverse():
             raise StructureAnomalyError(
-                f"generator {entry.describe()} has no verified inverse"
+                f"generator {entry.label} has no verified inverse"
             )
 
-    gs = GeneratorSet(
-        graph=g,
-        choices=choices,
-        entries=tuple(entries),
-        certificates=None,
-        inner=None,
-    )
+    gs = GeneratorSet(g, base_edge, tuple(entries), certificates=None, inner=None)
     if certify:
-        certs = verify_commuting(gs)
-        inner = inner_lattice(gs)
-        gs = GeneratorSet(
-            graph=g,
-            choices=choices,
-            entries=gs.entries,
-            certificates=certs,
-            inner=inner,
-        )
+        gs = replace(gs, certificates=verify_commuting(gs), inner=inner_lattice(gs))
     return gs
 
 
@@ -862,7 +746,7 @@ def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
     ``e`` and re-checks it.  ``complete`` is always true.
     """
     g = gs.graph
-    v0, w0 = gs.choices.base_edge
+    v0, w0 = gs.base_edge
     pairs = ((1, 0), (0, 1), (1, 1), (1, -1))
     targets = [
         inner_automorphism(

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .autos import build_generator_set, default_choices
+from .autos import build_generator_set
 from .graph_core import (
     GraphError,
     IneligibleGraphError,
@@ -112,10 +112,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = vcd_report(g)
     payload = report.to_dict()
     if args.witness:
-        core = report.core
-        decomposition = report.decomposition
-        choices = default_choices(g, core, decomposition, base_edge=base_edge)
-        gs = build_generator_set(g, core, decomposition, choices)
+        gs = build_generator_set(g, report.core, report.decomposition, base_edge)
         payload["witness_set"] = gs.to_dict()
     _emit(payload, args.json, _render_report)
     return EXIT_OK

@@ -12,7 +12,6 @@ from raagvcd.vcd_bounds import TAG_NO_SHORT_CYCLES, unique_cycle_length, vcd_rep
 from raagvcd.words import equal, generator, word
 from raagvcd.autos import (
     build_generator_set,
-    default_choices,
     inner_conjugator,
     lift_local,
     project_local,
@@ -104,16 +103,8 @@ def test_witness_ranks():
         gs_p5 = build_generator_set(P5)
         expectations.append((gs_p5, 7, 2, 5, vcd_report(P5).lower.value))
 
-        core = gamma_zero(C5L)
-        dec = pieces(C5L)
-        tree = [
-            frozenset(p)
-            for p in [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5")]
-        ]
-        choices = default_choices(
-            C5L, core, dec, base_edge=("v3", "v4"), spanning_tree=tree
-        )
-        gs_c5l = build_generator_set(C5L, core, dec, choices)
+        # The breadth-first tree of the core from (v3, v4) is the path v1-v5.
+        gs_c5l = build_generator_set(C5L, base_edge=("v3", "v4"))
         expectations.append((gs_c5l, 3, 0, 3, vcd_report(C5L).lower.value))
 
         gs_spider = build_generator_set(spider())

@@ -32,7 +32,6 @@ from raagvcd.autos import (
     RaagAutomorphism,
     build_generator_set,
     compose,
-    default_choices,
     _lattice_invariant,
     _solve_over_z,
     identity_automorphism,
@@ -54,15 +53,9 @@ from raagvcd.corpus import (
 
 
 def c5l_choices(g):
-    core = gamma_zero(g)
-    dec = pieces(g)
-    tree = [
-        frozenset(p)
-        for p in [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5")]
-    ]
-    return core, dec, default_choices(
-        g, core, dec, base_edge=("v3", "v4"), spanning_tree=tree
-    )
+    """Core, pieces and the base edge (v3, v4) of C5L; the breadth-first
+    tree of the core from that edge is the path v1-v2-v3-v4-v5."""
+    return gamma_zero(g), pieces(g), ("v3", "v4")
 
 
 class TestCompose:
@@ -519,8 +512,8 @@ class TestGeneratorSet:
     def test_p5_matches_worked_example(self, g_p5):
         gs = build_generator_set(g_p5)
         assert gs.count == 7
-        assert gs.choices.base_edge == ("b", "c")
-        labels = [e.describe() for e in gs.entries]
+        assert gs.base_edge == ("b", "c")
+        labels = [e.label for e in gs.entries]
         assert labels == [
             "conj[c](a)",
             "conj[b](d,e)",
@@ -535,11 +528,11 @@ class TestGeneratorSet:
         assert not gs.uncertified_pairs()
 
     def test_c5l_matches_worked_example(self, g_c5l):
-        core, dec, choices = c5l_choices(g_c5l)
-        assert choices.toward_base["v1"] == "v2"
-        gs = build_generator_set(g_c5l, core, dec, choices)
+        core, dec, base_edge = c5l_choices(g_c5l)
+        gs = build_generator_set(g_c5l, core, dec, base_edge)
         assert gs.count == 3
-        labels = {e.describe() for e in gs.entries}
+        # conj[v2](u): v1's neighbour toward the base edge is v2.
+        labels = {e.label for e in gs.entries}
         assert labels == {
             "conj[v2](u)",
             "transv_right(u by v1)",
@@ -592,8 +585,9 @@ class TestGeneratorSet:
         )
         gs = build_generator_set(g)
         assert gs.count == 9
-        assert gs.choices.dominating_rep["y"] == "x"
-        assert gs.choices.dominating_rep["q"] == "p"
+        labels = {e.label for e in gs.entries}
+        assert {"transv_right(y by x)", "transv_left(y by x)"} <= labels
+        assert {"transv_right(q by p)", "transv_left(q by p)"} <= labels
         assert gs.inner_rank == 2
         assert gs.outer_rank == 7
         assert not gs.uncertified_pairs()
@@ -632,19 +626,25 @@ class TestGeneratorSet:
             assert entry.automorphism.has_verified_inverse()
 
     def test_invalid_base_edge(self, g_p5):
-        core = gamma_zero(g_p5)
-        dec = pieces(g_p5)
-        with pytest.raises(AutomorphismError):
-            default_choices(g_p5, core, dec, base_edge=("a", "b"))
+        with pytest.raises(AutomorphismError, match="not an edge of the core"):
+            build_generator_set(g_p5, base_edge=("a", "b"))
 
-    def test_invalid_spanning_tree(self, g_c5l):
-        core = gamma_zero(g_c5l)
-        dec = pieces(g_c5l)
-        not_spanning = [frozenset(("v1", "v2")), frozenset(("v2", "v3"))]
-        with pytest.raises(AutomorphismError):
-            default_choices(
-                g_c5l, core, dec, base_edge=("v1", "v2"), spanning_tree=not_spanning
-            )
+    def test_core_of_another_graph_refused(self, g_p5):
+        # The caller's error, so not an internal anomaly.
+        p6 = DefiningGraph.from_edges(
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")]
+        )
+        with pytest.raises(AutomorphismError, match="another graph") as exc:
+            build_generator_set(g_p5, gamma_zero(p6), pieces(g_p5))
+        assert not isinstance(exc.value, StructureAnomalyError)
+
+    def test_decomposition_of_another_graph_refused(self, g_p5):
+        p6 = DefiningGraph.from_edges(
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")]
+        )
+        with pytest.raises(AutomorphismError, match="another graph") as exc:
+            build_generator_set(g_p5, gamma_zero(g_p5), pieces(p6))
+        assert not isinstance(exc.value, StructureAnomalyError)
 
 
 class TestCommutation:
@@ -662,7 +662,7 @@ class TestCommutation:
 
     def test_nested_partial_conjugations_certificate(self, g_p5):
         gs = build_generator_set(g_p5)
-        by_label = {e.describe(): i for i, e in enumerate(gs.entries)}
+        by_label = {e.label: i for i, e in enumerate(gs.entries)}
         i = by_label["conj[b](d,e)"]
         j = by_label["conj[c](e)"]
         cert = gs.certificates[(min(i, j), max(i, j))]
@@ -670,7 +670,7 @@ class TestCommutation:
 
     def test_leaf_transvections_commute_exactly(self, g_p5):
         gs = build_generator_set(g_p5)
-        by_label = {e.describe(): i for i, e in enumerate(gs.entries)}
+        by_label = {e.label: i for i, e in enumerate(gs.entries)}
         i = by_label["transv_right(a by b)"]
         j = by_label["transv_right(a by c)"]
         cert = gs.certificates[(min(i, j), max(i, j))]
@@ -678,7 +678,7 @@ class TestCommutation:
 
     def test_disjoint_support_commute_exactly(self, g_p5):
         gs = build_generator_set(g_p5)
-        by_label = {e.describe(): i for i, e in enumerate(gs.entries)}
+        by_label = {e.label: i for i, e in enumerate(gs.entries)}
         i = by_label["conj[c](a)"]
         j = by_label["transv_right(e by d)"]
         cert = gs.certificates[(min(i, j), max(i, j))]
@@ -733,8 +733,8 @@ class TestCommutation:
 
 class TestInnerLattice:
     def test_independence_modulo_lattice_on_c5l(self, g_c5l):
-        core, dec, choices = c5l_choices(g_c5l)
-        gs = build_generator_set(g_c5l, core, dec, choices, certify=False)
+        core, dec, base_edge = c5l_choices(g_c5l)
+        gs = build_generator_set(g_c5l, core, dec, base_edge, certify=False)
         autos = gs.automorphisms()
         rng = random.Random(3)
         vectors = [
@@ -804,7 +804,7 @@ def dfs_inner_lattice(gs):
     composition.  Returns ``(rank, witnesses)``; the search never reached
     its cap of two million assignments on the graphs tested here."""
     g = gs.graph
-    v0, w0 = gs.choices.base_edge
+    v0, w0 = gs.base_edge
     autos = gs.automorphisms()
     moved = [frozenset(a.moved_nodes()) for a in autos]
 
@@ -946,7 +946,7 @@ class TestInnerLatticeOracle:
         # conj[c](e) . conj[c](a)^-1 changes basis; conjugation by c then
         # needs conj[c](a) squared, beyond the search's exponents.
         gs = build_generator_set(g_p5, certify=False)
-        assert [e.describe() for e in gs.entries[:3]] == [
+        assert [e.label for e in gs.entries[:3]] == [
             "conj[c](a)", "conj[b](d,e)", "conj[c](e)"
         ]
         first, third = gs.entries[0].automorphism, gs.entries[2].automorphism

@@ -244,6 +244,39 @@ class TestIdealComplex:
         assert callers and "raagvcd.cli" not in callers
 
 
+class TestNoHomology:
+    def test_legal_json_drops_only_homology(self, capsys):
+        assert main(["ideal-complex", "2", "2", "--json"]) == 0
+        with_homology = json.loads(capsys.readouterr().out)
+        assert main(["ideal-complex", "2", "2", "--no-homology", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "homology" not in payload
+        assert "collapse_certificate" in payload
+        assert payload["counts"] == with_homology["counts"]
+        del with_homology["homology"]
+        assert payload == with_homology
+
+    def test_full_text_has_no_homology_line(self, capsys):
+        assert main(["ideal-complex", "0", "6", "--full"]) == 0
+        with_homology = capsys.readouterr().out.splitlines()
+        assert main(["ideal-complex", "0", "6", "--full", "--no-homology"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("reduced homology") for line in lines)
+        assert lines == [
+            line for line in with_homology if not line.startswith("reduced homology")
+        ]
+
+    def test_cap_below_total_exits_1(self, capsys):
+        assert main(["ideal-complex", "2", "2", "--no-homology", "--json"]) == 0
+        total = sum(json.loads(capsys.readouterr().out)["counts"])
+        cap = str(total - 1)
+        argv = ["ideal-complex", "2", "2", "--no-homology", "--json", "--cap", cap]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: complex exceeds {cap} simplices\n"
+
+
 class TestFlagRanges:
     @pytest.mark.parametrize(
         "argv",
@@ -724,6 +757,28 @@ class TestGoldenOutput:
         assert "commutation certificates: all pairs certified" in out
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == GOLDEN_SHA256[f"{name}_text"]
+
+    # sha256 of ``analyze --witness --e0 A,B --json``: the base edge is
+    # given, not chosen, so the orientation of the core starts from it.
+    @pytest.mark.parametrize(
+        "name, edges, e0, digest",
+        [
+            ("c5l", _C5L_EDGES, "v3,v4",
+             "0e68af85088718d572460fd64b64c572a1f33b3259478092abc24285da43880d"),
+            ("c5l", _C5L_EDGES, "v2,v3",
+             "cefd50ddf44d4130baa82365b7f47de684ed1afef98b8a13b0e78d8bafd5b842"),
+            ("spider_5_3", _spider_5_3_edges(), "l1_1,l1_2",
+             "f1d2f87f482c628dd10b1d6b3d5d1a01b55683a99d18c1c44dea8c5ee31a8aab"),
+        ],
+    )
+    def test_witness_json_with_base_edge(
+        self, tmp_path, capsys, name, edges, e0, digest
+    ):
+        path = tmp_path / f"{name}.graph"
+        path.write_text(_edge_text(edges))
+        assert main(["analyze", str(path), "--witness", "--e0", e0, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_psigma_json(self, capsys):
         assert main(["psigma", "10", "5", "--json"]) == 0
