@@ -51,6 +51,7 @@ from .graph_core import (
     GraphError,
     PieceDecomposition,
     StructureAnomalyError,
+    _codes,
     domination_order,
     gamma_zero,
     pieces,
@@ -365,25 +366,22 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
 
 def _orient_toward(core: CoreSubgraph, base: tuple[str, str]) -> dict[str, str]:
     """Breadth-first search over the core from both ends of ``base``,
-    neighbours in sorted order: each core node's parent, the ends each
-    other's."""
-    v0, w0 = base
-    adj: dict[str, list[str]] = {v: [] for v in core.nodes}
-    for e in core.edges:
-        a, b = sorted(e)
-        adj[a].append(b)
-        adj[b].append(a)
-    toward = {v0: w0, w0: v0}
+    neighbours in code (so sorted) order: each core node's parent, the ends
+    each other's."""
+    g = core.graph
+    v0, w0 = g.code[base[0]], g.code[base[1]]
+    left = sum(g.bit[g.code[v]] for v in core.nodes) ^ g.bit[v0] ^ g.bit[w0]
+    parent = {v0: w0, w0: v0}
     queue = [v0, w0]
-    while queue:
-        u = queue.pop(0)
-        for nbr in sorted(adj[u]):
-            if nbr not in toward:
-                toward[nbr] = u
-                queue.append(nbr)
-    if len(toward) != core.num_nodes:
+    for u in queue:  # grows as the search reaches new nodes
+        reached = g.adj[u] & left
+        left ^= reached
+        for c in _codes(reached):
+            parent[c] = u
+            queue.append(c)
+    if left:
         raise AutomorphismError("core subgraph is not connected")
-    return toward
+    return {g.names[c - 1]: g.names[p - 1] for c, p in parent.items()}
 
 
 KIND_PARTIAL_CONJUGATION = "partial_conjugation"
@@ -526,7 +524,7 @@ def build_generator_set(
         raise AutomorphismError("core subgraph has no edges")
     if base_edge is None:
         best = min(
-            core.edges, key=lambda e: (sum(map(decomposition.is_hub, e)), sorted(e))
+            core.edges, key=lambda e: (len(e & decomposition.hubs), sorted(e))
         )
         base_edge = tuple(sorted(best))
     elif frozenset(base_edge) not in core.edges:

@@ -84,19 +84,17 @@ def tree_graph(edges: list[tuple[int, int]]) -> DefiningGraph:
     )
 
 
-def eligible_trees(max_nodes: int, min_nodes: int = 2) -> Iterator[DefiningGraph]:
-    """Non-star trees with between ``min_nodes`` and ``max_nodes`` nodes."""
-    for n in range(max(2, min_nodes), max_nodes + 1):
+def eligible_trees(max_nodes: int) -> Iterator[DefiningGraph]:
+    """Non-star trees with at most ``max_nodes`` nodes."""
+    for n in range(2, max_nodes + 1):
         for edges in free_trees(n):
             g = tree_graph(edges)
             if validate(g).eligible:
                 yield g
 
 
-def cycle_graph(k: int, prefix: str = "c") -> DefiningGraph:
-    return DefiningGraph.from_edges(
-        [(f"{prefix}{i}", f"{prefix}{(i + 1) % k}") for i in range(k)]
-    )
+def cycle_graph(k: int) -> DefiningGraph:
+    return DefiningGraph.from_edges([(f"c{i}", f"c{(i + 1) % k}") for i in range(k)])
 
 
 def cycle_with_trees(k: int, attachments: dict[int, list[tuple[int, int]]]) -> DefiningGraph:

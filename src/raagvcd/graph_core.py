@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 from weakref import WeakValueDictionary
 
 
@@ -165,10 +165,6 @@ class DefiningGraph:
         for c in _codes(link):
             common &= self.adj[c]
         return common
-
-    @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        return {v: self.link(v) for v in self.nodes}
 
     def link(self, v: str) -> frozenset[str]:
         return self.nameset(self.adj[self.code[v]])
@@ -332,18 +328,14 @@ def validate(g: DefiningGraph) -> ValidationReport:
     """Compute the eligibility flags for ``g``.
 
     Triangles are detected by intersecting the endpoint links of each edge;
-    squares by looking for a node pair with two common neighbors.  The star
-    test asks for a node adjacent to every other node such that no edge
-    avoids it.
+    squares by :func:`_on_square` at each node, O(edges) mask operations in
+    all.  The star test asks for a node adjacent to every other node such
+    that no edge avoids it.
     """
     rows = g.adj
     codes = range(1, g.num_nodes + 1)
     triangle_free = not any(rows[u] & rows[w] for u in codes for w in _codes(rows[u]))
-    square_free = not any(
-        (common := rows[u] & rows[w]) & (common - 1)
-        for u in codes
-        for w in range(u + 1, g.num_nodes + 1)
-    )
+    square_free = not any(_on_square(g, c) for c in codes)
     is_star = g.num_edges == g.num_nodes - 1 and any(
         rows[c] == g.full ^ g.bit[c] for c in codes
     )
@@ -354,6 +346,22 @@ def validate(g: DefiningGraph) -> ValidationReport:
         square_free=square_free,
         is_star=is_star,
     )
+
+
+def _on_square(g: DefiningGraph, c: int) -> bool:
+    """Whether node ``c`` and some other node have two common neighbours.
+
+    The rows of ``c``'s neighbours, less ``c``, are ORed in turn; the first
+    one to meet the running mask closes a square, so a node on no square
+    costs O(degree) mask operations.
+    """
+    seen = 0
+    for w in _codes(g.adj[c]):
+        far = g.adj[w] ^ g.bit[c]
+        if far & seen:
+            return True
+        seen |= far
+    return False
 
 
 def require_eligible(g: DefiningGraph) -> ValidationReport:
@@ -376,17 +384,10 @@ class DominationOrder:
     classes: tuple[frozenset[str], ...]
     maximal_classes: tuple[frozenset[str], ...]
 
-    def leq(self, v: str, w: str) -> bool:
-        g = self.graph
-        return not g.adj[g.code[v]] & ~g.adj[g.code[w]]
-
     def dominators(self, v: str) -> frozenset[str]:
         g = self.graph
         c = g.code[v]
         return g.nameset(g.above(g.adj[c]) & ~g.bit[c])
-
-    def maximal_nodes(self) -> frozenset[str]:
-        return frozenset(v for cls in self.maximal_classes for v in cls)
 
 
 def domination_order(g: DefiningGraph) -> DominationOrder:
@@ -402,9 +403,6 @@ def domination_order(g: DefiningGraph) -> DominationOrder:
         if g.above(link) == members
     )
     return DominationOrder(graph=g, classes=classes, maximal_classes=maximal)
-
-
-TieBreak = Callable[[frozenset[str]], str]
 
 
 @dataclass(frozen=True)
@@ -428,37 +426,17 @@ class CoreSubgraph:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def valence(self, v: str) -> int:
-        return self.graph.degree(v)
 
-    def unique_maximal_valence(self, v: str) -> int:
-        return len(self.graph.link(v) & self.unique_maximal)
-
-
-def gamma_zero(
-    g: DefiningGraph,
-    order: DominationOrder | None = None,
-    tie_break: TieBreak | None = None,
-) -> CoreSubgraph:
+def gamma_zero(g: DefiningGraph) -> CoreSubgraph:
     """Choose class representatives and span the core subgraph.
 
-    The representative of each maximal class defaults to its
-    lexicographically least member; ``tie_break`` overrides the policy but
-    must choose a member of the class it is handed.
+    The representative of each maximal class is its least member by name.
     """
-    if order is None:
-        order = domination_order(g)
-    pick = tie_break if tie_break is not None else min
-    picks = [pick(cls) for cls in order.maximal_classes]
-    for rep, cls in zip(picks, order.maximal_classes):
-        if rep not in cls:
-            raise GraphError(f"tie-break chose {rep!r} outside its class {sorted(cls)}")
-    rep_set = frozenset(picks)
+    maximal = domination_order(g).maximal_classes
+    rep_set = frozenset(map(min, maximal))
 
     core_edges = frozenset(e for e in g.edges if e <= rep_set)
-    unique_maximal = frozenset(
-        min(cls) for cls in order.maximal_classes if len(cls) == 1
-    )
+    unique_maximal = frozenset(min(cls) for cls in maximal if len(cls) == 1)
     non_leaves = frozenset(g.nodes) - g.leaves
     pruned = rep_set == non_leaves
 
@@ -496,9 +474,6 @@ class PieceDecomposition:
     @property
     def count(self) -> int:
         return len(self.pieces)
-
-    def is_hub(self, v: str) -> bool:
-        return v in self.hubs
 
 
 def _blocks(rows: list[int], roots: Iterable[int]) -> list[list[tuple[int, int]]]:

@@ -19,7 +19,7 @@ from .graph_core import (
     GraphError,
     PieceDecomposition,
     StructureAnomalyError,
-    domination_order,
+    _codes,
     gamma_zero,
     pieces,
     require_eligible,
@@ -99,12 +99,13 @@ def upper_bound(
     structure anomaly.
     """
     pi = decomposition.count
-    valences = {v: core.valence(v) for v in sorted(core.nodes)}
+    valences = {v: g.degree(v) for v in sorted(core.nodes)}
     low = [v for v, n in valences.items() if n < 2]
     if low:
         raise StructureAnomalyError(f"core nodes of valence below 2: {low}")
     terms = {
-        v: psigma_vcd(n, core.unique_maximal_valence(v)) for v, n in valences.items()
+        v: psigma_vcd(n, len(g.link(v) & core.unique_maximal))
+        for v, n in valences.items()
     }
     value = (pi - 1) + sum(terms.values())
     case = UPPER_GENERAL
@@ -112,7 +113,7 @@ def upper_bound(
     if core.unique_maximal == core.nodes:
         simplified = (
             (pi - 1)
-            + 2 * sum(core.valence(v) for v in core.nodes)
+            + 2 * sum(valences.values())
             - 2 * len(core.nodes)
             - 2 * len(core.edges)
         )
@@ -176,18 +177,16 @@ def unique_cycle_length(g: DefiningGraph) -> int:
     characteristic zero, found by peeling leaves."""
     if g.euler_characteristic != 0:
         raise GraphError("graph does not have Euler characteristic zero")
-    degrees = {v: g.degree(v) for v in g.nodes}
-    alive = set(g.nodes)
-    frontier = [v for v in alive if degrees[v] == 1]
+    rows = g.adj
+    alive = g.full
+    frontier = [c for c in range(1, g.num_nodes + 1) if rows[c].bit_count() == 1]
     while frontier:
-        v = frontier.pop()
-        alive.discard(v)
-        for nbr in g.adjacency[v]:
-            if nbr in alive:
-                degrees[nbr] -= 1
-                if degrees[nbr] == 1:
-                    frontier.append(nbr)
-    return len(alive)
+        c = frontier.pop()
+        alive ^= g.bit[c]
+        for nbr in _codes(rows[c] & alive):
+            if (rows[nbr] & alive).bit_count() == 1:
+                frontier.append(nbr)
+    return alive.bit_count()
 
 
 def vcd_report(g: DefiningGraph) -> VcdReport:
@@ -198,8 +197,7 @@ def vcd_report(g: DefiningGraph) -> VcdReport:
     :class:`StructureAnomalyError` if any internal identity breaks.
     """
     validation = require_eligible(g)
-    order = domination_order(g)
-    core = gamma_zero(g, order)
+    core = gamma_zero(g)
     if not core.spans_connected:
         raise StructureAnomalyError(
             "representatives of maximal classes span a disconnected subgraph"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -676,6 +677,10 @@ def _grid_3x3_edges():
     return edges
 
 
+def _random_tree_edges(n, rng):
+    return [(f"t{rng.randrange(i)}", f"t{i}") for i in range(1, n)]
+
+
 _C5L_EDGES = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v1"), ("v1", "u")]
 
 # sha256 of the stdout of each command; pinned so that speed work in the
@@ -780,6 +785,28 @@ class TestGoldenOutput:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of ``analyze --json`` on large inputs: a 2,000-node path, a
+    # 1,000-node cycle and a 1,000-node random tree, each node after the
+    # first attached to a seeded random earlier one.
+    @pytest.mark.parametrize(
+        "edges, digest",
+        [
+            ([(f"p{i}", f"p{i + 1}") for i in range(1999)],
+             "8a4f4bbe0479eebb80433f56dc357d73394dfc2a94304fe7fa3192e076a6a9de"),
+            ([(f"c{i}", f"c{(i + 1) % 1000}") for i in range(1000)],
+             "c0f0eba3c4e8893ff62891faf33c9724f35bd8923f073aeef4cd9ab6ad904245"),
+            (_random_tree_edges(1000, random.Random(5)),
+             "278e80c1c21405259c1eec73247534d679aa3e7b7834a3affcefb43c6d80085b"),
+        ],
+        ids=["path_2000", "cycle_1000", "tree_1000"],
+    )
+    def test_large_analyze_json(self, tmp_path, capsys, edges, digest):
+        path = tmp_path / "large.graph"
+        path.write_text(_edge_text(edges))
+        assert main(["analyze", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_psigma_json(self, capsys):
         assert main(["psigma", "10", "5", "--json"]) == 0
         out = capsys.readouterr().out
@@ -806,8 +833,6 @@ _C5_PATHS_EDGES = [
 
 
 def test_witness_json_independent_of_line_order(tmp_path, capsys):
-    import random
-
     rng = random.Random(20)
     outputs = set()
     for i in range(20):
@@ -836,8 +861,6 @@ def _analyze_pin_graphs():
     first-appearance order is not sorted order, and each edge line picks
     its endpoint order at random.
     """
-    import random
-
     rng = random.Random(1313)
     out = []
     for i in range(30):

@@ -26,6 +26,15 @@ def free3():
     return DefiningGraph(("x", "y", "z"), frozenset())
 
 
+def name_adjacency(g):
+    """Each node's neighbours by name, read from the edge list."""
+    adj = {v: set() for v in g.nodes}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def random_word(g, rng, length):
     letters = [(n, s) for n in g.nodes for s in (1, -1)]
     return word(g, [rng.choice(letters) for _ in range(length)])
@@ -34,7 +43,7 @@ def random_word(g, rng, length):
 def shuffle_cancellable_pairs(w):
     """All index pairs ``i < j`` whose letters cancel after shuffling: the
     letters between them all commute with that generator."""
-    adj = w.graph.adjacency
+    adj = name_adjacency(w.graph)
     letters = w.letters
     found = []
     for i, (gen, exp) in enumerate(letters):
@@ -121,7 +130,7 @@ class TestEqual:
 
     def test_congruence_under_concatenation(self, g_p5):
         rng = random.Random(23)
-        adj = g_p5.adjacency
+        adj = name_adjacency(g_p5)
         for _ in range(60):
             u = random_word(g_p5, rng, rng.randrange(1, 8))
             # Build an equal word by commuting swaps plus inserted cancelling pairs.
@@ -174,7 +183,7 @@ class TestCanonical:
         # inserting cancelling pairs and applying commuting swaps are
         # trivial by construction, so reduction must empty every one.
         rng = random.Random(314)
-        adj = g_p5.adjacency
+        adj = name_adjacency(g_p5)
         for _ in range(200):
             letters = []
             for _ in range(rng.randrange(1, 7)):
@@ -207,7 +216,7 @@ def greedy_canonical_letters(graph, letters):
     """Reference: the quadratic-scan greedy the heap form replaced.  Among
     the letters that commute with everything before them, emit the least
     (positive before inverse, earliest on ties), and repeat."""
-    adj = graph.adjacency
+    adj = name_adjacency(graph)
     remaining = list(letters)
     out = []
     while remaining:
@@ -294,7 +303,7 @@ def oracle_reduced_letters(graph, letters):
     adjacency, as the word layer did before its letters became integer
     codes: each letter scans leftward through the commuting suffix of the
     output and cancels an inverse letter found there."""
-    adj = graph.adjacency
+    adj = name_adjacency(graph)
     out = []
     for gen, exp in letters:
         j = len(out) - 1
@@ -319,7 +328,7 @@ def oracle_canonical_letters(graph, letters):
     of ready letters keyed ``(name, -exp)``, each letter waiting for the
     last earlier letter of every generator it does not commute with."""
     n = len(letters)
-    adj = graph.adjacency
+    adj = name_adjacency(graph)
     waiting = [0] * n
     releases = [[] for _ in letters]
     last = {}
@@ -369,7 +378,7 @@ def _words(st, max_size=40):
 
 def _shuffle(w, rnd, steps=30):
     """Swap adjacent letters of commuting (or equal) generators at random."""
-    adj = w.graph.adjacency
+    adj = name_adjacency(w.graph)
     letters = list(w.letters)
     for _ in range(steps if len(letters) > 1 else 0):
         i = rnd.randrange(len(letters) - 1)
@@ -450,7 +459,7 @@ class TestProperties:
         def prop(w):
             # The empty word prints as "1", which parses back to it on
             # every graph without a node named "1" (all of these).
-            assert "1" not in w.graph.adjacency
+            assert "1" not in w.graph.code
             assert parse_word(w.graph, str(w)).letters == w.letters
 
         prop()
