@@ -52,7 +52,6 @@ from .graph_core import (
     PieceDecomposition,
     StructureAnomalyError,
     _codes,
-    domination_order,
     gamma_zero,
     pieces,
 )
@@ -551,9 +550,10 @@ def build_generator_set(
             phi = transvection(g, u, target)
             entries.append(GeneratorEntry(kind, f"transv_right({u} by {target})", phi))
 
-    order = domination_order(g)
     for p in sorted(set(g.nodes) - core.nodes - g.leaves):
-        doms = order.dominators(p)
+        # The other nodes whose links contain p's, as DominationOrder has them.
+        c = g.code[p]
+        doms = g.nameset(g.above(g.adj[c]) & ~g.bit[c])
         target = min(doms & core.unique_maximal or doms & core.nodes, default=None)
         if target is None:
             raise AutomorphismError(f"no core node dominates {p!r}")

@@ -48,9 +48,47 @@ MAX_PSIGMA_RANK = 100
 MAX_VERIFY_NODES = 12
 
 
+_escape = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(v: object, pad: str = "\n") -> str:
+    """``json.dumps(v, sort_keys=True, indent=2)`` at the depth whose newline
+    and indent are ``pad``.
+
+    CPython serves ``indent`` from its pure-Python encoder; this writes the
+    payload types (str, int, bool, None, list, dict with str keys) over its
+    C string escaper and leaves any other value to ``json.dumps``, which
+    raises ``TypeError`` on what JSON cannot encode.
+    """
+    t = type(v)
+    if t is str:
+        return _escape(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is list:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_text(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        try:
+            items = [_escape(k) + ": " + _json_text(v[k], inner) for k in sorted(v)]
+        except TypeError:  # a key that is not a string, or a value JSON refuses
+            return json.dumps(v, sort_keys=True, indent=2).replace("\n", pad)
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is bool or v is None:
+        return _LITERALS[v]
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def _emit(payload: dict, as_json: bool, text_renderer: Callable[[dict], str]) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         print(text_renderer(payload))
 
