@@ -386,6 +386,15 @@ NOT_COLLAPSIBLE = [
 ]
 
 
+def common_closed_by_indices(rows, removed):
+    """The vertices adjacent or equal to every vertex of ``removed``, from
+    its tuple of bit indices: the reference for the in-place bit walk."""
+    common = -1
+    for x in ideal_edges._bit_indices(removed):
+        common &= rows[x] | 1 << x
+    return common
+
+
 def random_graphs():
     rng = random.Random(1212)
     out = []
@@ -527,6 +536,8 @@ class TestCliqueCounts:
             (3, 2, True),
             (2, 4, True),
             (0, 6, False),
+            # 10 half-edges, 289,855 simplices.
+            (4, 2, True),
         ],
     )
     def test_cap_boundary_is_exact(self, r, s, legal_only):
@@ -544,6 +555,98 @@ class TestCliqueCounts:
         assert reduced_homology(c).trivial
         assert "simplices_by_dim" not in vars(c)
         assert c.counts()[0] == len(c.vertices)
+
+
+class TestCommonClosed:
+    # The dominator test walks the bits of ``removed`` in place; the
+    # reference reads them from a tuple of indices.
+    def test_matches_index_tuple(self):
+        rng = random.Random(25)
+        for n, edges in random_graphs():
+            rows = graph_rows(n, edges)
+            for _ in range(5):
+                removed = rng.getrandbits(n) or 1
+                assert ideal_edges._common_closed(rows, removed) == (
+                    common_closed_by_indices(rows, removed)
+                )
+
+    @pytest.mark.parametrize("legal_only", [True, False])
+    @pytest.mark.parametrize("r,s", SMALL_STRUCTURES)
+    def test_collapse_steps_unchanged(self, r, s, legal_only, monkeypatch):
+        rows = build_complex(
+            HalfEdgeSet.standard(r, s), legal_only, max_simplices=200000
+        ).rows
+        steps = flag_collapse(rows).steps
+        monkeypatch.setattr(ideal_edges, "_common_closed", common_closed_by_indices)
+        assert steps == flag_collapse(rows).steps
+
+
+def breadth_first_clique_counts(rows):
+    """The clique counts by size from a breadth-first walk that keeps one
+    candidate mask per clique at each level: the reference for the
+    memoised count."""
+    counts = []
+    cands = [(1 << len(rows)) - 1]
+    while cands:
+        next_cands = []
+        for m in cands:
+            while m:
+                low = m & -m
+                m ^= low
+                if cand := m & rows[low.bit_length() - 1]:
+                    next_cands.append(cand)
+        counts.append(sum(m.bit_count() for m in cands))
+        cands = next_cands
+    return tuple(counts)
+
+
+# Every structure with 4 to 9 half-edges, and those with 9 or 10.
+STRUCTURES_TO_9 = [
+    (r, s) for r in range(5) for s in range(10 - 2 * r) if 2 * r + s >= 4
+]
+STRUCTURES_9_10 = [(r, m - 2 * r) for m in (9, 10) for r in range(m // 2 + 1)]
+
+
+class TestCliqueCountOracles:
+    def test_random_graphs_match_the_walk(self):
+        for n, edges in random_graphs():
+            rows = graph_rows(n, edges)
+            counts = ideal_edges._clique_counts(rows, 10**6)
+            assert counts == breadth_first_clique_counts(rows)
+
+    @pytest.mark.parametrize("legal_only", [True, False])
+    @pytest.mark.parametrize("r,s", STRUCTURES_TO_9)
+    def test_structures_match_the_walk(self, r, s, legal_only):
+        c = build_complex(
+            HalfEdgeSet.standard(r, s), legal_only=legal_only, max_simplices=10**6
+        )
+        assert c.counts() == breadth_first_clique_counts(c.rows)
+
+    @pytest.mark.parametrize(
+        "r,s,legal_only",
+        [(r, s, True) for r, s in STRUCTURES_9_10] + [(0, 9, False), (0, 10, False)],
+    )
+    def test_closed_forms(self, r, s, legal_only):
+        # Closed forms independent of any walk: the ideal edges splitting at
+        # most one pair; (2m-5)!! trivalent trees as the top simplices of
+        # tree space, a wedge of (m-2)! spheres of dimension m-4; the legal
+        # complex is contractible from two pairs on and is the full one
+        # below that.
+        m = 2 * r + s
+        counts = build_complex(
+            HalfEdgeSet.standard(r, s), legal_only, max_simplices=13 * 10**6
+        ).counts()
+        if legal_only:
+            assert counts[0] == (r + 1) * 2 ** (r + s - 1) - m - 1
+        else:
+            assert counts[0] == 2 ** (m - 1) - m - 1
+            assert len(counts) == m - 3
+            assert counts[-1] == double_factorial_tree_count(m)
+        euler = -1 + sum((-1) ** q * n for q, n in enumerate(counts))
+        if legal_only and r >= 2:
+            assert euler == 0
+        else:
+            assert euler == (-1) ** (m - 4) * factorial(m - 2)
 
 
 class TestReplay:
