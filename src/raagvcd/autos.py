@@ -29,9 +29,25 @@ every node name to a word.  Work is done over supports only:
   other ``x`` has ``psi(x) = x``, so ``phi(psi(x))`` is ``phi``'s image
   of ``x``, stored or implicit.
 * ``equals`` compares the union of the two supports; outside it both
-  images are ``x``.
+  images are ``x``.  Stored images are reduced, so they go to the
+  equality routes of :mod:`raagvcd.words` as they are.
 * ``respects_relations`` checks the edges that meet the support; the
   images of an edge with both ends fixed are its ends, which commute.
+
+A composite keeps a factor's stored image object wherever the other
+factor fixes all of its letters, so most node comparisons between the two
+composites of a pair are of one object with itself.  A loop over the pairs
+of one generator set (:func:`verify_commuting`, and the pairwise check of
+``psigma.psigma_generators``) keeps one table of those self-comparisons
+for the whole loop and passes it to ``equals``.  Each object is compared
+by both routes the first time; only after both have said equal is it
+recorded, by identity, and its later self-comparisons are skipped.  That
+is exact: an image is an immutable tuple, so the decision on it cannot
+change, and the table holds the object, so its ``id`` is not reused while
+the table lives.  The table holds only images the generators already
+store, never a word of its own.  :func:`inner_vectors` keeps none: it
+compares composites with targets built apart from the generators, which
+never share an image object with them.
 
 A map is a value: every slot is set once, when it is built, and no method
 writes one afterwards.  ``inverse()`` swaps the stored images and inverse
@@ -69,6 +85,8 @@ from .words import (
 from .zmatrix import echelon
 
 Images = dict[int, tuple[int, ...]]
+# Self-comparisons already decided: ``id(image) -> image`` (see ``equals``).
+Decided = dict[int, tuple[int, ...]]
 
 
 class AutomorphismError(GraphError):
@@ -155,17 +173,36 @@ class RaagAutomorphism:
         code = self.graph.code
         return tuple(x for x in self.graph.nodes if code[x] in self._images)
 
-    def equals(self, other: "RaagAutomorphism") -> bool:
+    def equals(
+        self, other: "RaagAutomorphism", decided: Decided | None = None
+    ) -> bool:
         """Equality as maps, decided by both routes of :func:`equal` on
         every node either map moves; every other node is sent to itself by
-        both."""
+        both.  The stored images are reduced, so they go to the routes as
+        they are.
+
+        ``decided`` is a table of self-comparisons that a caller keeps over
+        a loop of calls.  When both maps hold one image object at a node,
+        the first comparison runs both routes, and only once they have said
+        equal is the object recorded, by identity; later comparisons of that
+        object with itself are skipped.  That is exact: an image is an
+        immutable tuple, so the decision on it cannot change, and the table
+        holds the object, so its ``id`` is not reused while the table lives.
+        The table holds only images that the maps already store.
+        """
         if self.graph is not other.graph:
             return False
-        mine, theirs = self._images, other._images
-        return all(
-            _equal_codes(self.graph, mine.get(c, (c,)), theirs.get(c, (c,)))
-            for c in sorted(mine.keys() | theirs.keys())
-        )
+        g, mine, theirs = self.graph, self._images, other._images
+        for c in sorted(mine.keys() | theirs.keys()):
+            u, v = mine.get(c, (c,)), theirs.get(c, (c,))
+            same = u is v and decided is not None
+            if same and id(u) in decided:
+                continue
+            if not _equal_codes(g, u, v):
+                return False
+            if same:
+                decided[id(u)] = u
+        return True
 
     def respects_relations(self) -> bool:
         """Adjacent generators must have commuting images.  An edge with
@@ -180,7 +217,8 @@ class RaagAutomorphism:
                 if y in images and y < x:
                     continue
                 v = images.get(y, (y,))
-                if not _equal_codes(g, u + v, v + u):
+                uv, vu = _reduced_codes(g, u + v), _reduced_codes(g, v + u)
+                if not _equal_codes(g, uv, vu):
                     return False
         return True
 
@@ -315,7 +353,10 @@ def _verifies_conjugator(phi: RaagAutomorphism, cand: RaagWord) -> bool:
     c, c_inv = cand.codes, _inverse(cand.codes)
     nodes = sorted(range(1, len(g.names) + 1), key=lambda x: x not in images)
     return all(
-        _equal_codes(g, images.get(x, (x,)), (*c, x, *c_inv)) for x in nodes
+        _equal_codes(
+            g, images.get(x, (x,)), tuple(_reduced_codes(g, (*c, x, *c_inv)))
+        )
+        for x in nodes
     )
 
 
@@ -484,6 +525,15 @@ class GeneratorSet:
         return out
 
 
+def generator_count(
+    g: DefiningGraph, core: CoreSubgraph, decomposition: PieceDecomposition
+) -> int:
+    """The size of the set :func:`build_generator_set` emits for ``g``:
+    ``(pieces - 1) + 2(nodes - core nodes)``, known before any map is
+    built."""
+    return (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes)
+
+
 def build_generator_set(
     g: DefiningGraph,
     core: CoreSubgraph | None = None,
@@ -564,7 +614,7 @@ def build_generator_set(
             phi = transvection(g, p, target, side)
             entries.append(GeneratorEntry(kind, f"transv_{side}({p} by {target})", phi))
 
-    expected = (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes)
+    expected = generator_count(g, core, decomposition)
     if len(entries) != expected:
         raise StructureAnomalyError(
             f"generator count {len(entries)} != expected {expected}"
@@ -594,11 +644,12 @@ def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCerti
     """
     autos = gs.automorphisms()
     certs: dict[tuple[int, int], CommutationCertificate] = {}
+    decided: Decided = {}
     for i, a in enumerate(autos):
         for j in range(i + 1, len(autos)):
             b = autos[j]
             ab, ba = compose(a, b), compose(b, a)
-            exact = ab.equals(ba)
+            exact = ab.equals(ba, decided)
             comm = None if exact else compose(ab, ba.inverse())
             conj = empty_word(gs.graph) if exact else inner_conjugator(comm)
             certs[(i, j)] = CommutationCertificate(i, j, conj, exact)

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .autos import build_generator_set
+from .autos import build_generator_set, generator_count
 from .graph_core import (
     GraphError,
     IneligibleGraphError,
@@ -43,8 +43,12 @@ EXIT_INELIGIBLE = 2
 EXIT_VIOLATION = 3
 
 # Upper guards on flags whose cost grows without bound: ``psigma 100 1``
-# takes about 0.4 s and ``verify --max-nodes 12`` about 2 s.
+# takes about 0.4 s, ``verify --max-nodes 12`` about 2 s, and ``analyze
+# --witness`` on a 148-node path, 150 generators (the slowest input per
+# generator), about 4 s and 34 MB.  The witness grows about as the cube of
+# the generator count in time, and its certificates as the square.
 MAX_PSIGMA_RANK = 100
+MAX_WITNESS_GENERATORS = 150
 MAX_VERIFY_NODES = 12
 
 
@@ -150,6 +154,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = vcd_report(g)
     payload = report.to_dict()
     if args.witness:
+        count = generator_count(g, report.core, report.decomposition)
+        if count > MAX_WITNESS_GENERATORS:
+            return _input_error(
+                f"--witness builds at most {MAX_WITNESS_GENERATORS} generators, "
+                f"this graph needs {count}"
+            )
         gs = build_generator_set(g, report.core, report.decomposition, base_edge)
         payload["witness_set"] = gs.to_dict()
     _emit(payload, args.json, _render_report)

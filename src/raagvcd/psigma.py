@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .graph_core import DefiningGraph, GraphError, StructureAnomalyError
 from .words import generator
 from .autos import (
+    Decided,
     RaagAutomorphism,
     compose,
     inner_automorphism,
@@ -87,11 +88,12 @@ def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:
     for i in range(spec.k + 1, spec.n + 1):
         out.append((f"lambda_{i}", transvection(g, f"x{i}", "x1", "left")))
         out.append((f"rho_{i}", transvection(g, f"x{i}", "x1", "right")))
+    decided: Decided = {}
     for idx, (_, phi) in enumerate(out):
         for _, psi in out[idx + 1 :]:
             first = compose(phi, psi)
             second = compose(psi, phi)
-            if not first.equals(second):
+            if not first.equals(second, decided):
                 raise StructureAnomalyError(
                     "generator family failed exact commutation"
                 )

@@ -256,10 +256,16 @@ def canonical(w: RaagWord) -> RaagWord:
 
 
 def _equal_codes(g: DefiningGraph, u: Sequence[int], v: Sequence[int]) -> bool:
-    """:func:`equal` on codes of ``g``, both routes cross-checked.  Equal
-    reduced codes have equal canonical forms without computing them."""
+    """:func:`equal` on *reduced* codes of ``g``, both routes cross-checked.
+
+    The inputs must be reduced, as :func:`_reduced_codes` leaves them:
+    route two compares them as they are, and only reduced words for one
+    element are shuffles of one another.  Route one reduces ``u * v**-1``
+    and asks for the empty word; route two finds ``u == v`` (so pass two
+    tuples or two lists), or else compares canonical forms.  Equal reduced
+    codes have equal canonical forms without computing them.
+    """
     via_product = not _reduced_codes(g, (*u, *_inverse(v)))
-    u, v = _reduced_codes(g, u), _reduced_codes(g, v)
     via_canonical = u == v or _canonical_codes(g, u) == _canonical_codes(g, v)
     if via_product != via_canonical:
         raise StructureAnomalyError(
@@ -272,12 +278,14 @@ def _equal_codes(g: DefiningGraph, u: Sequence[int], v: Sequence[int]) -> bool:
 def equal(w1: RaagWord, w2: RaagWord) -> bool:
     """Group equality, decided twice and cross-checked.
 
-    Route one reduces ``w1 * w2**-1`` and asks for the empty word; route two
-    compares canonical forms.  A disagreement would mean the reduction
-    machinery is broken, and raises :class:`StructureAnomalyError`.
+    Both words are reduced first.  Route one reduces ``w1 * w2**-1`` and
+    asks for the empty word; route two compares canonical forms.  A
+    disagreement would mean the reduction machinery is broken, and raises
+    :class:`StructureAnomalyError`.
     """
     _require_same_graph(w1, w2)
-    return _equal_codes(w1.graph, w1.codes, w2.codes)
+    g = w1.graph
+    return _equal_codes(g, _reduced_codes(g, w1.codes), _reduced_codes(g, w2.codes))
 
 
 def _front_positions(g: DefiningGraph, codes: Sequence[int]) -> list[int]:

@@ -2,12 +2,14 @@ import dataclasses
 import functools
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from raagvcd import autos as autos_module
+from raagvcd import words as words_module
 from raagvcd.graph_core import (
     DefiningGraph,
     GraphError,
@@ -18,6 +20,8 @@ from raagvcd.graph_core import (
 )
 from raagvcd.words import (
     RaagWord,
+    _equal_codes,
+    _reduced_codes,
     canonical,
     empty_word,
     equal,
@@ -26,8 +30,10 @@ from raagvcd.words import (
     reduce_word,
     word,
 )
+from raagvcd.psigma import PsigmaSpec, outer_rank, psigma_generators
 from raagvcd.autos import (
     AutomorphismError,
+    CommutationCertificate,
     LiftError,
     RaagAutomorphism,
     build_generator_set,
@@ -47,6 +53,7 @@ from raagvcd.autos import (
 from raagvcd.corpus import (
     cycle_tree_fixtures,
     eligible_trees,
+    spider,
     square_free_non_trees,
     squares_with_trees,
 )
@@ -729,6 +736,245 @@ class TestCommutation:
         assert cert.to_dict()["conjugator"] is None
         with_certs = dataclasses.replace(gs, certificates=certs)
         assert with_certs.uncertified_pairs() == [(0, 1)]
+
+
+def _dense_equal(g, left, right):
+    """``_equal_codes`` on every node of two maps from node to image word,
+    with no early exit and no table."""
+    return all([_equal_codes(g, left[x].codes, right[x].codes) for x in g.nodes])
+
+
+def dense_verify_commuting(gs):
+    """Reference for :func:`verify_commuting`: every pair decided from fresh
+    composites (:func:`_dense_compose` builds each image anew, so none is
+    shared with a factor) with an ``_equal_codes`` call on every node."""
+    g, autos = gs.graph, gs.automorphisms()
+    certs = {}
+    for i, j in itertools.combinations(range(len(autos)), 2):
+        a, b = autos[i], autos[j]
+        exact = _dense_equal(g, _dense_compose(a, b), _dense_compose(b, a))
+        if exact:
+            conj = empty_word(g)
+        else:
+            conj = inner_conjugator(compose(compose(a, b), compose(b, a).inverse()))
+        certs[(i, j)] = CommutationCertificate(i, j, conj, exact)
+    return certs
+
+
+def dense_inner_witnesses(gs):
+    """Reference for ``inner_lattice(gs).witnesses``: each candidate vector
+    of the integer solve checked by applying the generator powers to every
+    node, first generator first, and ``_equal_codes`` on every node."""
+    g, autos = gs.graph, gs.automorphisms()
+    v0, w0 = gs.base_edge
+    witnesses = {}
+    for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        target = inner_automorphism(g, parse_word(g, f"{v0}^{a} {w0}^{b}"))
+        (vector,) = _solve_over_z(
+            [_lattice_invariant(phi) for phi in autos], [_lattice_invariant(target)]
+        )
+        if vector is None:
+            continue
+        images = {}
+        for x in g.nodes:
+            w = generator(g, x)
+            for phi, e in zip(autos, vector):
+                step = phi if e > 0 else phi.inverse()
+                for _ in range(abs(e)):
+                    w = step.apply(w)
+            images[x] = w
+        if _dense_equal(g, images, target.images):
+            witnesses[(a, b)] = vector
+    return witnesses
+
+
+def _with_extra_maps(g, extra):
+    """The generator set of ``g`` with ``extra`` maps appended, so that some
+    pairs do not commute: every pair of a real generator set commutes
+    exactly."""
+    gs = build_generator_set(g, certify=False)
+    entries = gs.entries + tuple(
+        dataclasses.replace(gs.entries[0], automorphism=phi) for phi in extra
+    )
+    return dataclasses.replace(gs, entries=entries)
+
+
+def _witness_graphs():
+    """The fixture graphs of the witness tests, spider(5, 3) and seeded
+    random triangle-free graphs of 6-8 nodes."""
+    return [spider(5, 3)] + _random_eligible_graphs("decided-table", 60, (6, 7, 8))
+
+
+FIXTURES = ["g_p5", "g_c5l", "g_grid", "g_spider"]
+
+
+class TestDecidedSelfComparisons:
+    """``equals`` with a table of decided self-comparisons, kept over the
+    pairs of ``verify_commuting`` and of ``psigma_generators``."""
+
+    def _assert_matches_dense(self, g):
+        gs = build_generator_set(g)
+        assert gs.certificates == dense_verify_commuting(gs)
+        assert dict(gs.inner.witnesses) == dense_inner_witnesses(gs)
+        return gs
+
+    @pytest.mark.parametrize("graph", FIXTURES)
+    def test_fixtures_match_dense_reference(self, graph, request):
+        self._assert_matches_dense(request.getfixturevalue(graph))
+
+    def test_random_graphs_match_dense_reference(self):
+        sets = [self._assert_matches_dense(g) for g in _witness_graphs()]
+        assert {len(gs.inner.witnesses) for gs in sets} >= {0, 1, 4}
+
+    @pytest.mark.parametrize("graph", FIXTURES)
+    def test_non_commuting_pairs_match_dense_reference(self, graph, request):
+        g = request.getfixturevalue(graph)
+        extra = [inner_automorphism(g, generator(g, x)) for x in g.nodes]
+        if graph == "g_c5l":
+            # The pair of test_outer_commutator_uncertified: not inner.
+            extra += [
+                transvection(g, "u", "v2", "left"),
+                transvection(g, "u", "v5", "left"),
+            ]
+        gs = _with_extra_maps(g, extra)
+        certs = verify_commuting(gs)
+        assert certs == dense_verify_commuting(gs)
+        kinds = {(c.exact, c.certified) for c in certs.values()}
+        assert {(True, True), (False, True)} <= kinds
+        assert ((False, False) in kinds) == (graph == "g_c5l")
+
+    def test_spider_5_3_calls_at_most_distinct_comparisons(self, monkeypatch):
+        gs = build_generator_set(spider(5, 3), certify=False)
+        real_equal, real_equals = autos_module._equal_codes, RaagAutomorphism.equals
+        calls, tables = [], []
+
+        def counting(g, u, v):
+            verdict = real_equal(g, u, v)
+            calls.append((u, v, verdict))
+            return verdict
+
+        def keeping_tables(phi, other, decided=None):
+            if not any(decided is t for t in tables):
+                tables.append(decided)
+            return real_equals(phi, other, decided)
+
+        monkeypatch.setattr(autos_module, "_equal_codes", counting)
+        monkeypatch.setattr(RaagAutomorphism, "equals", keeping_tables)
+        certs = verify_commuting(gs)
+        monkeypatch.undo()
+        assert all(c.exact for c in certs.values())
+        distinct = {(tuple(u), tuple(v)) for u, v, _ in calls}
+        assert len(calls) <= len(distinct)
+        # One table for the whole loop, holding only images that the
+        # generators store, each recorded after a call that said equal.
+        (table,) = tables
+        autos = gs.automorphisms()
+        stored = {id(img): img for a in autos for img in a._images.values()}
+        assert table and all(stored.get(k) is img for k, img in table.items())
+        said_equal = {id(u) for u, v, verdict in calls if u is v and verdict}
+        assert table.keys() <= said_equal
+
+    def test_psigma_pairwise_check_keeps_one_table(self, monkeypatch):
+        real_equal, real_equals = autos_module._equal_codes, RaagAutomorphism.equals
+        calls, tables = [], []
+
+        def counting(g, u, v):
+            calls.append((tuple(u), tuple(v)))
+            return real_equal(g, u, v)
+
+        def keeping_tables(phi, other, decided=None):
+            if not any(decided is t for t in tables):
+                tables.append(decided)
+            return real_equals(phi, other, decided)
+
+        monkeypatch.setattr(autos_module, "_equal_codes", counting)
+        monkeypatch.setattr(RaagAutomorphism, "equals", keeping_tables)
+        psigma_generators(PsigmaSpec(8, 3))
+        (table,) = tables
+        assert table and len(calls) <= len(set(calls))
+
+    def test_equal_self_comparison_recorded_once(self, g_p5, monkeypatch):
+        phi = partial_conjugation(g_p5, "b", ["c", "d", "e"])
+        real = autos_module._equal_codes
+        calls = []
+
+        def counting(g, u, v):
+            calls.append(u is v)
+            return real(g, u, v)
+
+        monkeypatch.setattr(autos_module, "_equal_codes", counting)
+        decided = {}
+        assert phi.equals(phi, decided)
+        assert phi.moved_nodes() == ("d", "e") and calls == [True, True]
+        assert sorted(decided.values()) == sorted(phi._images.values())
+        assert phi.equals(phi, decided) and len(calls) == 2
+        assert phi.equals(phi) and len(calls) == 4  # no table, no skip
+
+    def test_false_verdict_not_recorded(self, g_p5, monkeypatch):
+        phi = partial_conjugation(g_p5, "b", ["c", "d", "e"])
+        calls = []
+
+        def refusing(g, u, v):
+            calls.append(u is v)
+            return False
+
+        monkeypatch.setattr(autos_module, "_equal_codes", refusing)
+        decided = {}
+        assert not phi.equals(phi, decided)
+        assert not phi.equals(phi, decided)
+        assert calls == [True, True] and decided == {}
+
+    def test_nothing_recorded_before_both_routes_agree(self, g_p5, monkeypatch):
+        # Route one is made to find a non-empty product, so the routes
+        # disagree on the first self-comparison: it must raise on every call.
+        phi = partial_conjugation(g_p5, "b", ["c", "d", "e"])
+        monkeypatch.setattr(words_module, "_reduced_codes", lambda g, codes: [1])
+        decided = {}
+        for _ in range(2):
+            with pytest.raises(StructureAnomalyError, match="equality routes disagree"):
+                phi.equals(phi, decided)
+        assert decided == {}
+
+
+def _equality_callers(monkeypatch):
+    """Wrap ``autos._equal_codes`` so that every input must be reduced
+    codes; return a counter of the functions that call it."""
+    real = autos_module._equal_codes
+    callers = Counter()
+
+    def checking(g, u, v):
+        for codes in (u, v):
+            assert list(codes) == _reduced_codes(g, codes), codes
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "<genexpr>":
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return real(g, u, v)
+
+    monkeypatch.setattr(autos_module, "_equal_codes", checking)
+    return callers
+
+
+class TestReducedEqualityInputs:
+    """Every caller hands ``_equal_codes`` reduced codes: ``equals`` its
+    stored images, ``respects_relations`` and ``_verifies_conjugator`` the
+    products they reduce first."""
+
+    @pytest.mark.parametrize("graph", FIXTURES)
+    def test_witness_build(self, graph, request, monkeypatch):
+        g = request.getfixturevalue(graph)
+        callers = _equality_callers(monkeypatch)
+        build_generator_set(g)
+        x, y = sorted(g.nodes)[:2]
+        inner = inner_automorphism(g, parse_word(g, f"{x} {y}^-1 {x}"))
+        assert inner_conjugator(inner) is not None
+        assert set(callers) == {"equals", "respects_relations", "_verifies_conjugator"}
+
+    def test_psigma(self, monkeypatch):
+        callers = _equality_callers(monkeypatch)
+        spec = PsigmaSpec(6, 2)
+        outer_rank(spec, psigma_generators(spec))
+        assert callers["equals"] > 0
 
 
 class TestInnerLattice:

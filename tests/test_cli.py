@@ -364,6 +364,46 @@ class TestUpperCaps:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags", [["--json"], []])
+    def test_witness_above_budget_exits_1(self, tmp_path, capsys, monkeypatch, flags):
+        # A 150-node path needs (pieces - 1) + 2(nodes - core nodes) = 152
+        # generators; the count comes from the report, so the refusal comes
+        # before any automorphism is built.
+        from raagvcd import autos
+        from raagvcd import cli as cli_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("automorphism built before the budget check")
+
+        monkeypatch.setattr(cli_module, "build_generator_set", forbidden)
+        monkeypatch.setattr(autos, "_wrap", forbidden)
+        monkeypatch.setattr(autos.RaagAutomorphism, "__init__", forbidden)
+        path = tmp_path / "path150.graph"
+        path.write_text(_edge_text((f"p{i}", f"p{i + 1}") for i in range(149)))
+        assert main(["analyze", str(path), "--witness", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --witness builds at most 150 generators, "
+            "this graph needs 152\n"
+        )
+        assert captured.out == ""
+        assert main(["analyze", str(path), *flags]) == 0  # no witness, no budget
+
+    def test_witness_budget_boundary(self, p5_file, capsys, monkeypatch):
+        # P5 needs 7 generators: accepted at a budget of 7, refused at 6.
+        from raagvcd import cli as cli_module
+
+        monkeypatch.setattr(cli_module, "MAX_WITNESS_GENERATORS", 7)
+        assert main(["analyze", p5_file, "--witness", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness_set"]["count"] == 7
+        monkeypatch.setattr(cli_module, "MAX_WITNESS_GENERATORS", 6)
+        assert main(["analyze", p5_file, "--witness", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --witness builds at most 6 generators, this graph needs 7\n"
+        )
+        assert captured.out == ""
+
     def test_caps_accepted(self, capsys, monkeypatch):
         from raagvcd import verify_suite
 
@@ -806,6 +846,18 @@ class TestGoldenOutput:
         assert main(["analyze", str(path), "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of ``analyze --witness --json`` on a 100-node path: 102
+    # generators and 5,151 commutation certificates, taken before the
+    # equality decisions were shared across the pairs of a generator set.
+    def test_large_witness_json(self, tmp_path, capsys):
+        path = tmp_path / "path100.graph"
+        path.write_text(_edge_text((f"p{i}", f"p{i + 1}") for i in range(99)))
+        assert main(["analyze", str(path), "--witness", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a47e7ab79d71fd787cdd433c94137ea2c10fceadbafc6ceb7a2fc9b5450ce77a"
+        )
 
     def test_psigma_json(self, capsys):
         assert main(["psigma", "10", "5", "--json"]) == 0

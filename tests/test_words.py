@@ -150,6 +150,37 @@ class TestEqual:
             assert equal(u * w, v * w)
             assert equal(w * u, w * v)
 
+    @pytest.mark.parametrize(
+        "left, right, verdict",
+        [
+            ("a a^-1 b", "b", True),
+            ("c b a a^-1 b^-1", "c", True),
+            ("a a^-1 b", "a", False),
+            ("a c c^-1 b", "b a", True),
+            ("a c a^-1", "c", False),
+        ],
+    )
+    def test_unreduced_words_decided_both_ways(self, g_p5, left, right, verdict):
+        # ``_equal_codes`` takes reduced codes; ``equal`` reduces for it.
+        u, v = parse_word(g_p5, left), parse_word(g_p5, right)
+        assert equal(u, v) is verdict
+        assert equal(v, u) is verdict
+
+    def test_equal_codes_takes_reduced_inputs(self, g_p5, monkeypatch):
+        seen = []
+        real = words._equal_codes
+
+        def checking(g, u, v):
+            seen.append((tuple(u), tuple(v)))
+            assert list(u) == words._reduced_codes(g, u)
+            assert list(v) == words._reduced_codes(g, v)
+            return real(g, u, v)
+
+        monkeypatch.setattr(words, "_equal_codes", checking)
+        assert equal(parse_word(g_p5, "a a^-1 b b c"), parse_word(g_p5, "b c b"))
+        b, c = g_p5.code["b"], g_p5.code["c"]
+        assert seen == [((b, b, c), (b, c, b))]  # shuffles of one another
+
     def test_disagreeing_routes_raise_structure_anomaly(self, g_p5, monkeypatch):
         # Canonical forms that always match make the routes disagree on
         # unequal words; equal ones still agree.
