@@ -3,13 +3,11 @@ right-angled Artin groups, with constructive witnesses."""
 
 from .graph_core import (
     DefiningGraph,
-    DominationOrder,
     GraphError,
     IneligibleGraphError,
     ParseError,
     StructureAnomalyError,
     ValidationReport,
-    domination_order,
     gamma_zero,
     parse_graph,
     pieces,

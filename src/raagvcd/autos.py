@@ -68,6 +68,8 @@ from .graph_core import (
     PieceDecomposition,
     StructureAnomalyError,
     _codes,
+    _components,
+    _leaf_mask,
     gamma_zero,
     pieces,
 )
@@ -404,13 +406,13 @@ def inner_conjugator(phi: RaagAutomorphism) -> RaagWord | None:
     return conjugator
 
 
-def _orient_toward(core: CoreSubgraph, base: tuple[str, str]) -> dict[str, str]:
+def _orient_toward(core: CoreSubgraph, base: tuple[int, int]) -> dict[int, int]:
     """Breadth-first search over the core from both ends of ``base``,
     neighbours in code (so sorted) order: each core node's parent, the ends
-    each other's."""
+    each other's, all by code."""
     g = core.graph
-    v0, w0 = g.code[base[0]], g.code[base[1]]
-    left = sum(g.bit[g.code[v]] for v in core.nodes) ^ g.bit[v0] ^ g.bit[w0]
+    v0, w0 = base
+    left = core.nodes ^ g.bit[v0] ^ g.bit[w0]
     parent = {v0: w0, w0: v0}
     queue = [v0, w0]
     for u in queue:  # grows as the search reaches new nodes
@@ -421,7 +423,7 @@ def _orient_toward(core: CoreSubgraph, base: tuple[str, str]) -> dict[str, str]:
             queue.append(c)
     if left:
         raise AutomorphismError("core subgraph is not connected")
-    return {g.names[c - 1]: g.names[p - 1] for c, p in parent.items()}
+    return parent
 
 
 KIND_PARTIAL_CONJUGATION = "partial_conjugation"
@@ -571,46 +573,50 @@ def build_generator_set(
         raise AutomorphismError("core or decomposition of another graph")
     if not core.edges:
         raise AutomorphismError("core subgraph has no edges")
+    names, bit, rows = g.names, g.bit, g.adj
     if base_edge is None:
-        best = min(
-            core.edges, key=lambda e: (len(e & decomposition.hubs), sorted(e))
+        # The edges are sorted, so the first with the fewest hub ends is the
+        # least by name among those.
+        hubs = decomposition.hubs
+        base = min(
+            core.edges, key=lambda e: ((bit[e[0]] | bit[e[1]]) & hubs).bit_count()
         )
-        base_edge = tuple(sorted(best))
-    elif frozenset(base_edge) not in core.edges:
+        base_edge = (names[base[0] - 1], names[base[1] - 1])
+    # ``get``: a name that is not a node is refused as not a core edge.
+    elif tuple(sorted(g.code.get(v, 0) for v in base_edge)) not in core.edges:
         raise AutomorphismError(
             f"base edge {base_edge} is not an edge of the core subgraph"
         )
-    toward = _orient_toward(core, base_edge)
+    toward = _orient_toward(core, (g.code[base_edge[0]], g.code[base_edge[1]]))
 
     entries: list[GeneratorEntry] = []
-    for v in sorted(core.nodes):
-        target = toward[v]
-        for comp in g.components(without=v):
-            if target not in comp:
-                phi = partial_conjugation(g, target, comp)
-                label = f"conj[{target}]({','.join(sorted(comp))})"
+    for c in _codes(core.nodes):
+        target = names[toward[c] - 1]
+        for comp in _components(rows, g.full ^ bit[c]):
+            if not comp & bit[toward[c]]:
+                support = g.namelist(comp)
+                phi = partial_conjugation(g, target, support)
+                label = f"conj[{target}]({','.join(support)})"
                 entries.append(GeneratorEntry(KIND_PARTIAL_CONJUGATION, label, phi))
 
-    for u in sorted(g.leaves):
-        (neighbor,) = g.link(u)
-        for kind, target in (
-            (KIND_LEAF_RIGHT_NEIGHBOR, neighbor),
-            (KIND_LEAF_RIGHT_TOWARD, toward[neighbor]),
-        ):
+    leaves = _leaf_mask(g)
+    for c in _codes(leaves):
+        u, nbr = names[c - 1], rows[c].bit_length()  # its one neighbour
+        targets = (KIND_LEAF_RIGHT_NEIGHBOR, nbr), (KIND_LEAF_RIGHT_TOWARD, toward[nbr])
+        for kind, t in targets:
+            target = names[t - 1]
             phi = transvection(g, u, target)
             entries.append(GeneratorEntry(kind, f"transv_right({u} by {target})", phi))
 
-    for p in sorted(set(g.nodes) - core.nodes - g.leaves):
-        # The other nodes whose links contain p's, as DominationOrder has them.
-        c = g.code[p]
-        doms = g.nameset(g.above(g.adj[c]) & ~g.bit[c])
-        target = min(doms & core.unique_maximal or doms & core.nodes, default=None)
-        if target is None:
+    for c in _codes(g.full & ~core.nodes & ~leaves):
+        # The other nodes whose links contain p's: its dominators.
+        p, doms = names[c - 1], g.above(rows[c]) & ~bit[c]
+        pick = doms & core.unique_maximal or doms & core.nodes
+        if not pick:
             raise AutomorphismError(f"no core node dominates {p!r}")
-        for kind, side in (
-            (KIND_TRANSVECTION_RIGHT, "right"),
-            (KIND_TRANSVECTION_LEFT, "left"),
-        ):
+        target = names[(pick & -pick).bit_length() - 1]
+        sides = (KIND_TRANSVECTION_RIGHT, "right"), (KIND_TRANSVECTION_LEFT, "left")
+        for kind, side in sides:
             phi = transvection(g, p, target, side)
             entries.append(GeneratorEntry(kind, f"transv_{side}({p} by {target})", phi))
 
@@ -638,19 +644,28 @@ def build_generator_set(
 def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCertificate]:
     """Decide innerness of every pairwise commutator of the generators.
 
-    A pair commutes exactly when its two composites are equal maps; only
-    for the other pairs is the commutator ``ab (ba)^-1`` built and handed
-    to :func:`inner_conjugator`.
+    A pair commutes exactly when its two composites are equal maps.  When
+    neither map moves a node that the other moves or holds in an image,
+    each composite keeps the other factor's stored image object at every
+    node, so every comparison would be of an image with itself: such a pair
+    is decided from masks, and only the other pairs build composites.  The
+    commutator ``ab (ba)^-1`` of a pair that does not commute goes to
+    :func:`inner_conjugator`.
     """
-    autos = gs.automorphisms()
+    autos, bit = gs.automorphisms(), gs.graph.bit
+    moved = [sum(bit[x] for x in a._images) for a in autos]
+    # The support with every letter of the stored images.
+    reach = [
+        sum({bit[c] for x, w in a._images.items() for c in (x, *w)}) for a in autos
+    ]
     certs: dict[tuple[int, int], CommutationCertificate] = {}
     decided: Decided = {}
     for i, a in enumerate(autos):
         for j in range(i + 1, len(autos)):
             b = autos[j]
-            ab, ba = compose(a, b), compose(b, a)
-            exact = ab.equals(ba, decided)
-            comm = None if exact else compose(ab, ba.inverse())
+            apart = not (reach[i] & moved[j] or reach[j] & moved[i])
+            exact = apart or compose(a, b).equals(compose(b, a), decided)
+            comm = None if exact else compose(compose(a, b), compose(b, a).inverse())
             conj = empty_word(gs.graph) if exact else inner_conjugator(comm)
             certs[(i, j)] = CommutationCertificate(i, j, conj, exact)
     return certs

@@ -5,23 +5,23 @@ This module parses the graph file format, checks the hypotheses every
 bound needs (connected, triangle-free, not the star of a single node),
 and derives the combinatorial structure the bound formulas consume:
 
-* the domination partial order ``v <= w  iff  lk(v) is contained in lk(w)``
-  and its partition into link-equality classes,
-* the core subgraph spanned by one representative per maximal class,
+* the core subgraph spanned by one representative per maximal class of the
+  domination preorder ``v <= w  iff  lk(v) is contained in lk(w)``,
 * the decomposition into pieces (maximal 2-connected subgraphs, single
   edges included) together with hub detection.
 
 Everything here is a pure function of an immutable graph value.  The
 structure functions work on the integer coding the graph carries, built
-once per graph and shared with words and automorphisms, where node sets are
-bit masks over the sorted names; names come back only in the result values.
+once per graph and shared with words and automorphisms, and so do their
+results: node sets are bit masks and edges sorted code pairs.  Codes follow
+the sorted names, so a mask read from its lowest bit up is its sorted names;
+names come back only in each result's ``to_dict``.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 from weakref import WeakValueDictionary
 
@@ -149,21 +149,21 @@ class DefiningGraph:
         order.update(dict.fromkeys(isolated))
         return DefiningGraph(tuple(order), frozenset(frozenset(pair) for pair in pairs))
 
+    def namelist(self, mask: int) -> list[str]:
+        """The names of the nodes in ``mask``, sorted."""
+        names = self.names
+        return [names[c - 1] for c in _codes(mask)]
+
     def nameset(self, mask: int) -> frozenset[str]:
         """The names of the nodes in ``mask``."""
-        names = self.names
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(names[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return frozenset(self.namelist(mask))
 
     def above(self, link: int) -> int:
         """The nodes whose links contain ``link``: its common neighbours."""
-        common = self.full
-        for c in _codes(link):
-            common &= self.adj[c]
+        common, rows = self.full, self.adj
+        while link:
+            common &= rows[(link & -link).bit_length()]
+            link &= link - 1
         return common
 
     def link(self, v: str) -> frozenset[str]:
@@ -186,7 +186,7 @@ class DefiningGraph:
 
     @cached_property
     def leaves(self) -> frozenset[str]:
-        return frozenset(v for v in self.nodes if self.degree(v) == 1)
+        return self.nameset(_leaf_mask(self))
 
     def components(self, *, without: str | None = None) -> tuple[frozenset[str], ...]:
         """Connected components, optionally of the graph minus one node.
@@ -219,6 +219,18 @@ def _codes(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length()
         mask ^= low
+
+
+def _leaf_mask(g: DefiningGraph) -> int:
+    """The nodes of degree one."""
+    rows, bit = g.adj, g.bit
+    return sum(bit[c] for c in range(1, g.num_nodes + 1) if rows[c].bit_count() == 1)
+
+
+def _edge_names(g: DefiningGraph, edges: Iterable[tuple[int, int]]) -> list[list[str]]:
+    """Code pairs as name pairs; sorted pairs give sorted name pairs."""
+    names = g.names
+    return [[names[u - 1], names[w - 1]] for u, w in edges]
 
 
 def _component(rows: list[int], start: int, alive: int) -> int:
@@ -372,199 +384,188 @@ def require_eligible(g: DefiningGraph) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class DominationOrder:
-    """The link-containment preorder and its equivalence classes.
-
-    ``v <= w`` holds when ``lk(v)`` is contained in ``lk(w)``; nodes with
-    equal links form one class.  A class is maximal when no node strictly
-    dominates its members.
-    """
-
-    graph: DefiningGraph
-    classes: tuple[frozenset[str], ...]
-    maximal_classes: tuple[frozenset[str], ...]
-
-    def dominators(self, v: str) -> frozenset[str]:
-        g = self.graph
-        c = g.code[v]
-        return g.nameset(g.above(g.adj[c]) & ~g.bit[c])
-
-
-def domination_order(g: DefiningGraph) -> DominationOrder:
-    by_link: dict[int, int] = {}
-    for c in range(1, g.num_nodes + 1):
-        by_link[g.adj[c]] = by_link.get(g.adj[c], 0) | g.bit[c]
-    # Classes come out ordered by their smallest member.  A class is maximal
-    # when every node whose link contains the class's link lies in it.
-    classes = tuple(map(g.nameset, by_link.values()))
-    maximal = tuple(
-        cls
-        for cls, (link, members) in zip(classes, by_link.items())
-        if g.above(link) == members
-    )
-    return DominationOrder(graph=g, classes=classes, maximal_classes=maximal)
-
-
-@dataclass(frozen=True)
 class CoreSubgraph:
     """The subgraph spanned by one representative per maximal link class.
 
-    ``unique_maximal`` is the subset of nodes that are maximal AND alone in
-    their class; these are exactly the nodes no automorphism in the standard
-    generating set can transvect onto.  ``pruned_leaves`` records whether the
-    core equals the graph minus its leaves.
+    ``nodes`` is a mask and ``edges`` the sorted code pairs ``(u, w)``,
+    ``u < w``.  The mask ``unique_maximal`` holds the nodes that are maximal
+    AND alone in their class: exactly the nodes no automorphism in the
+    standard generating set can transvect onto.  ``pruned_leaves`` records
+    whether the core equals the graph minus its leaves.
     """
 
     graph: DefiningGraph
-    nodes: frozenset[str]
-    edges: frozenset[frozenset[str]]
-    unique_maximal: frozenset[str]
+    nodes: int
+    edges: tuple[tuple[int, int], ...]
+    unique_maximal: int
     pruned_leaves: bool
     spans_connected: bool
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return self.nodes.bit_count()
+
+    def to_dict(self) -> dict:
+        g = self.graph
+        return {
+            "nodes": g.namelist(self.nodes),
+            "edges": _edge_names(g, self.edges),
+            "unique_maximal": g.namelist(self.unique_maximal),
+            "pruned_leaves": self.pruned_leaves,
+        }
 
 
 def gamma_zero(g: DefiningGraph) -> CoreSubgraph:
     """Choose class representatives and span the core subgraph.
 
-    The representative of each maximal class is its least member by name.
+    Nodes with equal links form a class.  A class is maximal when every node
+    whose link contains the class's link lies in it, so that no node
+    strictly dominates its members.  The representative of each maximal
+    class is its least member by name: the lowest bit of its mask.
     """
-    maximal = domination_order(g).maximal_classes
-    rep_set = frozenset(map(min, maximal))
-
-    core_edges = frozenset(e for e in g.edges if e <= rep_set)
-    unique_maximal = frozenset(min(cls) for cls in maximal if len(cls) == 1)
-    non_leaves = frozenset(g.nodes) - g.leaves
-    pruned = rep_set == non_leaves
-
+    rows, bit = g.adj, g.bit
+    by_link: dict[int, int] = {}
+    for c in range(1, g.num_nodes + 1):
+        by_link[rows[c]] = by_link.get(rows[c], 0) | bit[c]
+    nodes = unique = 0
+    for link, members in by_link.items():
+        if g.above(link) == members:
+            rep = members & -members
+            nodes |= rep
+            if members == rep:
+                unique |= rep
+    # Each edge from its lower end u, to the core neighbours above u.
+    edges = tuple(
+        (u, w) for u in _codes(nodes) for w in _codes(rows[u] & nodes >> u << u)
+    )
     # Connectivity of the span is expected for every eligible graph; it is
     # recorded rather than repaired so that a violation surfaces as a finding.
-    mask = sum(g.bit[g.code[v]] for v in rep_set)
-    spans_connected = _component(g.adj, mask & -mask, mask) == mask
-
-    return CoreSubgraph(
-        graph=g,
-        nodes=rep_set,
-        edges=core_edges,
-        unique_maximal=unique_maximal,
-        pruned_leaves=pruned,
-        spans_connected=spans_connected,
-    )
+    spans = _component(rows, nodes & -nodes, nodes) == nodes
+    return CoreSubgraph(g, nodes, edges, unique, nodes == g.full ^ _leaf_mask(g), spans)
 
 
 @dataclass(frozen=True)
 class PieceDecomposition:
     """Maximal 2-connected subgraphs (single edges count) and hub data.
 
-    ``delta_c`` maps each node to the number of connected components of the
-    graph minus that node, which must agree with the number of pieces
-    containing it; the constructor cross-checks the two counts.  A node is a
-    hub when every node of the pieces containing it is adjacent to it or
-    dominated by it.
+    A piece is the sorted tuple of its edges as code pairs ``(u, w)``,
+    ``u < w``; pieces are ordered by least node, then as found.
+    ``delta_c[c]`` counts the components of the graph minus node ``c``
+    (``delta_c[0]`` is 0); :func:`pieces` checks it against the number of
+    pieces holding ``c``.  The mask ``hubs`` holds each node such that every
+    node of the pieces containing it is adjacent to it or dominated by it.
     """
 
     graph: DefiningGraph
-    pieces: tuple[frozenset[frozenset[str]], ...]
-    delta_c: Mapping[str, int]
-    hubs: frozenset[str]
+    pieces: tuple[tuple[tuple[int, int], ...], ...]
+    delta_c: tuple[int, ...]
+    hubs: int
 
     @property
     def count(self) -> int:
         return len(self.pieces)
 
+    def to_dict(self) -> dict:
+        g = self.graph
+        return {
+            "pieces": [_edge_names(g, piece) for piece in sorted(self.pieces)],
+            "hubs": g.namelist(self.hubs),
+        }
 
-def _blocks(rows: list[int], roots: Iterable[int]) -> list[list[tuple[int, int]]]:
-    """Group edges into maximal 2-connected pieces (iterative Hopcroft-Tarjan
-    over codes); an edge is the pair of its ends' codes."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
+
+def _blocks(rows: list[int], root: int) -> list[list[tuple[int, int]]]:
+    """Group the edges of the component of ``root`` into maximal 2-connected
+    pieces (iterative Hopcroft-Tarjan over codes); an edge is the pair of
+    its ends' codes.  ``index[v]`` is 0 until ``v`` is reached, then its
+    place in the search; ``rest[v]`` holds the neighbours not yet looked at.
+    """
+    index, low, parent = [0] * len(rows), [0] * len(rows), [0] * len(rows)
+    rest = list(rows)
+    index[root] = low[root] = reached = 1
+    stack = [root]
     edge_stack: list[tuple[int, int]] = []
     groups: list[list[tuple[int, int]]] = []
-
-    for root in roots:
-        if root in index:
-            continue
-        # Explicit stack of (node, parent, iterator over neighbors).
-        index[root] = low[root] = len(index)
-        work = [(root, 0, _codes(rows[root]))]
-        while work:
-            v, parent, nbrs = work[-1]
-            for w in nbrs:
-                if w == parent:
-                    continue
-                if w not in index:
-                    edge_stack.append((v, w))
-                    index[w] = low[w] = len(index)
-                    work.append((w, v, _codes(rows[w])))
-                    break
-                if index[w] < index[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= index[u]:
-                        group = [edge_stack.pop()]
-                        while group[-1] != (u, v):
-                            group.append(edge_stack.pop())
-                        groups.append(group)
+    while stack:
+        v = stack[-1]
+        if rest[v]:
+            b = rest[v] & -rest[v]
+            rest[v] ^= b
+            w = b.bit_length()
+            if w == parent[v]:
+                continue
+            if not index[w]:
+                edge_stack.append((v, w))
+                reached += 1
+                index[w] = low[w] = reached
+                parent[w] = v
+                stack.append(w)
+            elif index[w] < index[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], index[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1]
+                low[u] = min(low[u], low[v])
+                if low[v] >= index[u]:
+                    group = [edge_stack.pop()]
+                    while group[-1] != (u, v):
+                        group.append(edge_stack.pop())
+                    groups.append(group)
     return groups
 
 
 def pieces(g: DefiningGraph) -> PieceDecomposition:
     """Decompose a connected graph into pieces, cross-checking both
     separation-count definitions."""
-    rows, names = g.adj, g.names
+    rows, bit, n = g.adj, g.bit, g.num_nodes
     if _component(rows, 1, g.full) != g.full:
         raise GraphError("graph must be connected to split into pieces")
     spanned = []
-    for group in _blocks(rows, [g.code[v] for v in g.nodes]):
+    for group in _blocks(rows, g.code[g.nodes[0]]):
         span = 0
         for v, w in group:
-            span |= g.bit[v] | g.bit[w]
-        piece = frozenset(frozenset((names[v - 1], names[w - 1])) for v, w in group)
-        spanned.append((span, piece))
+            span |= bit[v] | bit[w]
+        pairs = sorted((v, w) if v < w else (w, v) for v, w in group)
+        spanned.append((span, tuple(pairs)))
     # By smallest node; the sort is stable, so ties keep the discovery order.
     spanned.sort(key=lambda sg: sg[0] & -sg[0])
 
-    membership = [0] * len(rows)
-    delta = [0] * len(rows)
+    membership = [0] * (n + 1)
+    delta = [0] * (n + 1)
     for span, _ in spanned:
-        for c in _codes(span):
+        rest = span
+        while rest:
+            c = (rest & -rest).bit_length()
+            rest &= rest - 1
             membership[c] += 1
             delta[c] |= span
 
-    delta_c = {v: len(_components(rows, g.full ^ g.bit[g.code[v]])) for v in g.nodes}
-    for v, comps in delta_c.items():
-        if comps != membership[g.code[v]]:
+    delta_c = (0, *(len(_components(rows, g.full ^ bit[c])) for c in range(1, n + 1)))
+    for v in g.nodes:
+        c = g.code[v]
+        if delta_c[c] != membership[c]:
             raise StructureAnomalyError(
-                f"separation count mismatch at {v}: removing it leaves {comps} "
-                f"components but it lies in {membership[g.code[v]]} pieces"
+                f"separation count mismatch at {v}: removing it leaves {delta_c[c]} "
+                f"components but it lies in {membership[c]} pieces"
             )
 
     # Block decomposition identity for a connected graph: the excesses of the
     # separating nodes sum to (number of pieces) - 1.
-    excess = sum(delta_c[v] - 1 for v in g.nodes)
+    excess = sum(delta_c) - n
     if excess != len(spanned) - 1:
         raise StructureAnomalyError(
             f"piece-count identity failed: sum of excesses {excess} != "
             f"{len(spanned) - 1}"
         )
 
-    hubs = frozenset(
-        v
-        for v, c in g.code.items()
-        if all(not rows[u] & ~rows[c] for u in _codes(delta[c] & ~g.star[c]))
-    )
+    hubs = 0
+    for c in range(1, n + 1):
+        # The nodes of c's pieces outside its star must have links in c's.
+        far = delta[c] & ~g.star[c]
+        while far and not rows[(far & -far).bit_length()] & ~rows[c]:
+            far &= far - 1
+        if not far:
+            hubs |= bit[c]
 
-    return PieceDecomposition(
-        graph=g,
-        pieces=tuple(piece for _, piece in spanned),
-        delta_c=MappingProxyType(delta_c),
-        hubs=hubs,
-    )
+    return PieceDecomposition(g, tuple(piece for _, piece in spanned), delta_c, hubs)

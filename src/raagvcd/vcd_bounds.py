@@ -20,6 +20,7 @@ from .graph_core import (
     PieceDecomposition,
     StructureAnomalyError,
     _codes,
+    _leaf_mask,
     gamma_zero,
     pieces,
     require_eligible,
@@ -75,12 +76,15 @@ def lower_bound(
     are broken lexicographically so reports are reproducible.
     """
     base = (decomposition.count - 1) + 2 * (g.num_nodes - core.num_nodes) - 2
-    non_hub = core.nodes - decomposition.hubs
-    non_hub_edges = sorted(tuple(sorted(e)) for e in core.edges if e <= non_hub)
-    if non_hub_edges:
-        return BoundResult(base + 2, LOWER_NONHUB_EDGE, witness=non_hub_edges[0])
+    non_hub = core.nodes & ~decomposition.hubs
+    names = g.names
+    for u, w in core.edges:  # sorted, so the first is the least by name
+        if g.bit[u] & non_hub and g.bit[w] & non_hub:
+            witness = (names[u - 1], names[w - 1])
+            return BoundResult(base + 2, LOWER_NONHUB_EDGE, witness=witness)
     if non_hub:
-        return BoundResult(base + 1, LOWER_NONHUB_NODE, witness=min(non_hub))
+        witness = names[(non_hub & -non_hub).bit_length() - 1]
+        return BoundResult(base + 1, LOWER_NONHUB_NODE, witness=witness)
     return BoundResult(base, LOWER_BASE)
 
 
@@ -99,23 +103,21 @@ def upper_bound(
     structure anomaly.
     """
     pi = decomposition.count
-    valences = {v: g.degree(v) for v in sorted(core.nodes)}
-    low = [v for v, n in valences.items() if n < 2]
+    rows, names = g.adj, g.names
+    valences = {c: rows[c].bit_count() for c in _codes(core.nodes)}
+    low = [names[c - 1] for c, n in valences.items() if n < 2]
     if low:
         raise StructureAnomalyError(f"core nodes of valence below 2: {low}")
     terms = {
-        v: psigma_vcd(n, len(g.link(v) & core.unique_maximal))
-        for v, n in valences.items()
+        names[c - 1]: psigma_vcd(n, (rows[c] & core.unique_maximal).bit_count())
+        for c, n in valences.items()
     }
     value = (pi - 1) + sum(terms.values())
     case = UPPER_GENERAL
 
     if core.unique_maximal == core.nodes:
-        simplified = (
-            (pi - 1)
-            + 2 * sum(valences.values())
-            - 2 * len(core.nodes)
-            - 2 * len(core.edges)
+        simplified = (pi - 1) + 2 * (
+            sum(valences.values()) - core.num_nodes - len(core.edges)
         )
         if simplified != value:
             raise StructureAnomalyError(
@@ -125,7 +127,7 @@ def upper_bound(
         case = UPPER_UNIQUE_MAXIMAL
 
     if core.pruned_leaves:
-        leaf_form = (pi - 1) + 2 * (len(g.leaves) - g.euler_characteristic)
+        leaf_form = (pi - 1) + 2 * (_leaf_mask(g).bit_count() - g.euler_characteristic)
         if leaf_form != value:
             raise StructureAnomalyError(
                 f"upper-bound specialization mismatch: general {value} vs "
@@ -154,16 +156,8 @@ class VcdReport:
     def to_dict(self) -> dict:
         return {
             "counts": dict(self.counts),
-            "gamma0": {
-                "nodes": sorted(self.core.nodes),
-                "edges": sorted(sorted(e) for e in self.core.edges),
-                "unique_maximal": sorted(self.core.unique_maximal),
-                "pruned_leaves": self.core.pruned_leaves,
-            },
-            "pieces": sorted(
-                sorted(sorted(e) for e in piece) for piece in self.decomposition.pieces
-            ),
-            "hubs": sorted(self.decomposition.hubs),
+            "gamma0": self.core.to_dict(),
+            **self.decomposition.to_dict(),
             "lower": self.lower.to_dict(),
             "upper": self.upper.to_dict(),
             "exact": self.exact,
@@ -204,7 +198,7 @@ def vcd_report(g: DefiningGraph) -> VcdReport:
         )
     decomposition = pieces(g)
 
-    core_excess = sum(decomposition.delta_c[v] - 1 for v in core.nodes)
+    core_excess = sum(decomposition.delta_c[c] - 1 for c in _codes(core.nodes))
     if core_excess != decomposition.count - 1:
         raise StructureAnomalyError(
             f"piece-count identity failed over core nodes: {core_excess} != "
@@ -220,7 +214,7 @@ def vcd_report(g: DefiningGraph) -> VcdReport:
     exact = lower.value if lower.value == upper.value else None
 
     e = g.num_edges
-    ell = len(g.leaves)
+    ell = _leaf_mask(g).bit_count()
     chi = g.euler_characteristic
     pi = decomposition.count
     is_tree = e == g.num_nodes - 1

@@ -19,7 +19,7 @@ from math import factorial
 
 from . import corpus
 from .autos import build_generator_set, inner_lattice, verify_commuting
-from .graph_core import DefiningGraph, GraphError
+from .graph_core import DefiningGraph, GraphError, _codes
 from .homology import reduced_homology_of_chain
 from .ideal_edges import (
     HalfEdgeSet,
@@ -66,32 +66,23 @@ class VerificationResult:
 
 def _structural_checks(report: VcdReport, result: VerificationResult) -> None:
     g, decomposition, core = report.graph, report.decomposition, report.core
-    covered: set[frozenset[str]] = set()
-    overlap_ok = True
-    partition_ok = True
-    for i, p in enumerate(decomposition.pieces):
-        if covered & p:
-            partition_ok = False
-        covered |= p
-        nodes_p = frozenset(v for e in p for v in e)
-        for q in decomposition.pieces[i + 1 :]:
-            nodes_q = frozenset(v for e in q for v in e)
-            if len(nodes_p & nodes_q) > 1:
-                overlap_ok = False
-    if covered != g.edges:
-        partition_ok = False
+    # Every edge of the graph in exactly one piece, as a sorted code pair.
+    edges = sorted(tuple(sorted(map(g.code.get, e))) for e in g.edges)
+    partition_ok = sorted(e for p in decomposition.pieces for e in p) == edges
+    spans = [sum({g.bit[c] for e in p for c in e}) for p in decomposition.pieces]
+    overlap_ok = all(
+        (s & t).bit_count() <= 1 for i, s in enumerate(spans) for t in spans[i + 1 :]
+    )
     result.check(f"pieces partition edges [{g.num_nodes} nodes]", partition_ok)
     result.check("piece pairwise intersections at most one node", overlap_ok)
 
     result.check("core subgraph spans a connected subgraph", core.spans_connected)
-    result.check(
-        "core avoids leaves", not (core.nodes & g.leaves)
-    )
-    leaf_neighbors_ok = all(
-        next(iter(g.link(u))) in core.unique_maximal for u in g.leaves
-    )
+    leaves = [g.code[u] for u in g.leaves]
+    result.check("core avoids leaves", not any(core.nodes & g.bit[c] for c in leaves))
+    # A leaf's row is the bit of its one neighbour.
+    leaf_neighbors_ok = all(g.adj[c] & core.unique_maximal for c in leaves)
     result.check("leaf neighbors are unique-maximal", leaf_neighbors_ok)
-    excess = sum(decomposition.delta_c[v] - 1 for v in core.nodes)
+    excess = sum(decomposition.delta_c[c] - 1 for c in _codes(core.nodes))
     result.check(
         "piece-count identity over core nodes",
         excess == decomposition.count - 1,

@@ -200,5 +200,5 @@ def test_structural_assertions():
         for g in graphs:
             dec = pieces(g)  # raises on any separation-count mismatch
             core = gamma_zero(g)
-            excess = sum(dec.delta_c[v] - 1 for v in core.nodes)
+            excess = sum(dec.delta_c[g.code[v]] - 1 for v in g.nameset(core.nodes))
             assert excess == dec.count - 1

@@ -623,7 +623,7 @@ class TestGeneratorSet:
             core = gamma_zero(g)
             gs = build_generator_set(g, certify=False)
             for entry in gs.entries:
-                for u in core.nodes:
+                for u in g.nameset(core.nodes):
                     _, cyc_core = cyclic_reduce(entry.automorphism.image_of(u))
                     assert equal(cyc_core, gen_word(g, u))
 
@@ -655,6 +655,36 @@ class TestGeneratorSet:
 
 
 class TestCommutation:
+    def test_only_pairs_that_meet_build_composites(self, monkeypatch):
+        # A pair in which neither map moves a node the other moves or holds
+        # in an image is decided without a composite; every other pair
+        # builds its two composites, and the certificates are unchanged.
+        gs = build_generator_set(spider(5, 3), certify=False)
+        autos = gs.automorphisms()
+        reach = []
+        for a in autos:
+            moved = set(a.moved_nodes())
+            held = {x for v in moved for x, _ in a.image_of(v).letters}
+            reach.append((moved, moved | held))
+        meet = {
+            (i, j)
+            for i, j in itertools.combinations(range(len(autos)), 2)
+            if reach[i][1] & reach[j][0] or reach[j][1] & reach[i][0]
+        }
+        assert 0 < len(meet) < len(autos) * (len(autos) - 1) // 2
+        built = []
+        real = autos_module.compose
+
+        def recording(phi, psi):
+            built.append((autos.index(phi), autos.index(psi)))
+            return real(phi, psi)
+
+        monkeypatch.setattr(autos_module, "compose", recording)
+        certs = verify_commuting(gs)
+        monkeypatch.undo()
+        assert sorted(built) == sorted([*meet, *((j, i) for i, j in meet)])
+        assert certs == dense_verify_commuting(gs)
+
     def test_all_pairs_certified_on_small_trees(self):
         for g in eligible_trees(6):
             gs = build_generator_set(g, certify=False)

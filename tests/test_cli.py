@@ -1031,3 +1031,30 @@ def test_analyze_output_pinned(tmp_path, capsys, fmt):
         digests[f"{name}_{fmt}"] = hashlib.sha256(out.encode()).hexdigest()
     expected = {k: v for k, v in ANALYZE_PIN_SHA256.items() if k.endswith(fmt)}
     assert digests == expected
+
+
+# The six-cycle with a chord and a leaf from
+# ``test_vcd_bounds.py::test_middle_case_nonhub_node``: the one pinned report
+# whose lower bound takes the ``NONHUB_NODE`` case (the thirty graphs above,
+# spider(5,3) and C5L reach only ``BASE`` and ``NONHUB_EDGE``).
+_NONHUB_NODE_EDGES = [
+    ("n0", "n4"), ("n1", "n2"), ("n1", "n3"), ("n1", "n6"),
+    ("n2", "n5"), ("n3", "n4"), ("n4", "n6"), ("n5", "n6"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (["--json"], "96a8f31734210463a5f957f17e6ad2ca91aff633051fa6806f76fd9931608b85"),
+        ([], "c7ec663e3c9afa89190b607ec6edc485500785ec19fde54ed4a91c899eaca336"),
+    ],
+    ids=["json", "text"],
+)
+def test_nonhub_node_report_pinned(tmp_path, capsys, flags, digest):
+    path = tmp_path / "nonhub_node.graph"
+    path.write_text(_edge_text(_NONHUB_NODE_EDGES))
+    assert main(["analyze", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert "NONHUB_NODE" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -12,7 +12,6 @@ from raagvcd.graph_core import (
     ParseError,
     StructureAnomalyError,
     ValidationReport,
-    domination_order,
     gamma_zero,
     parse_graph,
     pieces,
@@ -158,78 +157,109 @@ class TestValidate:
             assert report.eligible and report.square_free == square_free
 
 
+def dominators(g, v):
+    """The other nodes whose links contain ``v``'s, read from the rows."""
+    c = g.code[v]
+    return g.nameset(g.above(g.adj[c]) & ~g.bit[c])
+
+
+def edge_names(g, pairs):
+    """Code pairs as a set of name-pair edges."""
+    return frozenset(frozenset((g.names[u - 1], g.names[w - 1])) for u, w in pairs)
+
+
+def core_names(core):
+    """The core subgraph's fields, node sets and edges read as names."""
+    g = core.graph
+    return {
+        "nodes": g.nameset(core.nodes),
+        "edges": edge_names(g, core.edges),
+        "unique_maximal": g.nameset(core.unique_maximal),
+        "pruned_leaves": core.pruned_leaves,
+        "spans_connected": core.spans_connected,
+    }
+
+
 class TestDomination:
+    # The classes and maximal classes come from the name-based oracle; the
+    # core subgraph spans their least members, and the singleton maximal
+    # classes are its unique-maximal nodes.
     def test_square_classes(self, g_square):
-        order = domination_order(g_square)
-        assert set(order.classes) == {frozenset("ac"), frozenset("bd")}
-        assert set(order.maximal_classes) == set(order.classes)
+        classes, maximal = oracle_domination(g_square)
+        assert set(classes) == {frozenset("ac"), frozenset("bd")}
+        assert set(maximal) == set(classes)
+        core = gamma_zero(g_square)
+        assert g_square.nameset(core.nodes) == {min(cls) for cls in maximal}
+        assert g_square.nameset(core.unique_maximal) == frozenset()
 
     def test_p5(self, g_p5):
-        order = domination_order(g_p5)
-        assert order.dominators("a") == frozenset("c")
-        assert order.dominators("e") == frozenset("c")
-        assert order.dominators("c") == frozenset()
-        assert set(order.maximal_classes) == {frozenset(v) for v in "bcd"}
-        assert all(len(cls) == 1 for cls in order.classes)
+        assert dominators(g_p5, "a") == frozenset("c")
+        assert dominators(g_p5, "e") == frozenset("c")
+        assert dominators(g_p5, "c") == frozenset()
+        classes, maximal = oracle_domination(g_p5)
+        assert set(maximal) == {frozenset(v) for v in "bcd"}
+        assert all(len(cls) == 1 for cls in classes)
+        core = gamma_zero(g_p5)
+        assert g_p5.nameset(core.nodes) == g_p5.nameset(core.unique_maximal)
+        assert g_p5.nameset(core.nodes) == frozenset("bcd")
 
     def test_leaf_dominated_by_common_neighbors(self, g_c5l):
-        order = domination_order(g_c5l)
         # lk(u) = {v1}; u <= w exactly when w is adjacent to v1
-        assert order.dominators("u") == frozenset({"v2", "v5"})
+        assert dominators(g_c5l, "u") == frozenset({"v2", "v5"})
 
     def test_functorial_under_renaming(self, g_c5l):
         mapping = {n: f"node_{n}" for n in g_c5l.nodes}
         renamed = g_c5l.renamed(mapping)
-        order = domination_order(g_c5l)
-        order2 = domination_order(renamed)
-        relabeled = {frozenset(mapping[v] for v in cls) for cls in order.classes}
-        assert relabeled == set(order2.classes)
-        relabeled_max = {
-            frozenset(mapping[v] for v in cls) for cls in order.maximal_classes
-        }
-        assert relabeled_max == set(order2.maximal_classes)
+        for v in g_c5l.nodes:
+            relabeled = {mapping[w] for w in dominators(g_c5l, v)}
+            assert relabeled == dominators(renamed, mapping[v])
+        core, core2 = gamma_zero(g_c5l), gamma_zero(renamed)
+        relabeled_max = {mapping[v] for v in g_c5l.nameset(core.unique_maximal)}
+        assert relabeled_max == renamed.nameset(core2.unique_maximal)
+        assert core.num_nodes == core2.num_nodes
 
 
 class TestCoreSubgraph:
     def test_p5(self, g_p5):
         core = gamma_zero(g_p5)
-        assert core.nodes == frozenset("bcd")
-        assert core.edges == frozenset({frozenset("bc"), frozenset("cd")})
-        assert core.unique_maximal == frozenset("bcd")
+        assert g_p5.nameset(core.nodes) == frozenset("bcd")
+        assert edge_names(g_p5, core.edges) == {frozenset("bc"), frozenset("cd")}
+        assert g_p5.nameset(core.unique_maximal) == frozenset("bcd")
         assert core.pruned_leaves
         assert core.spans_connected
 
     def test_c5l(self, g_c5l):
         core = gamma_zero(g_c5l)
-        assert core.nodes == frozenset({"v1", "v2", "v3", "v4", "v5"})
+        assert g_c5l.nameset(core.nodes) == frozenset({"v1", "v2", "v3", "v4", "v5"})
         assert core.unique_maximal == core.nodes
         assert core.pruned_leaves
 
     def test_square(self, g_square):
         core = gamma_zero(g_square)
-        assert core.nodes == frozenset("ab")
-        assert core.edges == frozenset({frozenset("ab")})
-        assert core.unique_maximal == frozenset()
+        assert g_square.nameset(core.nodes) == frozenset("ab")
+        assert edge_names(g_square, core.edges) == {frozenset("ab")}
+        assert g_square.nameset(core.unique_maximal) == frozenset()
         assert not core.pruned_leaves
 
     def test_tie_break_override(self, g_square):
         # The least name represents each class; under a renaming that
         # reverses the order of the names, the greatest one does.
         mapping = reversed_names(g_square)
-        core = gamma_zero(g_square.renamed(mapping))
-        assert core.nodes == {mapping[v] for v in "cd"}
+        renamed = g_square.renamed(mapping)
+        core = gamma_zero(renamed)
+        assert renamed.nameset(core.nodes) == {mapping[v] for v in "cd"}
 
     def test_core_never_contains_leaves(self):
         for g in eligible_trees(7):
             core = gamma_zero(g)
-            assert not (core.nodes & g.leaves)
+            assert not (g.nameset(core.nodes) & g.leaves)
 
     def test_leaf_neighbor_unique_maximal(self):
         for g in list(eligible_trees(7)) + cycle_tree_fixtures((5,))[:10]:
             core = gamma_zero(g)
             for u in g.leaves:
                 (nbr,) = g.link(u)
-                assert nbr in core.unique_maximal
+                assert nbr in g.nameset(core.unique_maximal)
 
 
 class TestPieces:
@@ -237,32 +267,33 @@ class TestPieces:
         dec = pieces(g_p5)
         assert dec.count == 4
         assert all(len(p) == 1 for p in dec.pieces)
-        assert dec.delta_c["c"] == 2
-        assert {"b", "c", "d"} <= set(dec.hubs)
+        assert dec.delta_c[g_p5.code["c"]] == 2
+        assert {"b", "c", "d"} <= g_p5.nameset(dec.hubs)
 
     def test_c5l(self, g_c5l):
         dec = pieces(g_c5l)
         assert dec.count == 2
         sizes = sorted(len(p) for p in dec.pieces)
         assert sizes == [1, 5]
-        assert "v1" not in dec.hubs
-        assert dec.delta_c["v1"] == 2
+        assert "v1" not in g_c5l.nameset(dec.hubs)
+        assert dec.delta_c[g_c5l.code["v1"]] == 2
 
     def test_square_is_single_piece(self, g_square):
         dec = pieces(g_square)
         assert dec.count == 1
-        assert dec.hubs == frozenset("abcd")
+        assert g_square.nameset(dec.hubs) == frozenset("abcd")
 
     def test_partition_and_overlap_on_corpus(self):
         graphs = list(eligible_trees(7)) + cycle_tree_fixtures((5, 6))[:40]
         for g in graphs:
             dec = pieces(g)
+            named = [edge_names(g, p) for p in dec.pieces]
             seen = set()
-            for p in dec.pieces:
+            for p in named:
                 assert not (seen & p)
                 seen |= p
             assert seen == g.edges
-            node_sets = [frozenset(v for e in p for v in e) for p in dec.pieces]
+            node_sets = [frozenset(v for e in p for v in e) for p in named]
             for i in range(len(node_sets)):
                 for j in range(i + 1, len(node_sets)):
                     assert len(node_sets[i] & node_sets[j]) <= 1
@@ -272,7 +303,7 @@ class TestPieces:
         for g in graphs:
             dec = pieces(g)
             core = gamma_zero(g)
-            excess = sum(dec.delta_c[v] - 1 for v in core.nodes)
+            excess = sum(dec.delta_c[g.code[v]] - 1 for v in g.nameset(core.nodes))
             assert excess == dec.count - 1
 
     def test_tree_interior_nodes_are_hubs(self):
@@ -281,7 +312,7 @@ class TestPieces:
             assert dec.count == g.num_edges
             for v in g.nodes:
                 if g.degree(v) >= 2:
-                    assert v in dec.hubs
+                    assert v in g.nameset(dec.hubs)
 
     def test_pieces_against_cycle_sharing_oracle(self):
         # Two edges belong to the same piece exactly when some simple cycle
@@ -297,14 +328,14 @@ class TestPieces:
         for g in graphs:
             oracle = _piece_partition_by_cycles(g)
             dec = pieces(g)
-            assert set(dec.pieces) == oracle
+            assert {edge_names(g, p) for p in dec.pieces} == oracle
 
     def test_pruned_leaves_biconditional(self, g_square, g_p5, g_c5l):
         graphs = [g_square, g_p5, g_c5l] + list(eligible_trees(6))
         for g in graphs:
             core = gamma_zero(g)
             non_leaves = frozenset(g.nodes) - g.leaves
-            assert core.pruned_leaves == (non_leaves <= core.unique_maximal)
+            assert core.pruned_leaves == (non_leaves <= g.nameset(core.unique_maximal))
 
 
 class TestGraphValue:
@@ -611,27 +642,25 @@ def test_graph_value_against_oracles(index):
 def test_structure_against_oracles(index):
     for g in ORACLE_CORPUS[index : index + 50]:
         adj = oracle_adjacency(g)
-        order = domination_order(g)
-        assert (order.classes, order.maximal_classes) == oracle_domination(g)
         for v in g.nodes:
-            assert order.dominators(v) == frozenset(
+            assert dominators(g, v) == frozenset(
                 w for w in g.nodes if w != v and adj[v] <= adj[w]
             )
         core = gamma_zero(g)
-        expected = oracle_core(g)
-        assert {k: getattr(core, k) for k in expected} == expected
+        assert core.edges == tuple(sorted(core.edges))
+        assert core_names(core) == oracle_core(g)
         # A greatest-name policy is the least-name one after a renaming that
         # reverses the order of the names; the bounds do not see it.
         mapping = reversed_names(g)
         back = {new: old for old, new in mapping.items()}
         renamed = g.renamed(mapping)
-        core = gamma_zero(renamed)
+        named = core_names(gamma_zero(renamed))
         assert {
-            "nodes": frozenset(back[v] for v in core.nodes),
-            "edges": frozenset(frozenset(back[v] for v in e) for e in core.edges),
-            "unique_maximal": frozenset(back[v] for v in core.unique_maximal),
-            "pruned_leaves": core.pruned_leaves,
-            "spans_connected": core.spans_connected,
+            "nodes": frozenset(back[v] for v in named["nodes"]),
+            "edges": frozenset(frozenset(back[v] for v in e) for e in named["edges"]),
+            "unique_maximal": frozenset(back[v] for v in named["unique_maximal"]),
+            "pruned_leaves": named["pruned_leaves"],
+            "spans_connected": named["spans_connected"],
         } == oracle_core(g, max)
         if validate(g).eligible:
             reports = vcd_report(g), vcd_report(renamed)
@@ -645,9 +674,10 @@ def test_structure_against_oracles(index):
             assert not isinstance(exc.value, StructureAnomalyError)
             continue
         dec = pieces(g)
-        assert dec.pieces == expected["pieces"]
-        assert list(dec.delta_c.items()) == list(expected["delta_c"].items())
-        assert dec.hubs == expected["hubs"]
+        assert all(p == tuple(sorted(p)) for p in dec.pieces)
+        assert tuple(edge_names(g, p) for p in dec.pieces) == expected["pieces"]
+        assert dec.delta_c == (0, *(expected["delta_c"][v] for v in g.names))
+        assert g.nameset(dec.hubs) == expected["hubs"]
 
 
 class TestSeparationCountCrossCheck:
