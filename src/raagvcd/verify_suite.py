@@ -19,7 +19,7 @@ from math import factorial
 
 from . import corpus
 from .autos import build_generator_set, inner_lattice, verify_commuting
-from .graph_core import DefiningGraph, GraphError, _codes
+from .graph_core import DefiningGraph, GraphError, _codes, _leaf_mask
 from .homology import reduced_homology_of_chain
 from .ideal_edges import (
     HalfEdgeSet,
@@ -77,10 +77,10 @@ def _structural_checks(report: VcdReport, result: VerificationResult) -> None:
     result.check("piece pairwise intersections at most one node", overlap_ok)
 
     result.check("core subgraph spans a connected subgraph", core.spans_connected)
-    leaves = [g.code[u] for u in g.leaves]
-    result.check("core avoids leaves", not any(core.nodes & g.bit[c] for c in leaves))
+    leaves = _leaf_mask(g)
+    result.check("core avoids leaves", not core.nodes & leaves)
     # A leaf's row is the bit of its one neighbour.
-    leaf_neighbors_ok = all(g.adj[c] & core.unique_maximal for c in leaves)
+    leaf_neighbors_ok = all(g.adj[c] & core.unique_maximal for c in _codes(leaves))
     result.check("leaf neighbors are unique-maximal", leaf_neighbors_ok)
     excess = sum(decomposition.delta_c[c] - 1 for c in _codes(core.nodes))
     result.check(
