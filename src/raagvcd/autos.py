@@ -34,20 +34,18 @@ every node name to a word.  Work is done over supports only:
 * ``respects_relations`` checks the edges that meet the support; the
   images of an edge with both ends fixed are its ends, which commute.
 
-A composite keeps a factor's stored image object wherever the other
-factor fixes all of its letters, so most node comparisons between the two
-composites of a pair are of one object with itself.  A loop over the pairs
-of one generator set (:func:`verify_commuting`, and the pairwise check of
-``psigma.psigma_generators``) keeps one table of those self-comparisons
-for the whole loop and passes it to ``equals``.  Each object is compared
-by both routes the first time; only after both have said equal is it
-recorded, by identity, and its later self-comparisons are skipped.  That
-is exact: an image is an immutable tuple, so the decision on it cannot
-change, and the table holds the object, so its ``id`` is not reused while
-the table lives.  The table holds only images the generators already
-store, never a word of its own.  :func:`inner_vectors` keeps none: it
-compares composites with targets built apart from the generators, which
-never share an image object with them.
+Both commuting families, the generator set of Out(A_Gamma) and the
+partially symmetric family of ``psigma``, are checked pair by pair in one
+loop, :func:`pairwise_commutation`.  A pair in which neither map touches
+what the other moves is decided from masks.  Every other pair builds its
+two composites, and a composite keeps a factor's stored image object
+wherever the other factor fixes all of its letters, so most of their node
+comparisons are of one object with itself.  The loop keeps one table of
+those self-comparisons and passes it to ``equals`` (which says why that
+is exact); the table holds only images the maps already store.
+:func:`inner_vectors` keeps none: it compares composites with targets
+built apart from the generators, which never share an image object with
+them.
 
 A map is a value: every slot is set once, when it is built, and no method
 writes one afterwards.  ``inverse()`` swaps the stored images and inverse
@@ -59,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graph_core import (
     CoreSubgraph,
@@ -641,33 +639,41 @@ def build_generator_set(
     return gs
 
 
+def pairwise_commutation(maps: Sequence[RaagAutomorphism]) -> Iterator[tuple[int, int, bool]]:
+    """Yield ``(i, j, exact)`` for each pair ``i < j`` of ``maps``, over one
+    graph, in order: whether the pair's two composites are equal maps.
+
+    A pair in which neither map moves a node that the other moves or holds
+    in an image is decided from masks: each composite would keep the other
+    factor's image object at every node.  The other pairs build composites,
+    and their comparisons share one table of decided self-comparisons.
+    """
+    moved = [sum(a.graph.bit[x] for x in a._images) for a in maps]
+    # The support with every letter of the stored images.
+    reach = [
+        sum({a.graph.bit[c] for x, w in a._images.items() for c in (x, *w)})
+        for a in maps
+    ]
+    decided: Decided = {}
+    for i, a in enumerate(maps):
+        for j, b in enumerate(maps[i + 1 :], i + 1):
+            apart = not (reach[i] & moved[j] or reach[j] & moved[i])
+            yield i, j, apart or compose(a, b).equals(compose(b, a), decided)
+
+
 def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCertificate]:
     """Decide innerness of every pairwise commutator of the generators.
 
-    A pair commutes exactly when its two composites are equal maps.  When
-    neither map moves a node that the other moves or holds in an image,
-    each composite keeps the other factor's stored image object at every
-    node, so every comparison would be of an image with itself: such a pair
-    is decided from masks, and only the other pairs build composites.  The
-    commutator ``ab (ba)^-1`` of a pair that does not commute goes to
+    :func:`pairwise_commutation` decides which pairs commute exactly; the
+    commutator ``ab (ba)^-1`` of any other pair goes to
     :func:`inner_conjugator`.
     """
-    autos, bit = gs.automorphisms(), gs.graph.bit
-    moved = [sum(bit[x] for x in a._images) for a in autos]
-    # The support with every letter of the stored images.
-    reach = [
-        sum({bit[c] for x, w in a._images.items() for c in (x, *w)}) for a in autos
-    ]
-    certs: dict[tuple[int, int], CommutationCertificate] = {}
-    decided: Decided = {}
-    for i, a in enumerate(autos):
-        for j in range(i + 1, len(autos)):
-            b = autos[j]
-            apart = not (reach[i] & moved[j] or reach[j] & moved[i])
-            exact = apart or compose(a, b).equals(compose(b, a), decided)
-            comm = None if exact else compose(compose(a, b), compose(b, a).inverse())
-            conj = empty_word(gs.graph) if exact else inner_conjugator(comm)
-            certs[(i, j)] = CommutationCertificate(i, j, conj, exact)
+    autos, certs = gs.automorphisms(), {}
+    for i, j, exact in pairwise_commutation(autos):
+        a, b = autos[i], autos[j]
+        comm = None if exact else compose(compose(a, b), compose(b, a).inverse())
+        conj = empty_word(gs.graph) if exact else inner_conjugator(comm)
+        certs[(i, j)] = CommutationCertificate(i, j, conj, exact)
     return certs
 
 

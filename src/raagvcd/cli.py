@@ -43,13 +43,19 @@ EXIT_INELIGIBLE = 2
 EXIT_VIOLATION = 3
 
 # Upper guards on flags whose cost grows without bound: ``psigma 100 1``
-# takes about 0.4 s, ``verify --max-nodes 12`` about 2 s, and ``analyze
+# takes about 0.15 s, ``verify --max-nodes 12`` about 2 s, and ``analyze
 # --witness`` on a 148-node path, 150 generators (the slowest input per
 # generator), about 4 s and 34 MB.  The witness grows about as the cube of
 # the generator count in time, and its certificates as the square.
 MAX_PSIGMA_RANK = 100
 MAX_WITNESS_GENERATORS = 150
 MAX_VERIFY_NODES = 12
+# Homology of a full complex (with r <= 1 the legal complex is the full
+# one) lists every simplex, since nothing collapses, at about 400 B each:
+# ``0 9 --full``, 660,031 simplices, takes about 5 s and 290 MB, and the
+# full complex on 10 half-edges, 12,818,911 simplices, would need 5 GB or
+# more.  Above this count the homology is refused; ``--no-homology`` counts.
+MAX_FULL_HOMOLOGY_SIMPLICES = 700000
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -202,6 +208,12 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
         return _input_error(f"--cap must be at least 1, got {args.cap}")
     h = HalfEdgeSet.standard(args.r, args.s)
     c = build_complex(h, legal_only=not args.full, max_simplices=args.cap)
+    full = args.full or args.r <= 1
+    if full and not args.no_homology and c.total_simplices > MAX_FULL_HOMOLOGY_SIMPLICES:
+        return _input_error(
+            f"homology lists at most {MAX_FULL_HOMOLOGY_SIMPLICES} simplices of a "
+            f"full complex, this one has {c.total_simplices} (--no-homology counts it)"
+        )
     # The ideal edges are the splits of the m half-edges into two sides
     # of at least two each, 2^(m-1) - m - 1 of them; the complex's
     # vertices are all of them with --full and the legal ones without.

@@ -5,9 +5,10 @@ the first ``k`` of the generators ``x1..xn`` to conjugates of themselves.
 Its dimension is ``2n - k - 2`` for ``k >= 1`` (and ``2n - 3`` for
 ``k = 0``); the witness is an explicit commuting family of ``2n - k - 1``
 automorphisms whose only inner members are the powers of conjugation by
-``x1``.  Everything is exact: commutation is decided by free reduction, and
-the inner part by the integer solve that also serves Out(A_Gamma)
-(:func:`raagvcd.autos.inner_vectors`), no search involved.
+``x1``.  Everything is exact, no search involved: commutation is decided
+by the pair loop and the inner part by the integer solve that also serve
+Out(A_Gamma) (:func:`raagvcd.autos.pairwise_commutation` and
+:func:`raagvcd.autos.inner_vectors`).
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 from .graph_core import DefiningGraph, GraphError, StructureAnomalyError
 from .words import generator
 from .autos import (
-    Decided,
     RaagAutomorphism,
-    compose,
     inner_automorphism,
     inner_vectors,
+    pairwise_commutation,
     partial_conjugation,
     transvection,
 )
@@ -75,8 +75,8 @@ def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:
 
     Requires ``k >= 1``; for ``k = 0`` the family is not defined (only the
     dimension formula applies).  All pairs commute exactly in Aut(F_n),
-    which the constructor verifies by free reduction; a failure raises
-    :class:`StructureAnomalyError`.
+    which :func:`raagvcd.autos.pairwise_commutation` verifies; a failure
+    raises :class:`StructureAnomalyError`.
     """
     if spec.k < 1:
         raise PsigmaError("generator family requires k >= 1")
@@ -88,15 +88,8 @@ def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:
     for i in range(spec.k + 1, spec.n + 1):
         out.append((f"lambda_{i}", transvection(g, f"x{i}", "x1", "left")))
         out.append((f"rho_{i}", transvection(g, f"x{i}", "x1", "right")))
-    decided: Decided = {}
-    for idx, (_, phi) in enumerate(out):
-        for _, psi in out[idx + 1 :]:
-            first = compose(phi, psi)
-            second = compose(psi, phi)
-            if not first.equals(second, decided):
-                raise StructureAnomalyError(
-                    "generator family failed exact commutation"
-                )
+    if not all(exact for *_, exact in pairwise_commutation([m for _, m in out])):
+        raise StructureAnomalyError("generator family failed exact commutation")
     return out
 
 

@@ -51,3 +51,18 @@ def g_spider() -> DefiningGraph:
 @pytest.fixture
 def g_star() -> DefiningGraph:
     return DefiningGraph.from_edges([("a", "b"), ("a", "c"), ("a", "d")])
+
+
+@pytest.fixture
+def skewed_rho(monkeypatch):
+    """Make ``psigma_generators`` build each ``rho_i`` as ``x_i -> x_i x2``
+    instead of ``x_i -> x_i x1``, so that with ``k >= 2`` it fails to
+    commute with ``gamma_2``."""
+    from raagvcd import psigma
+
+    real = psigma.transvection
+
+    def skewed(g, node, target, side="right"):
+        return real(g, node, "x2" if side == "right" else target, side)
+
+    monkeypatch.setattr(psigma, "transvection", skewed)

@@ -655,12 +655,39 @@ class TestGeneratorSet:
 
 
 class TestCommutation:
-    def test_only_pairs_that_meet_build_composites(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "psigma_nk",
+        [None, (8, 3), (10, 5)],
+        ids=["spider(5,3)", "PSigma(8,3)", "PSigma(10,5)"],
+    )
+    def test_only_pairs_that_meet_build_composites(self, psigma_nk, monkeypatch):
         # A pair in which neither map moves a node the other moves or holds
         # in an image is decided without a composite; every other pair
-        # builds its two composites, and the certificates are unchanged.
-        gs = build_generator_set(spider(5, 3), certify=False)
-        autos = gs.automorphisms()
+        # builds its two composites, and the results are unchanged.  Both
+        # commuting families go through the same pair loop.
+        built = []
+        real = autos_module.compose
+
+        def recording(phi, psi):
+            built.append((phi, psi))
+            return real(phi, psi)
+
+        if psigma_nk is None:
+            gs = build_generator_set(spider(5, 3), certify=False)
+            monkeypatch.setattr(autos_module, "compose", recording)
+            certs = verify_commuting(gs)
+            monkeypatch.undo()
+            assert certs == dense_verify_commuting(gs)
+            autos = gs.automorphisms()
+        else:
+            n, k = psigma_nk
+            monkeypatch.setattr(autos_module, "compose", recording)
+            family_maps = psigma_generators(PsigmaSpec(n, k))
+            monkeypatch.undo()
+            assert [name for name, _ in family_maps] == [
+                name for name, _ in psigma_generators(PsigmaSpec(n, k))
+            ]
+            autos = [phi for _, phi in family_maps]
         reach = []
         for a in autos:
             moved = set(a.moved_nodes())
@@ -672,18 +699,10 @@ class TestCommutation:
             if reach[i][1] & reach[j][0] or reach[j][1] & reach[i][0]
         }
         assert 0 < len(meet) < len(autos) * (len(autos) - 1) // 2
-        built = []
-        real = autos_module.compose
-
-        def recording(phi, psi):
-            built.append((autos.index(phi), autos.index(psi)))
-            return real(phi, psi)
-
-        monkeypatch.setattr(autos_module, "compose", recording)
-        certs = verify_commuting(gs)
-        monkeypatch.undo()
-        assert sorted(built) == sorted([*meet, *((j, i) for i, j in meet)])
-        assert certs == dense_verify_commuting(gs)
+        if psigma_nk is not None:
+            assert len(meet) == n - k  # the pairs (lambda_i, rho_i)
+        indices = [(autos.index(phi), autos.index(psi)) for phi, psi in built]
+        assert sorted(indices) == sorted([*meet, *((j, i) for i, j in meet)])
 
     def test_all_pairs_certified_on_small_trees(self):
         for g in eligible_trees(6):
@@ -906,7 +925,7 @@ class TestDecidedSelfComparisons:
 
     def test_psigma_pairwise_check_keeps_one_table(self, monkeypatch):
         real_equal, real_equals = autos_module._equal_codes, RaagAutomorphism.equals
-        calls, tables = [], []
+        calls, tables, pairs = [], [], []
 
         def counting(g, u, v):
             calls.append((tuple(u), tuple(v)))
@@ -915,13 +934,18 @@ class TestDecidedSelfComparisons:
         def keeping_tables(phi, other, decided=None):
             if not any(decided is t for t in tables):
                 tables.append(decided)
+            pairs.append((phi, other))
             return real_equals(phi, other, decided)
 
         monkeypatch.setattr(autos_module, "_equal_codes", counting)
         monkeypatch.setattr(RaagAutomorphism, "equals", keeping_tables)
         psigma_generators(PsigmaSpec(8, 3))
         (table,) = tables
-        assert table and len(calls) <= len(set(calls))
+        assert len(calls) <= len(set(calls))
+        # Only the n - k pairs (lambda_i, rho_i) meet, and their composites
+        # hold fresh images at x_i, so no self-comparison is left to record.
+        assert len(pairs) == 8 - 3
+        assert table == {}
 
     def test_equal_self_comparison_recorded_once(self, g_p5, monkeypatch):
         phi = partial_conjugation(g_p5, "b", ["c", "d", "e"])

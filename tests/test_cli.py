@@ -171,6 +171,14 @@ class TestPsigma:
         assert captured.err.startswith("internal invariant broken: ")
         assert message in captured.err
 
+    def test_family_that_fails_to_commute_exits_3(self, capsys, skewed_rho):
+        assert main(["psigma", "4", "2", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal invariant broken: generator family failed exact commutation\n"
+        )
+
 
 class TestIdealComplex:
     def test_worked_example(self, capsys):
@@ -403,6 +411,49 @@ class TestUpperCaps:
             "error: --witness builds at most 6 generators, this graph needs 7\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["0", "5", "--full"], ["1", "3"], ["1", "3", "--full"]]
+    )
+    def test_full_homology_boundary(self, capsys, monkeypatch, argv):
+        # The full complex on 5 half-edges has 25 simplices (with r <= 1 the
+        # legal complex is the full one): its homology is accepted at a
+        # ceiling of 25, byte for byte as without the patch, and refused at
+        # 24 before any simplex is listed.  --no-homology is still accepted.
+        from raagvcd import cli as cli_module
+        from raagvcd import ideal_edges
+
+        argv = ["ideal-complex", *argv, "--json"]
+        assert main(argv) == 0
+        unpatched = capsys.readouterr().out
+        monkeypatch.setattr(cli_module, "MAX_FULL_HOMOLOGY_SIMPLICES", 25)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == unpatched
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simplices listed before the ceiling check")
+
+        monkeypatch.setattr(cli_module, "MAX_FULL_HOMOLOGY_SIMPLICES", 24)
+        monkeypatch.setattr(ideal_edges, "_clique_levels", forbidden)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: homology lists at most 24 simplices of a full complex, "
+            "this one has 25 (--no-homology counts it)\n"
+        )
+        assert captured.out == ""
+        assert main([*argv, "--no-homology"]) == 0
+        assert sum(json.loads(capsys.readouterr().out)["counts"]) == 25
+
+    def test_full_homology_ceiling_spares_legal_complexes(self, capsys, monkeypatch):
+        # A legal complex with r >= 2 collapses to a small core, so its
+        # homology never lists every simplex and has no ceiling.
+        from raagvcd import cli as cli_module
+
+        monkeypatch.setattr(cli_module, "MAX_FULL_HOMOLOGY_SIMPLICES", 1)
+        assert main(["ideal-complex", "2", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sum(payload["counts"]) == 11 and payload["homology"]["trivial"]
 
     def test_caps_accepted(self, capsys, monkeypatch):
         from raagvcd import verify_suite

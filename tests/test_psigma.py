@@ -104,6 +104,13 @@ class TestGenerators:
             for _, psi in gens[i + 1 :]:
                 assert compose(phi, psi).equals(compose(psi, phi))
 
+    def test_member_that_fails_to_commute_raises(self, skewed_rho):
+        # rho_3 made to send x3 to x3 x2: it meets gamma_2 (x2 -> x1^-1 x2 x1)
+        # at x2, and the two composites differ at x3.
+        with pytest.raises(StructureAnomalyError) as info:
+            psigma_generators(PsigmaSpec(4, 2))
+        assert str(info.value) == "generator family failed exact commutation"
+
 
 def _sum(c1: dict, c2: dict) -> dict:
     out = dict(c1)
