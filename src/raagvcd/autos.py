@@ -664,15 +664,19 @@ def pairwise_commutation(maps: Sequence[RaagAutomorphism]) -> Iterator[tuple[int
 def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCertificate]:
     """Decide innerness of every pairwise commutator of the generators.
 
-    :func:`pairwise_commutation` decides which pairs commute exactly; the
-    commutator ``ab (ba)^-1`` of any other pair goes to
+    :func:`pairwise_commutation` decides which pairs commute exactly, and
+    their certificates share one empty conjugator (words are immutable);
+    the commutator ``ab (ba)^-1`` of any other pair goes to
     :func:`inner_conjugator`.
     """
     autos, certs = gs.automorphisms(), {}
+    identity = empty_word(gs.graph)
     for i, j, exact in pairwise_commutation(autos):
-        a, b = autos[i], autos[j]
-        comm = None if exact else compose(compose(a, b), compose(b, a).inverse())
-        conj = empty_word(gs.graph) if exact else inner_conjugator(comm)
+        if exact:
+            conj = identity
+        else:
+            a, b = autos[i], autos[j]
+            conj = inner_conjugator(compose(compose(a, b), compose(b, a).inverse()))
         certs[(i, j)] = CommutationCertificate(i, j, conj, exact)
     return certs
 

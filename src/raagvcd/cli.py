@@ -51,10 +51,11 @@ MAX_PSIGMA_RANK = 100
 MAX_WITNESS_GENERATORS = 150
 MAX_VERIFY_NODES = 12
 # Homology of a full complex (with r <= 1 the legal complex is the full
-# one) lists every simplex, since nothing collapses, at about 400 B each:
-# ``0 9 --full``, 660,031 simplices, takes about 5 s and 290 MB, and the
-# full complex on 10 half-edges, 12,818,911 simplices, would need 5 GB or
-# more.  Above this count the homology is refused; ``--no-homology`` counts.
+# one) comes from an element matching that keeps every simplex as a live
+# mask: ``0 9 --full``, 660,031 simplices, takes about 1.3 s and 120 MB.
+# The full complex on 10 half-edges would hold 12.8 M masks of about twice
+# the width (not run).  Above this count the homology is refused;
+# ``--no-homology`` counts.
 MAX_FULL_HOMOLOGY_SIMPLICES = 700000
 
 
@@ -208,8 +209,7 @@ def _cmd_ideal_complex(args: argparse.Namespace) -> int:
         return _input_error(f"--cap must be at least 1, got {args.cap}")
     h = HalfEdgeSet.standard(args.r, args.s)
     c = build_complex(h, legal_only=not args.full, max_simplices=args.cap)
-    full = args.full or args.r <= 1
-    if full and not args.no_homology and c.total_simplices > MAX_FULL_HOMOLOGY_SIMPLICES:
+    if c.is_full and not args.no_homology and c.total_simplices > MAX_FULL_HOMOLOGY_SIMPLICES:
         return _input_error(
             f"homology lists at most {MAX_FULL_HOMOLOGY_SIMPLICES} simplices of a "
             f"full complex, this one has {c.total_simplices} (--no-homology counts it)"

@@ -37,6 +37,14 @@ numbers with zeros (and its torsion with empty lists) up to the whole
 complex's dimension gives exactly the summary of the whole complex.  Every
 collapse step is replayed with one mask test before the core is used.
 
+A full complex, whose vertices are all the ideal edges, is tree space: a
+wedge of (m-2)! spheres of dimension m-4 on m half-edges.  Nothing in it
+collapses, so its homology is read off a sequential element matching on
+its simplices instead, in vertex-index order.  On every m from 4 to 9 it
+leaves (m-2)! critical cells, all of dimension m-4, which gives the
+homotopy type; a run is checked against the Euler characteristic of the
+simplex counts and refused if its critical cells lie in adjacent degrees.
+
 Everything on this path is an integer bitmask: an ideal edge carries the
 mask of its inside over the half-edges, compatibility is a subset or
 covering test on two masks, a simplex is the mask of its vertex indices,
@@ -264,6 +272,12 @@ class SimplicialComplex:
 
     def counts(self) -> tuple[int, ...]:
         return self.clique_counts
+
+    @property
+    def is_full(self) -> bool:
+        """Whether every ideal edge is a vertex: the full complex, which is
+        also the legal one when there is at most one pair."""
+        return len(self.vertices) == 2 ** (self.h.size - 1) - self.h.size - 1
 
     @cached_property
     def simplices_by_dim(self) -> tuple[tuple[int, ...], ...]:
@@ -561,7 +575,13 @@ def replay_flag_collapse(
 
 def reduced_homology(c: SimplicialComplex) -> HomologySummary:
     """Reduced integral homology of the complex, which
-    :func:`build_complex` has already held to its simplex cap."""
+    :func:`build_complex` has already held to its simplex cap.
+
+    A full complex has no dominated vertex or edge, so it goes straight to
+    :func:`matching_homology`; any other goes through :func:`flag_homology`.
+    """
+    if c.is_full:
+        return matching_homology(c)
     return flag_homology(c.rows, c.dim)
 
 
@@ -583,6 +603,73 @@ def flag_homology(rows: Sequence[int], dim: int) -> HomologySummary:
         reduced_betti=hom.reduced_betti + (0,) * pad,
         torsion=hom.torsion + ((),) * pad,
     )
+
+
+def matching_homology(c: SimplicialComplex) -> HomologySummary:
+    """Reduced integral homology of ``c`` from the critical cells of
+    :func:`_element_matching` on its simplices.
+
+    The matching is acyclic, so by Forman's discrete Morse theory (1998)
+    ``c`` is homotopy equivalent to a CW complex with one q-cell for each
+    critical q-simplex and one 0-cell for the matched empty simplex.  When
+    no two critical cells lie in adjacent degrees every Morse boundary is
+    zero, and the reduced homology in degree q is free of rank the number
+    of critical q-cells; with all of them in one degree d >= 1 the complex
+    is a wedge of that many d-spheres.  :class:`StructureAnomalyError` is
+    raised when critical cells lie in adjacent degrees (their homology
+    would need the Morse boundary), and when the reduced Euler
+    characteristic of the critical cells differs from that of ``c.counts()``,
+    counted without listing any simplex.
+    """
+    critical = [0] * (c.dim + 2)  # critical[q + 1]: critical q-cells
+    for cell in _element_matching(c.simplices_by_dim, len(c.rows)):
+        critical[cell.bit_count()] += 1
+    euler = sum(-n if q % 2 else n for q, n in enumerate((1, *c.counts()), -1))
+    matched = sum(-n if q % 2 else n for q, n in enumerate(critical, -1))
+    if matched != euler:
+        raise StructureAnomalyError(
+            f"critical cells {critical} by degree from -1 have reduced Euler "
+            f"characteristic {matched}, the simplex counts {euler}"
+        )
+    if any(a and b for a, b in zip(critical, critical[1:])):
+        raise StructureAnomalyError(
+            f"critical cells {critical} by degree from -1 lie in adjacent degrees"
+        )
+    return HomologySummary(
+        reduced_betti=tuple(critical[1:]), torsion=((),) * (c.dim + 1)
+    )
+
+
+def _element_matching(levels: Sequence[Sequence[int]], n: int) -> set[int]:
+    """The cells left unmatched by the sequential element matching on the
+    complex on vertices ``0 .. n-1`` whose q-simplices are ``levels[q]``,
+    as vertex bitmasks closed under faces, and the empty cell (mask 0).
+
+    For each vertex ``v`` in index order, each cell holding ``v`` is
+    matched with the cell without ``v`` when neither is matched yet.  Each
+    step is an element matching on the cells the steps before it left, and
+    a sequence of element matchings is acyclic (Jonsson, *Simplicial
+    Complexes of Graphs*, LNM 1928, 2008).  An unmatched cell waits in the
+    bucket of its lowest vertex not yet passed, so it is in one bucket at a
+    time, and no face of any cell is built but the one tried.
+    """
+    live = {0}
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for level in levels:
+        live.update(level)
+        for cell in level:
+            buckets[(cell & -cell).bit_length() - 1].append(cell)
+    for v in range(n):
+        bit = 1 << v
+        for cell in buckets[v]:
+            if cell in live:
+                if cell ^ bit in live:
+                    live.remove(cell)
+                    live.remove(cell ^ bit)
+                elif rest := cell >> v + 1:
+                    buckets[v + (rest & -rest).bit_length()].append(cell)
+        buckets[v] = []
+    return live
 
 
 # ---------------------------------------------------------------------------

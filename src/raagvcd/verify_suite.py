@@ -7,7 +7,8 @@ once per distinct graph value, and the generator-set counts, witness outer
 ranks and commutation certificates on the small trees read those reports.
 Then come the outer rank of the partially symmetric family against its
 dimension formula for n <= 8, and the blow-up complexes on up to eight
-half-edges: the full ones against the tree-space oracle, the legal ones for
+half-edges: the full ones against the tree-space oracle (homology from the
+element matching and over every simplex), the legal ones for
 trivial homology (from the collapse core and over every simplex) and a
 collapse certificate.  Any violation is collected rather than raised so
 the caller can report all of them at once.
@@ -109,12 +110,15 @@ def _psigma_checks(result: VerificationResult) -> None:
 def _blowup_checks(result: VerificationResult) -> None:
     # The full complex on m half-edges is the space of trivalent trees with
     # m leaves: a wedge of (m-2)! spheres of dimension m-4 (Robinson &
-    # Whitehouse 1996), one vertex per split and one facet per tree.
+    # Whitehouse 1996), one vertex per split and one facet per tree.  Its
+    # homology comes from the element matching, and the coreduction over
+    # the same listing of every simplex is the reference.
     for m in range(4, 8):
         label = f"tree-space oracle [full complex, {m} half-edges]"
         try:
             c = build_complex(HalfEdgeSet.standard(0, m))
             hom = reduced_homology(c)
+            every = reduced_homology_of_chain(c.simplices_by_dim)
             trees = facets_match_trivalent_trees(c)
         except GraphError as exc:
             result.check(label, False, str(exc))
@@ -126,11 +130,13 @@ def _blowup_checks(result: VerificationResult) -> None:
             label,
             list(hom.reduced_betti) == betti
             and not any(hom.torsion)
+            and hom == every
             and len(c.vertices) == vertices
             and trees,
             f"betti {list(hom.reduced_betti)} torsion {list(hom.torsion)} "
-            f"vertices {len(c.vertices)} facets match trees {trees}; expected "
-            f"betti {betti}, {vertices} vertices, facets matching trees",
+            f"over every simplex {every.to_dict()} vertices {len(c.vertices)} "
+            f"facets match trees {trees}; expected betti {betti}, {vertices} "
+            "vertices, facets matching trees",
         )
     # Legal complexes are contractible; the certificate shows it without
     # the homology, and the homology of the collapse core must agree with

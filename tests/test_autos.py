@@ -740,6 +740,14 @@ class TestCommutation:
         cert = gs.certificates[(min(i, j), max(i, j))]
         assert cert.exact
 
+    def test_exact_certificates_share_one_empty_word(self, g_p5):
+        gs = build_generator_set(g_p5, certify=False)
+        certs = verify_commuting(gs)
+        conjugators = {id(c.conjugator) for c in certs.values() if c.exact}
+        assert len(certs) > 1 and len(conjugators) == 1
+        assert all(c.conjugator.codes == () for c in certs.values() if c.exact)
+        assert certs == dense_verify_commuting(gs)
+
     @staticmethod
     def _two_generators(g, a, b):
         """The generator set of ``g`` with ``a`` and ``b`` as its only

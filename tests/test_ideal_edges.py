@@ -557,6 +557,120 @@ class TestCliqueCounts:
         assert c.counts()[0] == len(c.vertices)
 
 
+# Every complex on 4 to 8 half-edges whose vertices are all the ideal edges:
+# each structure with --full, and the legal ones with at most one pair.
+FULL_INPUTS = [(r, s, False) for r, s in SMALL_STRUCTURES] + [
+    (r, s, True) for r, s in SMALL_STRUCTURES if r <= 1
+]
+
+
+def critical_by_degree(critical, dim):
+    """Entry ``q + 1`` counts the critical q-cells, the empty cell at -1."""
+    out = [0] * (dim + 2)
+    for cell in critical:
+        out[cell.bit_count()] += 1
+    return out
+
+
+class TestMatchingHomology:
+    @pytest.mark.parametrize("r,s,legal_only", FULL_INPUTS)
+    def test_full_inputs_leave_one_sphere_per_critical_cell(self, r, s, legal_only):
+        m = 2 * r + s
+        c = build_complex(
+            HalfEdgeSet.standard(r, s), legal_only=legal_only, max_simplices=200000
+        )
+        assert c.is_full
+        critical = ideal_edges._element_matching(c.simplices_by_dim, len(c.rows))
+        assert len(critical) == factorial(m - 2)
+        assert {cell.bit_count() - 1 for cell in critical} == {m - 4}
+        hom = reduced_homology(c)
+        assert hom == ideal_edges.matching_homology(c)
+        assert hom == reduced_homology_of_chain(c.simplices_by_dim)
+
+    @pytest.mark.parametrize("r,s", [(r, s) for r, s in SMALL_STRUCTURES if r >= 2])
+    def test_legal_complexes_with_two_pairs_are_not_full(self, r, s):
+        c = build_complex(HalfEdgeSet.standard(r, s), legal_only=True)
+        assert not c.is_full
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_full_homology_builds_no_face_lists(self, m, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("full homology reached the collapse or face lists")
+
+        monkeypatch.setattr(homology, "_face_lists", refuse)
+        monkeypatch.setattr(ideal_edges, "flag_collapse", refuse)
+        c = build_complex(HalfEdgeSet.standard(0, m), max_simplices=200000)
+        hom = reduced_homology(c)
+        assert hom.reduced_betti[m - 4] == factorial(m - 2)
+        assert sum(hom.reduced_betti) == factorial(m - 2)
+
+    def test_random_flag_complexes(self):
+        # Any vertex order gives an acyclic matching: its critical cells
+        # keep the Euler characteristic, and where no two lie in adjacent
+        # degrees they give the homology over every simplex.
+        read = 0
+        for n, edges in random_graphs():
+            if not n:
+                continue
+            levels = cliques(graph_rows(n, edges))
+            critical = critical_by_degree(
+                ideal_edges._element_matching(levels, n), len(levels) - 1
+            )
+            euler = -1 + sum((-1) ** q * len(level) for q, level in enumerate(levels))
+            assert sum((-1) ** (q + 1) * k for q, k in enumerate(critical)) == euler
+            assert critical[0] == 0  # the empty cell pairs with vertex 0
+            if not any(a and b for a, b in zip(critical, critical[1:])):
+                read += 1
+                hom = reduced_homology_of_chain(levels)
+                assert hom.reduced_betti == tuple(critical[1:])
+                assert not any(hom.torsion)
+        assert read > 100
+
+    @staticmethod
+    def _off_by_one_top_count(monkeypatch):
+        real = ideal_edges._clique_counts
+
+        def counting(rows, max_simplices):
+            counts = real(rows, max_simplices)
+            return (*counts[:-1], counts[-1] + 1)
+
+        monkeypatch.setattr(ideal_edges, "_clique_counts", counting)
+
+    @staticmethod
+    def _adjacent_critical_cells(monkeypatch):
+        # A critical vertex and edge on top of the true ones: the Euler
+        # characteristic is kept, but degrees 0, 1 and 2 all hold cells.
+        real = ideal_edges._element_matching
+
+        def matching(levels, n):
+            return real(levels, n) | {levels[0][0], levels[1][0]}
+
+        monkeypatch.setattr(ideal_edges, "_element_matching", matching)
+
+    def test_euler_mismatch_raises(self, monkeypatch):
+        self._off_by_one_top_count(monkeypatch)
+        c = build_complex(HalfEdgeSet.standard(0, 6))
+        with pytest.raises(StructureAnomalyError, match="Euler characteristic 24, "
+                           "the simplex counts 25"):
+            reduced_homology(c)
+
+    def test_adjacent_critical_degrees_raise(self, monkeypatch):
+        self._adjacent_critical_cells(monkeypatch)
+        c = build_complex(HalfEdgeSet.standard(0, 6))
+        with pytest.raises(StructureAnomalyError, match="adjacent degrees"):
+            reduced_homology(c)
+
+    @pytest.mark.parametrize("fault", ["_off_by_one_top_count", "_adjacent_critical_cells"])
+    def test_cli_exits_3(self, fault, monkeypatch, capsys):
+        from raagvcd.cli import main
+
+        getattr(self, fault)(monkeypatch)
+        assert main(["ideal-complex", "0", "6", "--full"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant broken: critical cells")
+
+
 class TestCommonClosed:
     # The dominator test walks the bits of ``removed`` in place; the
     # reference reads them from a tuple of indices.
