@@ -35,27 +35,32 @@ every node name to a word.  Work is done over supports only:
   images of an edge with both ends fixed are its ends, which commute.
 
 Both commuting families, the generator set of Out(A_Gamma) and the
-partially symmetric family of ``psigma``, are checked pair by pair in one
-loop, :func:`pairwise_commutation`.  A pair in which neither map touches
-what the other moves is decided from masks.  Every other pair builds its
-two composites, and a composite keeps a factor's stored image object
-wherever the other factor fixes all of its letters, so most of their node
-comparisons are of one object with itself.  The loop keeps one table of
-those self-comparisons and passes it to ``equals`` (which says why that
-is exact); the table holds only images the maps already store.
-:func:`inner_vectors` keeps none: it compares composites with targets
-built apart from the generators, which never share an image object with
-them.
+partially symmetric family of ``psigma``, are checked by one loop,
+:func:`pairwise_commutation`, over the pairs in which one map touches what
+the other moves, listed from an index of nodes to maps
+(:func:`meeting_pairs`); every other pair commutes exactly.  Each meeting
+pair builds its two composites, and a composite keeps a factor's stored
+image object wherever the other factor fixes all of its letters, so most
+of their node comparisons are of one object with itself.  The loop keeps
+one table of those self-comparisons and passes it to ``equals`` (which
+says why that is exact); the table holds only images the maps already
+store.  :func:`inner_vectors` keeps none: it compares composites with
+targets built apart from the generators, which never share an image
+object with them.
 
 A map is a value: every slot is set once, when it is built, and no method
-writes one afterwards.  ``inverse()`` swaps the stored images and inverse
-images.  A composite records its two factors instead of inverse images,
-and its ``inverse()`` is ``compose(psi.inverse(), phi.inverse())``, built
-again on every call.
+writes one afterwards.  Transvections, partial conjugations and
+:func:`inner_automorphism` store inverse images, and ``inverse()`` swaps
+them with the images.  A composite records its two factors instead, and
+its ``inverse()`` is ``compose(psi.inverse(), phi.inverse())``, built
+again on every call.  The conjugations that :func:`inner_lattice` and
+``psigma.outer_rank`` solve for, and :func:`project_local`'s maps, store
+images only: nothing reads their inverses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -282,35 +287,53 @@ def identity_automorphism(g: DefiningGraph) -> RaagAutomorphism:
     return RaagAutomorphism(g, {}, {})
 
 
-def _conjugation(
-    g: DefiningGraph, w: RaagWord, nodes: Iterable[str]
+def _flanking(
+    g: DefiningGraph,
+    left: tuple[int, ...],
+    nodes: Sequence[int],
+    right: tuple[int, ...],
+    inverse: bool = True,
 ) -> RaagAutomorphism:
-    """Conjugation by ``w`` on ``nodes``: ``x -> w x w^-1``, every other
-    node fixed."""
-    if w.graph is not g:
-        raise AutomorphismError("word over a different graph")
-    unknown = set(nodes) - g.code.keys()
-    if unknown:
-        raise AutomorphismError(f"cannot conjugate non-nodes {sorted(unknown)}")
+    """``x -> left x right`` on the node codes ``nodes``, every other node
+    fixed: the one builder of transvections (one node, one side empty),
+    partial conjugations (``right = left^-1``) and inner maps (every node).
 
-    def conjugates(a: tuple[int, ...], b: tuple[int, ...]) -> Images:
-        images = {c: _reduced_codes(g, (*a, c, *b)) for c in map(g.code.get, nodes)}
-        return {x: tuple(img) for x, img in images.items() if img != [x]}
+    With ``inverse`` the map stores ``x -> left^-1 x right^-1`` as its
+    inverse images, which are the inverse's when the map fixes ``left`` and
+    ``right``, as for every caller (``has_verified_inverse`` checks it);
+    without, it stores images only.
+    """
 
-    inv = _inverse(w.codes)
-    return _wrap(g, conjugates(w.codes, inv), conjugates(inv, w.codes))
+    def flank(a: tuple[int, ...], b: tuple[int, ...]) -> Images:
+        out: Images = {}
+        for c in nodes:
+            img = _reduced_codes(g, (*a, c, *b))
+            if img != [c]:
+                out[c] = tuple(img)
+        return out
+
+    return _wrap(
+        g, flank(left, right), flank(_inverse(left), _inverse(right)) if inverse else None
+    )
 
 
 def inner_automorphism(g: DefiningGraph, w: RaagWord) -> RaagAutomorphism:
     """Conjugation by ``w``: every node maps to ``w x w^-1``."""
-    return _conjugation(g, w, g.nodes)
+    if w.graph is not g:
+        raise AutomorphismError("word over a different graph")
+    return _flanking(g, w.codes, range(1, g.num_nodes + 1), _inverse(w.codes))
 
 
 def partial_conjugation(
     g: DefiningGraph, by: str, support: Iterable[str]
 ) -> RaagAutomorphism:
     """Conjugate the nodes of ``support`` by the generator ``by``."""
-    return _conjugation(g, generator(g, by), sorted(support))
+    t = generator(g, by).codes
+    support = sorted(support)
+    unknown = set(support) - g.code.keys()
+    if unknown:
+        raise AutomorphismError(f"cannot conjugate non-nodes {sorted(unknown)}")
+    return _flanking(g, t, [g.code[x] for x in support], _inverse(t))
 
 
 def transvection(
@@ -319,11 +342,8 @@ def transvection(
     """``node -> node*target`` (right) or ``node -> target*node`` (left)."""
     if side not in ("right", "left"):
         raise AutomorphismError(f"bad transvection side {side!r}")
-    x = generator(g, node)
-    t = generator(g, target)
-    if side == "right":
-        return RaagAutomorphism(g, {node: x * t}, {node: x * t.inverse()})
-    return RaagAutomorphism(g, {node: t * x}, {node: t.inverse() * x})
+    x, t = generator(g, node).codes, generator(g, target).codes
+    return _flanking(g, (), x, t) if side == "right" else _flanking(g, t, x, ())
 
 
 def compose(phi: RaagAutomorphism, psi: RaagAutomorphism) -> RaagAutomorphism:
@@ -587,14 +607,16 @@ def build_generator_set(
         )
     toward = _orient_toward(core, (g.code[base_edge[0]], g.code[base_edge[1]]))
 
+    # Every map is built from codes by ``_flanking``, as the public
+    # constructors build it once they have resolved the names.
     entries: list[GeneratorEntry] = []
     for c in _codes(core.nodes):
-        target = names[toward[c] - 1]
+        t = toward[c]
         for comp in _components(rows, g.full ^ bit[c]):
-            if not comp & bit[toward[c]]:
-                support = g.namelist(comp)
-                phi = partial_conjugation(g, target, support)
-                label = f"conj[{target}]({','.join(support)})"
+            if not comp & bit[t]:
+                support = list(_codes(comp))
+                phi = _flanking(g, (t,), support, (-t,))
+                label = f"conj[{names[t - 1]}]({','.join(names[s - 1] for s in support)})"
                 entries.append(GeneratorEntry(KIND_PARTIAL_CONJUGATION, label, phi))
 
     leaves = _leaf_mask(g)
@@ -602,9 +624,9 @@ def build_generator_set(
         u, nbr = names[c - 1], rows[c].bit_length()  # its one neighbour
         targets = (KIND_LEAF_RIGHT_NEIGHBOR, nbr), (KIND_LEAF_RIGHT_TOWARD, toward[nbr])
         for kind, t in targets:
-            target = names[t - 1]
-            phi = transvection(g, u, target)
-            entries.append(GeneratorEntry(kind, f"transv_right({u} by {target})", phi))
+            phi = _flanking(g, (), (c,), (t,))
+            label = f"transv_right({u} by {names[t - 1]})"
+            entries.append(GeneratorEntry(kind, label, phi))
 
     for c in _codes(g.full & ~core.nodes & ~leaves):
         # The other nodes whose links contain p's: its dominators.
@@ -612,11 +634,15 @@ def build_generator_set(
         pick = doms & core.unique_maximal or doms & core.nodes
         if not pick:
             raise AutomorphismError(f"no core node dominates {p!r}")
-        target = names[(pick & -pick).bit_length() - 1]
-        sides = (KIND_TRANSVECTION_RIGHT, "right"), (KIND_TRANSVECTION_LEFT, "left")
-        for kind, side in sides:
-            phi = transvection(g, p, target, side)
-            entries.append(GeneratorEntry(kind, f"transv_{side}({p} by {target})", phi))
+        t = (pick & -pick).bit_length()
+        sides = (
+            (KIND_TRANSVECTION_RIGHT, "right", (), (t,)),
+            (KIND_TRANSVECTION_LEFT, "left", (t,), ()),
+        )
+        for kind, side, left, right in sides:
+            phi = _flanking(g, left, (c,), right)
+            label = f"transv_{side}({p} by {names[t - 1]})"
+            entries.append(GeneratorEntry(kind, label, phi))
 
     expected = generator_count(g, core, decomposition)
     if len(entries) != expected:
@@ -639,39 +665,67 @@ def build_generator_set(
     return gs
 
 
-def pairwise_commutation(maps: Sequence[RaagAutomorphism]) -> Iterator[tuple[int, int, bool]]:
-    """Yield ``(i, j, exact)`` for each pair ``i < j`` of ``maps``, over one
-    graph, in order: whether the pair's two composites are equal maps.
+def meeting_pairs(maps: Sequence[RaagAutomorphism]) -> list[tuple[int, int]]:
+    """The pairs ``i < j`` of ``maps``, over one graph, in order, in which
+    one map moves a node that the other moves or holds in an image.
 
-    A pair in which neither map moves a node that the other moves or holds
-    in an image is decided from masks: each composite would keep the other
-    factor's image object at every node.  The other pairs build composites,
-    and their comparisons share one table of decided self-comparisons.
+    Every other pair commutes exactly: each composite would keep the other
+    factor's image object at every node.  The pairs are read from an index
+    of each node to the maps that move it and the maps that reach it (move
+    it or hold it in an image), as bit masks over the maps, so no pair that
+    does not meet is visited.
     """
-    moved = [sum(a.graph.bit[x] for x in a._images) for a in maps]
-    # The support with every letter of the stored images.
-    reach = [
-        sum({a.graph.bit[c] for x, w in a._images.items() for c in (x, *w)})
-        for a in maps
-    ]
-    decided: Decided = {}
+    if not maps:
+        return []
+    size = maps[0].graph.num_nodes + 1
+    movers, reachers = [0] * size, [0] * size
+    reach = []
     for i, a in enumerate(maps):
-        for j, b in enumerate(maps[i + 1 :], i + 1):
-            apart = not (reach[i] & moved[j] or reach[j] & moved[i])
-            yield i, j, apart or compose(a, b).equals(compose(b, a), decided)
+        letters = {abs(c) for x, w in a._images.items() for c in (x, *w)}
+        for x in a._images:
+            movers[x] |= 1 << i
+        for y in letters:
+            reachers[y] |= 1 << i
+        reach.append(letters)
+    pairs = []
+    for i, a in enumerate(maps):
+        meet = 0
+        for y in reach[i]:
+            meet |= movers[y]
+        for x in a._images:
+            meet |= reachers[x]
+        meet >>= i + 1
+        while meet:
+            low = meet & -meet
+            pairs.append((i, i + low.bit_length()))
+            meet ^= low
+    return pairs
+
+
+def pairwise_commutation(maps: Sequence[RaagAutomorphism]) -> Iterator[tuple[int, int, bool]]:
+    """Yield ``(i, j, exact)`` for each of the :func:`meeting_pairs` of
+    ``maps``, in order: whether the pair's two composites are equal maps.
+    Their comparisons share one table of decided self-comparisons."""
+    decided: Decided = {}
+    for i, j in meeting_pairs(maps):
+        a, b = maps[i], maps[j]
+        yield i, j, compose(a, b).equals(compose(b, a), decided)
 
 
 def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCertificate]:
     """Decide innerness of every pairwise commutator of the generators.
 
-    :func:`pairwise_commutation` decides which pairs commute exactly, and
-    their certificates share one empty conjugator (words are immutable);
-    the commutator ``ab (ba)^-1`` of any other pair goes to
+    A pair that does not meet commutes exactly (:func:`meeting_pairs`);
+    :func:`pairwise_commutation` decides the others.  The exact pairs'
+    certificates share one empty conjugator (words are immutable); the
+    commutator ``ab (ba)^-1`` of any other pair goes to
     :func:`inner_conjugator`.
     """
     autos, certs = gs.automorphisms(), {}
     identity = empty_word(gs.graph)
-    for i, j, exact in pairwise_commutation(autos):
+    verdicts = {(i, j): exact for i, j, exact in pairwise_commutation(autos)}
+    for i, j in combinations(range(len(autos)), 2):
+        exact = verdicts.get((i, j), True)
         if exact:
             conj = identity
         else:
@@ -685,35 +739,36 @@ def _lattice_invariant(phi: RaagAutomorphism) -> dict[tuple, int]:
     """The additive invariant ``c(phi)`` that :func:`inner_lattice` solves
     over, as a sparse map from key to value.
 
-    For each node ``x`` that ``phi`` moves, the reduced image must hold the
-    letter ``x`` exactly once, with exponent +1; anything else is an
-    unreadable image and raises :class:`StructureAnomalyError`.  Every other
-    letter ``h`` of the image adds its exponent under ``(x, h)``, and, when
-    ``h`` is outside ``st(x)``, also under ``(x, h, "L")`` or
-    ``(x, h, "R")`` by its side of ``x``.  Reduced words for one element are
-    shuffles of one another and ``h`` never passes ``x``, so the sides are
-    well defined.
+    For each node ``x`` in the stored support of ``phi``, the reduced
+    image must hold the letter ``x`` exactly once, with exponent +1;
+    anything else is an unreadable image and raises
+    :class:`StructureAnomalyError`.  Every other letter ``h`` of the image
+    adds its exponent under ``(x, h)``, and, when ``h`` is outside
+    ``st(x)``, also under ``(x, h, "L")`` or ``(x, h, "R")`` by its side of
+    ``x``.  Keys hold node codes; names appear only in the error message.
+    Reduced words for one element are shuffles of one another and ``h``
+    never passes ``x``, so the sides are well defined.
     """
     g = phi.graph
+    star, bit = g.star, g.bit
     out: dict[tuple, int] = {}
-    for x in phi.moved_nodes():
-        code = g.code[x]
-        letters = phi._images[code]
-        at = [i for i, c in enumerate(letters) if c in (code, -code)]
-        if len(at) != 1 or letters[at[0]] != code:
+    for x, letters in phi._images.items():
+        at = [i for i, c in enumerate(letters) if c == x or c == -x]
+        if len(at) != 1 or letters[at[0]] != x:
+            name = g.names[x - 1]
             raise StructureAnomalyError(
-                f"image {_word(g, letters)} of {x!r} does not hold {x!r} "
+                f"image {_word(g, letters)} of {name!r} does not hold {name!r} "
                 "exactly once with exponent +1"
             )
+        (k,) = at
         for i, c in enumerate(letters):
-            if i == at[0]:
+            if i == k:
                 continue
-            h = g.names[abs(c) - 1]
-            keys = [(x, h)]
-            if not g.star[code] & g.bit[c]:
-                keys.append((x, h, "L" if i < at[0] else "R"))
-            for key in keys:
-                out[key] = out.get(key, 0) + (1 if c > 0 else -1)
+            e, key = (1 if c > 0 else -1), (x, abs(c))
+            out[key] = out.get(key, 0) + e
+            if not star[x] & bit[c]:
+                key = (*key, "L" if i < k else "R")
+                out[key] = out.get(key, 0) + e
     return {key: v for key, v in out.items() if v}
 
 
@@ -820,13 +875,13 @@ def inner_lattice(gs: GeneratorSet) -> InnerLatticeResult:
     ``e`` and re-checks it.  ``complete`` is always true.
     """
     g = gs.graph
-    v0, w0 = gs.base_edge
+    v0, w0 = (g.code[x] for x in gs.base_edge)
+    nodes = range(1, g.num_nodes + 1)
     pairs = ((1, 0), (0, 1), (1, 1), (1, -1))
+    # Images only: nothing reads a target's inverse.
     targets = [
-        inner_automorphism(
-            g, RaagWord(g, ((v0, 1),) * a + ((w0, 1 if b > 0 else -1),) * abs(b))
-        )
-        for a, b in pairs
+        _flanking(g, w, nodes, _inverse(w), inverse=False)
+        for w in ((v0,) * a + (w0 if b > 0 else -w0,) * abs(b) for a, b in pairs)
     ]
     solutions = inner_vectors(gs.automorphisms(), targets)
     witnesses = {

@@ -43,10 +43,11 @@ EXIT_INELIGIBLE = 2
 EXIT_VIOLATION = 3
 
 # Upper guards on flags whose cost grows without bound: ``psigma 100 1``
-# takes about 0.15 s, ``verify --max-nodes 12`` about 2 s, and ``analyze
+# takes about 0.12 s, ``verify --max-nodes 12`` about 2 s, and ``analyze
 # --witness`` on a 148-node path, 150 generators (the slowest input per
-# generator), about 4 s and 34 MB.  The witness grows about as the cube of
-# the generator count in time, and its certificates as the square.
+# generator), about 4 s and 33 MB, which CI holds to 40 MB.  The witness
+# grows about as the cube of the generator count in time, and its
+# certificates as the square.
 MAX_PSIGMA_RANK = 100
 MAX_WITNESS_GENERATORS = 150
 MAX_VERIFY_NODES = 12

@@ -15,15 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import DefiningGraph, GraphError, StructureAnomalyError
-from .words import generator
-from .autos import (
-    RaagAutomorphism,
-    inner_automorphism,
-    inner_vectors,
-    pairwise_commutation,
-    partial_conjugation,
-    transvection,
-)
+from .autos import RaagAutomorphism, _flanking, inner_vectors, pairwise_commutation
 
 
 class PsigmaError(GraphError):
@@ -75,19 +67,25 @@ def psigma_generators(spec: PsigmaSpec) -> list[tuple[str, RaagAutomorphism]]:
 
     Requires ``k >= 1``; for ``k = 0`` the family is not defined (only the
     dimension formula applies).  All pairs commute exactly in Aut(F_n),
-    which :func:`raagvcd.autos.pairwise_commutation` verifies; a failure
-    raises :class:`StructureAnomalyError`.
+    which :func:`raagvcd.autos.pairwise_commutation` verifies on the pairs
+    that meet (the others commute by masks); a failure raises
+    :class:`StructureAnomalyError`.  The maps are built from codes, as
+    :func:`~raagvcd.autos.partial_conjugation` and
+    :func:`~raagvcd.autos.transvection` build them.
     """
     if spec.k < 1:
         raise PsigmaError("generator family requires k >= 1")
     g = spec.free_graph
+    code = g.code
+    x1 = code["x1"]
     out = [
-        (f"gamma_{i}", partial_conjugation(g, "x1", [f"x{i}"]).inverse())
+        (f"gamma_{i}", _flanking(g, (-x1,), (code[f"x{i}"],), (x1,)))
         for i in range(2, spec.k + 1)
     ]
     for i in range(spec.k + 1, spec.n + 1):
-        out.append((f"lambda_{i}", transvection(g, f"x{i}", "x1", "left")))
-        out.append((f"rho_{i}", transvection(g, f"x{i}", "x1", "right")))
+        xi = (code[f"x{i}"],)
+        out.append((f"lambda_{i}", _flanking(g, (x1,), xi, ())))
+        out.append((f"rho_{i}", _flanking(g, (), xi, (x1,))))
     if not all(exact for *_, exact in pairwise_commutation([m for _, m in out])):
         raise StructureAnomalyError("generator family failed exact commutation")
     return out
@@ -115,9 +113,10 @@ def outer_rank(spec: PsigmaSpec, family: list[tuple[str, RaagAutomorphism]]) -> 
     if spec.k < 1:
         raise PsigmaError("outer rank via the inner line requires k >= 1")
     g = spec.free_graph
-    (line,) = inner_vectors(
-        [phi for _, phi in family], [inner_automorphism(g, generator(g, "x1", -1))]
-    )
+    x1 = g.code["x1"]
+    # Images only: nothing reads the target's inverse.
+    target = _flanking(g, (-x1,), range(1, g.num_nodes + 1), (x1,), inverse=False)
+    (line,) = inner_vectors([phi for _, phi in family], [target])
     if line is None:
         raise StructureAnomalyError(
             "conjugation x -> x1^-1 x x1 is not a product of the family"

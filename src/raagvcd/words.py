@@ -211,33 +211,43 @@ def _canonical_codes(g: DefiningGraph, codes: Sequence[int]) -> list[int]:
     such letters with only commuting letters between them are the same
     letter (opposite ones would cancel).  Each letter scans the distinct
     generators before it, so the cost is about ``len(codes)`` times the
-    number of generators, plus the heap.
+    number of generators, plus the heap.  A key is computed only when its
+    letter becomes ready, and only a letter that releases another gets a
+    release list.
     """
     n = len(codes)
     if n < 2:
         return list(codes)
     adj, bit = g.adj, g.bit
-    keys = [(c * 2 if c > 0 else 1 - c * 2) * n + i for i, c in enumerate(codes)]
     waiting = [0] * n
-    releases: list[list[int]] = [[] for _ in codes]
+    releases: list[list[int] | None] = [None] * n
     last: dict[int, int] = {}
+    heap = []
     for i, c in enumerate(codes):
-        nbrs = adj[c]
+        nbrs, wait = adj[c], 0
         for h, j in last.items():
             if not nbrs & h:  # a node is not its own neighbour
-                waiting[i] += 1
-                releases[j].append(i)
+                wait += 1
+                r = releases[j]
+                if r is None:
+                    releases[j] = [i]
+                else:
+                    r.append(i)
+        if wait:
+            waiting[i] = wait
+        else:
+            heap.append((c * 2 if c > 0 else 1 - c * 2) * n + i)
         last[bit[c]] = i
-    heap = [keys[i] for i in range(n) if not waiting[i]]
     heapify(heap)
     out: list[int] = []
     while heap:
         i = heappop(heap) % n
         out.append(codes[i])
-        for k in releases[i]:
+        for k in releases[i] or ():
             waiting[k] -= 1
             if not waiting[k]:
-                heappush(heap, keys[k])
+                c = codes[k]
+                heappush(heap, (c * 2 if c > 0 else 1 - c * 2) * n + k)
     return out
 
 

@@ -60,9 +60,11 @@ def skewed_rho(monkeypatch):
     commute with ``gamma_2``."""
     from raagvcd import psigma
 
-    real = psigma.transvection
+    real = psigma._flanking
 
-    def skewed(g, node, target, side="right"):
-        return real(g, node, "x2" if side == "right" else target, side)
+    def skewed(g, left, nodes, right, inverse=True):
+        if right and not left:  # rho_i: x_i -> x_i x1, built from codes
+            right = (g.code["x2"],)
+        return real(g, left, nodes, right, inverse)
 
-    monkeypatch.setattr(psigma, "transvection", skewed)
+    monkeypatch.setattr(psigma, "_flanking", skewed)

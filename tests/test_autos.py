@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from raagvcd import autos as autos_module
+from raagvcd import psigma as psigma_module
 from raagvcd import words as words_module
 from raagvcd.graph_core import (
     DefiningGraph,
@@ -20,6 +22,7 @@ from raagvcd.graph_core import (
 )
 from raagvcd.words import (
     RaagWord,
+    WordError,
     _equal_codes,
     _reduced_codes,
     canonical,
@@ -32,6 +35,7 @@ from raagvcd.words import (
 )
 from raagvcd.psigma import PsigmaSpec, outer_rank, psigma_generators
 from raagvcd.autos import (
+    KIND_PARTIAL_CONJUGATION,
     AutomorphismError,
     CommutationCertificate,
     LiftError,
@@ -45,6 +49,7 @@ from raagvcd.autos import (
     inner_conjugator,
     inner_lattice,
     lift_local,
+    meeting_pairs,
     partial_conjugation,
     project_local,
     transvection,
@@ -795,6 +800,190 @@ class TestCommutation:
         assert with_certs.uncertified_pairs() == [(0, 1)]
 
 
+def _brute_force_meeting(autos):
+    """Reference for :func:`meeting_pairs`: every pair ``i < j`` tested on
+    two node masks per map, whether one map moves a node that the other
+    moves or holds in an image."""
+    moved, reach = [], []
+    for a in autos:
+        g = a.graph
+        m = sum(g.bit[g.code[x]] for x in a.moved_nodes())
+        held = {g.code[y] for x in a.moved_nodes() for y, _ in a.image_of(x).letters}
+        moved.append(m)
+        reach.append(m | sum(g.bit[c] for c in held))
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(autos)), 2)
+        if reach[i] & moved[j] or reach[j] & moved[i]
+    ]
+
+
+class TestMeetingPairs:
+    """The index of each node to the maps that move or reach it lists
+    exactly the pairs of the brute-force mask test, in order."""
+
+    def test_verify_corpus_generator_sets(self):
+        sizes = set()
+        for g in eligible_trees(8):
+            autos = build_generator_set(g, certify=False).automorphisms()
+            pairs = meeting_pairs(autos)
+            assert pairs == _brute_force_meeting(autos)
+            sizes.add((len(pairs) > 0, len(pairs) < len(autos) * (len(autos) - 1) // 2))
+        assert sizes >= {(True, True)}
+
+    def test_psigma_families(self):
+        for n in range(2, 11):
+            for k in range(1, n + 1):
+                autos = [phi for _, phi in psigma_generators(PsigmaSpec(n, k))]
+                pairs = meeting_pairs(autos)
+                assert pairs == _brute_force_meeting(autos)
+                assert len(pairs) == n - k  # the pairs (lambda_i, rho_i)
+
+    def test_non_commuting_extras(self, g_c5l):
+        # Inner maps move every node, so they meet every other map.
+        gs = _with_extra_maps(
+            g_c5l, [inner_automorphism(g_c5l, generator(g_c5l, x)) for x in ("u", "v3")]
+        )
+        autos = gs.automorphisms()
+        assert meeting_pairs(autos) == _brute_force_meeting(autos)
+        assert meeting_pairs([]) == []
+
+
+_LABEL = re.compile(r"conj\[([^]]+)\]\(([^)]+)\)|transv_(right|left)\((\S+) by (\S+)\)")
+
+
+def _public_twin(g, entry):
+    """The map that the public constructor builds for a generator, read
+    from its label."""
+    by, support, side, node, target = _LABEL.fullmatch(entry.label).groups()
+    if entry.kind == KIND_PARTIAL_CONJUGATION:
+        return partial_conjugation(g, by, support.split(","))
+    return transvection(g, node, target, side)
+
+
+def _written_out(g, entry):
+    """The same map with its images and inverse images written out as words
+    and given to the ``RaagAutomorphism`` constructor, a route that does not
+    go through the code builder."""
+    by, support, side, node, target = _LABEL.fullmatch(entry.label).groups()
+    if entry.kind == KIND_PARTIAL_CONJUGATION:
+        t = generator(g, by)
+        nodes = {x: generator(g, x) for x in support.split(",")}
+        return RaagAutomorphism(
+            g,
+            {x: t * w * t.inverse() for x, w in nodes.items()},
+            {x: t.inverse() * w * t for x, w in nodes.items()},
+        )
+    x, t = generator(g, node), generator(g, target)
+    if side == "right":
+        return RaagAutomorphism(g, {node: x * t}, {node: x * t.inverse()})
+    return RaagAutomorphism(g, {node: t * x}, {node: t.inverse() * x})
+
+
+def _same_map(phi, psi):
+    """Equal as maps, with the same stored images and inverse images."""
+    assert phi.equals(psi) and psi.equals(phi)
+    assert phi._images == psi._images
+    assert phi._inverse_images == psi._inverse_images
+
+
+class TestCodeBuiltMaps:
+    """The generator set, the inner-lattice targets and the partially
+    symmetric family build their maps from codes; each equals the map the
+    public constructor builds from names."""
+
+    def _check_generator_set(self, g, monkeypatch):
+        targets = []
+        real = autos_module.inner_vectors
+
+        def recording(autos, maps):
+            targets.extend(maps)
+            return real(autos, maps)
+
+        monkeypatch.setattr(autos_module, "inner_vectors", recording)
+        gs = build_generator_set(g)
+        monkeypatch.undo()
+        for entry in gs.entries:
+            twin = _public_twin(g, entry)
+            _same_map(entry.automorphism, twin)
+            _same_map(entry.automorphism, _written_out(g, entry))
+            inv = entry.automorphism.inverse()
+            assert inv.equals(twin.inverse())
+            assert dict(entry.automorphism.inverse_images) == dict(twin.inverse_images)
+        v0, w0 = gs.base_edge
+        pairs = ((1, 0), (0, 1), (1, 1), (1, -1))
+        assert len(targets) == len(pairs)
+        for (a, b), target in zip(pairs, targets):
+            w = parse_word(g, f"{v0}^{a} {w0}^{b}")
+            public = inner_automorphism(g, w)
+            written = RaagAutomorphism(
+                g, {x: w * generator(g, x) * w.inverse() for x in g.nodes}
+            )
+            for twin in (public, written):
+                assert target.equals(twin) and twin.equals(target)
+                assert target._images == twin._images
+            assert target._inverse_images is None  # images only
+        return gs
+
+    def test_eligible_trees_and_spider(self, monkeypatch):
+        kinds = set()
+        for g in [*eligible_trees(8), spider(5, 3)]:
+            gs = self._check_generator_set(g, monkeypatch)
+            kinds |= {e.kind for e in gs.entries}
+        assert len(kinds) == 3  # partial conjugations and leaf transvections
+
+    def test_grid_and_c5l(self, g_grid, g_c5l, monkeypatch):
+        kinds = set()
+        for g in (g_grid, g_c5l):
+            gs = self._check_generator_set(g, monkeypatch)
+            kinds |= {e.kind for e in gs.entries}
+        assert len(kinds) == 5  # the grid adds both sides of transvection
+
+    def test_psigma_family_and_target(self, monkeypatch):
+        for n in range(2, 11):
+            for k in range(1, n + 1):
+                spec = PsigmaSpec(n, k)
+                g = spec.free_graph
+                family = psigma_generators(spec)
+                for name, phi in family:
+                    kind, i = name.split("_")
+                    x = f"x{i}"
+                    if kind == "gamma":
+                        twin = partial_conjugation(g, "x1", [x]).inverse()
+                    else:
+                        side = "left" if kind == "lambda" else "right"
+                        twin = transvection(g, x, "x1", side)
+                    _same_map(phi, twin)
+                targets = []
+                real = psigma_module.inner_vectors
+
+                def recording(autos, maps):
+                    targets.extend(maps)
+                    return real(autos, maps)
+
+                monkeypatch.setattr(psigma_module, "inner_vectors", recording)
+                outer_rank(spec, family)
+                monkeypatch.undo()
+                (target,) = targets
+                public = inner_automorphism(g, generator(g, "x1", -1))
+                assert target.equals(public) and target._images == public._images
+                assert target._inverse_images is None
+
+    def test_public_constructors_refuse_bad_input(self, g_p5):
+        for args in (("zz", "a"), ("a", "zz")):
+            with pytest.raises(WordError):
+                transvection(g_p5, *args)
+        with pytest.raises(WordError):
+            partial_conjugation(g_p5, "zz", ["a"])
+        with pytest.raises(AutomorphismError, match="non-nodes"):
+            partial_conjugation(g_p5, "a", ["c", "zz"])
+        for side in ("up", "Right", ""):
+            with pytest.raises(AutomorphismError, match="bad transvection side"):
+                transvection(g_p5, "a", "b", side)
+        with pytest.raises(AutomorphismError, match="bad transvection side"):
+            transvection(g_p5, "zz", "a", "up")  # the side is checked first
+
+
 def _dense_equal(g, left, right):
     """``_equal_codes`` on every node of two maps from node to image word,
     with no early exit and no table."""
@@ -1370,23 +1559,42 @@ def rational_solve(cols, b, keys):
 
 class TestLatticeInvariant:
     def test_partial_conjugation_and_transvections(self, g_p5):
+        # Keys hold node codes: a, b, c are 1, 2, 3.
+        a, b, c = (g_p5.code[x] for x in "abc")
+        assert (a, b, c) == (1, 2, 3)
         # conj[b] on {a}: a -> b a b^-1, and b is in st(a).
         assert _lattice_invariant(partial_conjugation(g_p5, "b", ["a"])) == {}
         assert _lattice_invariant(partial_conjugation(g_p5, "c", ["a"])) == {
-            ("a", "c", "L"): 1,
-            ("a", "c", "R"): -1,
+            (a, c, "L"): 1,
+            (a, c, "R"): -1,
         }
         assert _lattice_invariant(transvection(g_p5, "a", "c", "left")) == {
-            ("a", "c"): 1,
-            ("a", "c", "L"): 1,
+            (a, c): 1,
+            (a, c, "L"): 1,
         }
-        assert _lattice_invariant(transvection(g_p5, "a", "b")) == {("a", "b"): 1}
+        assert _lattice_invariant(transvection(g_p5, "a", "b")) == {(a, b): 1}
 
     @pytest.mark.parametrize("image", ["a^-1", "c", "a c a", "1"])
     def test_unreadable_image_raises(self, g_p5, image):
         phi = RaagAutomorphism(g_p5, {"a": parse_word(g_p5, image)})
         with pytest.raises(StructureAnomalyError, match="exactly once"):
             _lattice_invariant(phi)
+
+
+def _patch_transvections(monkeypatch, fake):
+    """Make ``build_generator_set`` build each transvection with ``fake``,
+    called as ``transvection(g, node, target, side)``.  The set builds every
+    map with ``_flanking`` from codes; a transvection is a call on one node
+    with one side empty."""
+    real = autos_module._flanking
+
+    def flanking(g, left, nodes, right, inverse=True):
+        if len(nodes) == 1 and not (left and right):
+            side, (t,) = ("right", right) if right else ("left", left)
+            return fake(g, g.names[nodes[0] - 1], g.names[t - 1], side)
+        return real(g, left, nodes, right, inverse)
+
+    monkeypatch.setattr(autos_module, "_flanking", flanking)
 
 
 class TestLatticeChecksExit3:
@@ -1414,7 +1622,7 @@ class TestLatticeChecksExit3:
             inv = {node: generator(g, node, -1)}
             return RaagAutomorphism(g, inv, inv)
 
-        monkeypatch.setattr(autos_module, "transvection", inversion)
+        _patch_transvections(monkeypatch, inversion)
         assert self._run(tmp_path) == 3
         assert "exactly once" in capsys.readouterr().err
 
@@ -1429,7 +1637,7 @@ class TestGeneratorSetChecksExit3:
         def bare(g, node, target, side="right"):
             return RaagAutomorphism(g, {node: generator(g, node) * generator(g, target)})
 
-        monkeypatch.setattr(autos_module, "transvection", bare)
+        _patch_transvections(monkeypatch, bare)
         assert self._run(tmp_path) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1442,7 +1650,7 @@ class TestGeneratorSetChecksExit3:
             x, e = generator(g, node), generator(g, "e")
             return RaagAutomorphism(g, {node: x * e}, {node: x * e.inverse()})
 
-        monkeypatch.setattr(autos_module, "transvection", far)
+        _patch_transvections(monkeypatch, far)
         assert self._run(tmp_path) == 3
         captured = capsys.readouterr()
         assert "internal invariant broken" in captured.err

@@ -313,6 +313,112 @@ class TestCanonicalOracle:
             )
 
 
+def _key(letters):
+    """The order of the least shuffle: by generator name, a positive
+    letter before its inverse."""
+    return [(gen, -exp) for gen, exp in letters]
+
+
+def shuffle_class(adj, letters):
+    """Every word reached from the tuple ``letters`` by swapping two
+    neighbouring letters whose generators are adjacent nodes."""
+    found, todo = {letters}, [letters]
+    for u in todo:  # grows as new shuffles are found
+        for i in range(len(u) - 1):
+            if u[i + 1][0] in adj[u[i][0]]:
+                v = u[:i] + (u[i + 1], u[i]) + u[i + 2 :]
+                if v not in found:
+                    found.add(v)
+                    todo.append(v)
+    return found
+
+
+class ShuffleOracle:
+    """Least shuffles read off shuffle classes, one class built per word
+    not seen before: independent of the heap and of the reduction, since a
+    word is reduced exactly when no shuffle of it holds a letter next to
+    its inverse."""
+
+    def __init__(self, graph):
+        self.adj = name_adjacency(graph)
+        self.least = {}  # word -> its least shuffle, or None if not reduced
+
+    def __call__(self, letters):
+        if letters not in self.least:
+            found = shuffle_class(self.adj, letters)
+            reduced = not any(
+                a == b and e == -f for u in found for (a, e), (b, f) in zip(u, u[1:])
+            )
+            least = min(found, key=_key) if reduced else None
+            self.least.update(dict.fromkeys(found, least))
+        return self.least[letters]
+
+
+SHUFFLE_GRAPHS = {
+    "p4": lambda: DefiningGraph.from_edges([("a", "b"), ("b", "c"), ("c", "d")]),
+    "c5": lambda: DefiningGraph.from_edges([(f"v{i}", f"v{i % 5 + 1}") for i in range(1, 6)]),
+}
+
+
+class TestCanonicalShuffleOracle:
+    """``canonical`` against the least member of each shuffle class built
+    by swaps, and on long words against the two facts that characterise the
+    least shuffle."""
+
+    @pytest.mark.parametrize("name", sorted(SHUFFLE_GRAPHS))
+    def test_every_reduced_word_up_to_five_letters(self, name):
+        g = SHUFFLE_GRAPHS[name]()
+        oracle = ShuffleOracle(g)
+        letters = [(x, e) for x in g.nodes for e in (1, -1)]
+        level, counts = [()], []
+        for _ in range(5):
+            # A prefix of a reduced word is reduced.
+            level = [w + (x,) for w in level for x in letters if oracle(w + (x,))]
+            for w in level:
+                assert canonical(word(g, w)).letters == oracle(w)
+            counts.append(len(level))
+        assert counts[:2] == [len(letters), len(letters) * (len(letters) - 1)]
+
+    @pytest.mark.parametrize("name", sorted(SHUFFLE_GRAPHS))
+    def test_seeded_six_letter_words(self, name):
+        g = SHUFFLE_GRAPHS[name]()
+        oracle = ShuffleOracle(g)
+        letters = [(x, e) for x in g.nodes for e in (1, -1)]
+        rng = random.Random(f"shuffle-{name}")
+        checked = 0
+        for _ in range(10000):
+            w = tuple(rng.choice(letters) for _ in range(6))
+            least = oracle(w)
+            if least is not None:
+                assert canonical(word(g, w)).letters == least
+                checked += 1
+        assert checked > 3000
+
+    def test_two_hundred_letter_words_on_grid(self):
+        # No class is built here: the output must be a shuffle of the input
+        # (the same letters in the same order on every pair of generators
+        # that do not commute, Cartier and Foata's projection test) and no
+        # letter may move left past letters it commutes with to a smaller
+        # word (Anisimov and Knuth: then it is the least shuffle).
+        g = _grid_3x3()
+        adj = name_adjacency(g)
+        rng = random.Random("shuffle-grid")
+        pairs = [(x, y) for x in g.nodes for y in g.nodes if x <= y and y not in adj[x]]
+        for _ in range(40):
+            reduced = []
+            while len(reduced) < 200:
+                reduced = oracle_reduced_letters(g, random_word(g, rng, 400).letters)
+            w = tuple(reduced[:200])  # a prefix of a reduced word is reduced
+            out = canonical(word(g, w)).letters
+            for pair in pairs:
+                assert [l for l in out if l[0] in pair] == [l for l in w if l[0] in pair]
+            for j, (gen, exp) in enumerate(out):
+                i = j - 1
+                while i >= 0 and out[i][0] in adj[gen]:
+                    assert _key([out[i]]) < _key([(gen, exp)]), (i, j)
+                    i -= 1
+
+
 @pytest.fixture
 def hyp():
     return pytest.importorskip("hypothesis")
