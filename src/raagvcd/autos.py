@@ -302,7 +302,19 @@ def _flanking(
     inverse images, which are the inverse's when the map fixes ``left`` and
     ``right``, as for every caller (``has_verified_inverse`` checks it);
     without, it stores images only.
+
+    When ``left`` and ``right`` hold one letter between them, of a
+    generator that is not a node of ``nodes``, as for a transvection, every
+    image is two letters of distinct generators and has no cancellable
+    pair, so none is reduced; partial conjugations and inner maps are.
     """
+    if len(left) + len(right) == 1 and abs((left or right)[0]) not in nodes:
+        back_left, back_right = _inverse(left), _inverse(right)
+        return _wrap(
+            g,
+            {c: (*left, c, *right) for c in nodes},
+            {c: (*back_left, c, *back_right) for c in nodes} if inverse else None,
+        )
 
     def flank(a: tuple[int, ...], b: tuple[int, ...]) -> Images:
         out: Images = {}

@@ -46,16 +46,18 @@ homotopy type; a run is checked against the Euler characteristic of the
 simplex counts and refused if its critical cells lie in adjacent degrees.
 
 Everything on this path is an integer bitmask: an ideal edge carries the
-mask of its inside over the half-edges, compatibility is a subset or
-covering test on two masks, a simplex is the mask of its vertex indices,
-the certificate checks that its vertices are the legal masks, each once,
-and replays the collapse on them, and it matches a maximal vertex's link
-with the smaller structure by relabelling masks.
+mask of its inside over the half-edges, legality is read off that mask
+before an edge is built, compatibility is a subset or covering test on two
+masks, a simplex is the mask of its vertex indices, the certificate checks
+that its vertices are the legal masks, each once, and replays the collapse
+on them, and it matches a maximal vertex's link with the smaller structure
+by relabelling masks through two lookup tables.
 A complex keeps only its compatibility rows and its simplex count per
-dimension, refused above its simplex cap; its simplices are listed on
-demand.  Frozensets and vertex tuples appear only at the API edges
-(``inside``, ``maximal_simplices``, failure messages) and in the half-edge
-names of a smaller structure, which name its certificate's base.
+dimension, counted level by level with the cliques that share a candidate
+mask counted together, and refused above its simplex cap; its simplices
+are listed on demand.  Frozensets and vertex tuples appear only at the API
+edges (``inside``, ``maximal_simplices``, failure messages) and in the
+half-edge names of a smaller structure, which name its certificate's base.
 """
 from __future__ import annotations
 
@@ -87,12 +89,20 @@ class HalfEdgeSet:
     The basepoint is the first half of the first pair when pairs exist,
     otherwise the first single.  Half-edge ``k`` in the order pairs (both
     halves) then singles owns bit ``1 << k``; a set of half-edges is coded
-    as the sum of its bits, and ``bit``, ``full`` and ``pair_masks`` are
-    computed once per set.
+    as the sum of its bits.  ``bit`` (half-edge -> its bit), ``size``,
+    ``full`` (the mask of all half-edges), ``universe``, ``pair_masks``
+    (both halves of each pair) and ``basepoint`` are computed once, when
+    the set is made; they take no part in equality or hashing.
     """
 
     pairs: tuple[tuple[str, str], ...]
     singles: tuple[str, ...]
+    bit: dict[str, int] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    full: int = field(init=False, repr=False, compare=False)
+    universe: frozenset[str] = field(init=False, repr=False, compare=False)
+    pair_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    basepoint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [h for p in self.pairs for h in p] + list(self.singles)
@@ -100,6 +110,12 @@ class HalfEdgeSet:
             raise IdealEdgeError("half-edge ids must be distinct")
         if not ids:
             raise IdealEdgeError("empty half-edge set")
+        bit = {h: 1 << k for k, h in enumerate(ids)}
+        # The set is frozen, so the derived fields go straight to its dict.
+        vars(self).update(
+            bit=bit, size=len(ids), full=(1 << len(ids)) - 1, universe=frozenset(ids),
+            pair_masks=tuple(bit[x] | bit[y] for x, y in self.pairs), basepoint=ids[0],
+        )
 
     @staticmethod
     def standard(r: int, s: int) -> "HalfEdgeSet":
@@ -124,34 +140,6 @@ class HalfEdgeSet:
     @property
     def s(self) -> int:
         return len(self.singles)
-
-    @cached_property
-    def size(self) -> int:
-        return 2 * self.r + self.s
-
-    @cached_property
-    def universe(self) -> frozenset[str]:
-        return frozenset(self.bit)
-
-    @cached_property
-    def bit(self) -> dict[str, int]:
-        """Half-edge -> its bit."""
-        ids = [h for p in self.pairs for h in p] + list(self.singles)
-        return {h: 1 << k for k, h in enumerate(ids)}
-
-    @cached_property
-    def full(self) -> int:
-        """The mask of all half-edges."""
-        return (1 << self.size) - 1
-
-    @cached_property
-    def pair_masks(self) -> tuple[int, ...]:
-        """The mask of both halves of each pair."""
-        return tuple(self.bit[x] | self.bit[y] for x, y in self.pairs)
-
-    @cached_property
-    def basepoint(self) -> str:
-        return self.pairs[0][0] if self.pairs else self.singles[0]
 
     def partner(self, h: str) -> str | None:
         for x, y in self.pairs:
@@ -235,14 +223,15 @@ def compatible(alpha: IdealEdge, beta: IdealEdge) -> bool:
 def enumerate_ideal_edges(h: HalfEdgeSet, legal_only: bool = False) -> list[IdealEdge]:
     """All ideal edges in deterministic (size, lexicographic) order; none
     on fewer than 4 half-edges."""
-    rest = sorted(h.universe - {h.basepoint})
+    a = h.basepoint
+    rest = sorted(h.universe - {a})
+    bits = [h.bit[x] for x in rest]
     out: list[IdealEdge] = []
     for extra in range(1, h.size - 2):
-        for combo in combinations(rest, extra):
-            edge = IdealEdge(h, frozenset((h.basepoint, *combo)))
-            if legal_only and not edge.legal:
-                continue
-            out.append(edge)
+        for combo, held in zip(combinations(rest, extra), combinations(bits, extra)):
+            # Legality is read off the mask before any edge is built.
+            if not legal_only or _pairs_split(h, h.bit[a] + sum(held)) <= 1:
+                out.append(IdealEdge(h, frozenset((a, *combo))))
     return out
 
 
@@ -351,10 +340,10 @@ def build_complex(
     (:class:`IdealEdgeError` otherwise), and at most ``MAX_HALF_EDGES``;
     the complex is capped at ``max_simplices`` total simplices, vertices
     included (:class:`SizeCapError` beyond either cap).  The simplices are
-    counted in full before the total is compared with the cap; the count
-    takes one step per distinct candidate mask, not per simplex (30,519
-    masks for the 12,818,911 simplices of the full complex on 10
-    half-edges).
+    counted level by level, and the running total is compared with the cap
+    after each level; the count takes one step per distinct candidate mask
+    of a level, not per simplex (45,574 steps for the 12,818,911 simplices
+    of the full complex on 10 half-edges).
     """
     if h.size < 4:
         raise IdealEdgeError(
@@ -379,37 +368,35 @@ def _clique_counts(rows: Sequence[int], max_simplices: int) -> tuple[int, ...]:
     ``rows``, refused when their total is above ``max_simplices``.
 
     The cliques that extend a clique with candidate mask ``m`` (its common
-    neighbours above its highest vertex) are the cliques of the graph on
-    ``m``, so their counts by size depend on ``m`` alone:
-    ``count(m)[0]`` is the number of vertices of ``m``, and each vertex
-    ``v`` of ``m`` adds, one size up, the counts of the mask of its
-    neighbours in ``m`` above it.  Each distinct mask is counted once, in
-    a memo that lives for this call; the work is bounded by the number of
-    distinct masks, not of cliques, and the recursion is no deeper than
-    the largest clique.
+    neighbours above its highest vertex) depend on ``m`` alone: each vertex
+    ``v`` of ``m`` gives one clique a size up, whose candidate mask is the
+    neighbours of ``v`` in ``m`` above ``v``.  So the count goes level by
+    level, each level a dict from a candidate mask to the number of cliques
+    of that size that have it, starting from the empty clique with every
+    vertex as candidate.  The work is bounded by the distinct masks of each
+    level, not by the cliques, and only one level is held at a time.  The
+    running total is compared with the cap after each level, so a refused
+    complex stops at the first level that passes it.
     """
-    memo: dict[int, list[int]] = {}
-
-    def count(m: int) -> list[int]:
-        out = memo.get(m)
-        if out is None:
-            out = [m.bit_count()]
-            rest = m
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if cand := rest & rows[low.bit_length() - 1]:
-                    sub = count(cand)
-                    out.extend([0] * (len(sub) + 1 - len(out)))
-                    for k, n in enumerate(sub, 1):
-                        out[k] += n
-            memo[m] = out
-        return out
-
-    counts = tuple(count((1 << len(rows)) - 1))
-    if sum(counts) > max_simplices:
-        raise SizeCapError(f"complex exceeds {max_simplices} simplices")
-    return counts
+    counts: list[int] = []
+    total = 0
+    level = {(1 << len(rows)) - 1: 1}
+    while level:
+        up: dict[int, int] = {}
+        size = 0
+        for m, n in level.items():
+            size += n * m.bit_count()
+            while m:
+                low = m & -m
+                m ^= low
+                if cand := m & rows[low.bit_length() - 1]:
+                    up[cand] = up.get(cand, 0) + n
+        counts.append(size)
+        total += size
+        if total > max_simplices:
+            raise SizeCapError(f"complex exceeds {max_simplices} simplices")
+        level = up
+    return tuple(counts)
 
 
 def _clique_levels(rows: Sequence[int], alive: int) -> list[list[int]]:
@@ -478,8 +465,11 @@ def _remove(rows: list[int], removed: int) -> int:
         rows[u] ^= high
         rows[high.bit_length() - 1] ^= low
         return 0
-    for x in _bit_indices(rows[u]):
-        rows[x] ^= low
+    row = rows[u]
+    while row:
+        x = row & -row
+        row ^= x
+        rows[x.bit_length() - 1] ^= low
     rows[u] = 0
     return low
 
@@ -972,21 +962,30 @@ def _check_maximal_link(
         return False, sub
 
     to = [derived.bit.get(x, derived.bit[collapsed]) for x in h.bit]
+    # Two tables relabel a mask, one its low five bits and one the rest:
+    # entry ``t`` of a table is the image of the bits that ``t`` codes.
+    low, high = [0], [0]
+    for b in to[:5]:
+        low += [x | b for x in low]
+    for b in to[5:]:
+        high += [x | b for x in high]
     link = rows[i]
-    image_of: dict[int, int] = {}
-    for j in _bit_indices(link):
-        image = 0
-        for k in _bit_indices(vertices[j].mask):
-            image |= to[k]
+    members = _bit_indices(link)
+    image_bit = [0] * len(rows)  # link vertex -> the bit of its image's index
+    for j in members:
+        mask = vertices[j].mask
+        image = low[mask & 31] | high[mask >> 5]
         if _pairs_split(derived, image) > 1 or image not in index:
             return False, sub
-        image_of[j] = index[image]
-    if not len(image_of) == len(set(image_of.values())) == len(index):
+        image_bit[j] = 1 << index[image]
+    if not len(members) == len({image_bit[j] for j in members}) == len(index):
         return False, sub
-    for j, p in image_of.items():
-        row = 0
-        for k in _bit_indices(rows[j] & link):
-            row |= 1 << image_of[k]
-        if row != derived_rows[p]:
+    for j in members:
+        row, near = 0, rows[j] & link
+        while near:
+            k = near & -near
+            near ^= k
+            row |= image_bit[k.bit_length() - 1]
+        if row != derived_rows[image_bit[j].bit_length() - 1]:
             return False, sub
     return True, sub

@@ -969,6 +969,47 @@ class TestCodeBuiltMaps:
                 assert target.equals(public) and target._images == public._images
                 assert target._inverse_images is None
 
+    def test_unreduced_images_equal_reduced_ones_on_the_verify_corpus(
+        self, g_c5l, monkeypatch
+    ):
+        # ``_flanking`` reduces no image of a map whose words repeat no
+        # generator, as a transvection's; every image and inverse image it
+        # stores must still be reduced, on every generator set of the verify
+        # corpus (trees up to 8 nodes, the fixtures, C5L), its inner-lattice
+        # targets, and every PSigma family with n <= 10.
+        maps = []
+        real = autos_module.inner_vectors
+
+        def recording(autos, targets):
+            maps.extend(targets)
+            return real(autos, targets)
+
+        monkeypatch.setattr(autos_module, "inner_vectors", recording)
+        graphs = [*eligible_trees(8), *cycle_tree_fixtures(), *square_free_non_trees()]
+        for g in [*graphs, *squares_with_trees(), g_c5l]:
+            gs = build_generator_set(g, certify=False)
+            inner_lattice(gs)
+            maps += gs.automorphisms()
+        for n in range(2, 11):
+            for k in range(1, n + 1):
+                maps += [phi for _, phi in psigma_generators(PsigmaSpec(n, k))]
+        for phi in maps:
+            for images in (phi._images, phi._inverse_images or {}):
+                for img in images.values():
+                    assert img == tuple(_reduced_codes(phi.graph, img))
+
+    def test_transvections_are_built_without_reducing(self, g_c5l, monkeypatch):
+        reduced = []
+        real = autos_module._reduced_codes
+        monkeypatch.setattr(
+            autos_module, "_reduced_codes", lambda g, codes: reduced.append(codes) or real(g, codes)
+        )
+        for side in ("right", "left"):
+            transvection(g_c5l, "u", "v2", side)
+        assert reduced == []
+        partial_conjugation(g_c5l, "v1", ["v3"])
+        assert len(reduced) == 2  # the image and the inverse image
+
     def test_public_constructors_refuse_bad_input(self, g_p5):
         for args in (("zz", "a"), ("a", "zz")):
             with pytest.raises(WordError):

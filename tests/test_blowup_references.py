@@ -4,7 +4,9 @@ replaced, kept here as references.
 Every structure with 4 to 8 half-edges is checked: the simplices level by
 level, the face lists, the homology of the collapse core against the
 homology over every simplex, and the collapse certificate, the last also on
-the full vertex set, where its failure and recursion paths run.
+the full vertex set, where its failure and recursion paths run.  The
+certificate is checked on 9 and 10 half-edges too, and the legal
+enumeration against the filter of all ideal edges on 4 to 10.
 """
 
 from itertools import combinations
@@ -275,13 +277,29 @@ def test_compatibility_and_legality_match_frozensets():
             assert ideal_edges.compatible(e, f) == ref_compatible(e, f)
 
 
-CERTIFIED = [(r, s) for r, s in STRUCTURES if r >= 2]
+# Every structure with 4 to 10 half-edges.
+STRUCTURES_TO_10 = [
+    (r, s) for r in range(6) for s in range(11) if 4 <= 2 * r + s <= 10
+]
+
+
+@pytest.mark.parametrize("r,s", STRUCTURES_TO_10)
+def test_legal_enumeration_filters_all_ideal_edges(r, s):
+    h = HalfEdgeSet.standard(r, s)
+    assert enumerate_ideal_edges(h, True) == [
+        e for e in enumerate_ideal_edges(h) if e.legal
+    ]
+
+
+CERTIFIED = [(r, s) for r, s in STRUCTURES_TO_10 if r >= 2]
+# The largest legal complex, (2,6), has 5,193,247 simplices.
+CERTIFIED_CAP = 6000000
 
 
 @pytest.mark.parametrize("r,s", CERTIFIED)
 def test_certificate_matches_reference(r, s):
     h = HalfEdgeSet.standard(r, s)
-    c = build_complex(h, legal_only=True, max_simplices=CAP)
+    c = build_complex(h, legal_only=True, max_simplices=CERTIFIED_CAP)
     cert = morse_collapse_certificate(c)
     assert cert == ref_certify(h, {})
     assert cert.ok and cert.ties == 0
@@ -298,7 +316,10 @@ def test_certificate_matches_reference_on_all_ideal_edges(monkeypatch, r, s):
 
     monkeypatch.setattr(ideal_edges, "enumerate_ideal_edges", every_edge)
     h = HalfEdgeSet.standard(r, s)
-    c = build_complex(h, max_simplices=CAP)
-    cert = ideal_edges._certify(c.h, c.vertices, c.rows, {})
+    # The replay reads the vertices and rows alone, so the complex (up to
+    # 12,818,911 simplices on 10 half-edges) is not counted.
+    vertices = every_edge(h)
+    rows = ideal_edges._compatibility_masks(vertices)
+    cert = ideal_edges._certify(h, vertices, rows, {})
     assert cert == ref_certify(h, {})
     assert not cert.ok and cert.failures
