@@ -38,15 +38,19 @@ Both commuting families, the generator set of Out(A_Gamma) and the
 partially symmetric family of ``psigma``, are checked by one loop,
 :func:`pairwise_commutation`, over the pairs in which one map touches what
 the other moves, listed from an index of nodes to maps
-(:func:`meeting_pairs`); every other pair commutes exactly.  Each meeting
-pair builds its two composites, and a composite keeps a factor's stored
-image object wherever the other factor fixes all of its letters, so most
-of their node comparisons are of one object with itself.  The loop keeps
-one table of those self-comparisons and passes it to ``equals`` (which
-says why that is exact); the table holds only images the maps already
-store.  :func:`inner_vectors` keeps none: it compares composites with
-targets built apart from the generators, which never share an image
-object with them.
+(:func:`meeting_pairs`); every other pair commutes exactly.  A meeting
+pair of maps that each send every moved node ``x`` to ``l x r``, for one
+pair of words per map, commutes exactly when one of two lemmas on masks
+holds (:func:`_commute_by_flanks`, with the proofs); that settles almost
+every pair of a generator set.  Every other meeting pair builds its two
+composites, and a composite keeps a factor's stored image object wherever
+the other factor fixes all of its letters, so most of their node
+comparisons are of one object with itself.  The loop keeps one table of
+those self-comparisons and passes it to ``equals`` (which says why that is
+exact); the table holds only images the maps already store.
+:func:`inner_vectors` keeps none: it compares composites with targets
+built apart from the generators, which never share an image object with
+them.
 
 A map is a value: every slot is set once, when it is built, and no method
 writes one afterwards.  Transvections, partial conjugations and
@@ -714,14 +718,103 @@ def meeting_pairs(maps: Sequence[RaagAutomorphism]) -> list[tuple[int, int]]:
     return pairs
 
 
+# A map's flank shape ``(S, F, L, st(l), R, st(r), conj)``: see _flank_shape.
+Flanks = tuple[int, int, int, int, int, int, bool]
+
+
+def _flank_shape(a: RaagAutomorphism) -> Flanks | None:
+    """The flank shape of ``a``: words ``l`` and ``r`` such that every
+    stored image is exactly ``l x r``, read from the first image split at
+    its first ``x`` and checked on the others; ``None`` if there are none
+    (an inner map whose images reduced unevenly, say) or ``a`` moves no
+    node.
+
+    Returned as masks: the support ``S``; the letters ``F`` of ``l`` and
+    ``r``; the letters ``L`` of ``l`` and ``st(l)``, the nodes that commute
+    with every one of them; the same two for ``r``; and whether
+    ``r = l^-1``.  The nodes ``a`` moves or holds are ``S | F``.
+    """
+    images = a._images
+    if not images:
+        return None
+    x, w = next(iter(images.items()))
+    if x not in w:
+        return None
+    k = w.index(x)
+    left, right = w[:k], w[k + 1 :]
+    g = a.graph
+    bit, star = g.bit, g.star
+    support = 0
+    for y, v in images.items():
+        if v != (*left, y, *right):
+            return None
+        support |= bit[y]
+    letters_l = letters_r = 0
+    st_l = st_r = g.full
+    for c in left:
+        letters_l |= bit[c]
+        st_l &= star[c]
+    for c in right:
+        letters_r |= bit[c]
+        st_r &= star[c]
+    return (
+        support, letters_l | letters_r, letters_l, st_l, letters_r, st_r,
+        right == _inverse(left),
+    )
+
+
+def _commute_by_flanks(a: Flanks | None, b: Flanks | None) -> bool:
+    """Whether two maps with the flank shapes ``a`` and ``b`` commute by
+    one of two lemmas.  ``False`` says only that neither lemma applies.
+
+    Write ``a(x) = l_a x r_a`` on ``S_a`` and ``a(x) = x`` elsewhere, and
+    likewise ``b``.
+
+    *Flank lemma.*  Let ``F_a`` miss ``S_b`` and ``F_b`` miss ``S_a``, so
+    each map fixes the other's flank letters.  On ``S_b`` outside ``S_a``,
+    ``a(b(x)) = a(l_b x r_b) = l_b x r_b = b(a(x))``; symmetrically on
+    ``S_a`` outside ``S_b``, and both send any other node to itself.  On
+    ``S_a & S_b``, ``a(b(x)) = l_b l_a x r_a r_b`` and ``b(a(x)) = l_a l_b
+    x r_b r_a``, which are equal when every letter of ``l_a`` commutes
+    with every letter of ``l_b`` and likewise ``r_a`` with ``r_b``: both
+    are ``l_a l_b x r_b r_a``.
+
+    *Conjugation lemma, either way round.*  Let ``r_a = l_a^-1 = u^-1``,
+    let ``b`` move no letter of ``u``, and let every node ``b`` moves or
+    holds (``S_b | F_b``) lie in ``S_a`` or in ``st(u)``.  Then ``a`` acts
+    as conjugation by ``u`` on each of those nodes: by its images on
+    ``S_a``, and on ``st(u)`` because it fixes the node, which commutes
+    with ``u``.  So on ``S_b``, ``a(b(x)) = u b(x) u^-1``, and ``b(a(x)) =
+    b(u x u^-1) = u b(x) u^-1`` since ``b`` fixes ``u``.  Off ``S_b``,
+    ``b`` fixes ``x`` and, on ``S_a``, ``u x u^-1``: both composites give
+    ``a(x)``.
+    """
+    if a is None or b is None:
+        return False
+    sa, fa, la, st_la, ra, st_ra, conj_a = a
+    sb, fb, lb, st_lb, rb, st_rb, conj_b = b
+    a_fixes_fb, b_fixes_fa = not fb & sa, not fa & sb
+    return (
+        a_fixes_fb
+        and b_fixes_fa
+        and (not sa & sb or not (lb & ~st_la or rb & ~st_ra))
+        or b_fixes_fa and conj_a and not (sb | fb) & ~(sa | st_la)
+        or a_fixes_fb and conj_b and not (sa | fa) & ~(sb | st_lb)
+    )
+
+
 def pairwise_commutation(maps: Sequence[RaagAutomorphism]) -> Iterator[tuple[int, int, bool]]:
     """Yield ``(i, j, exact)`` for each of the :func:`meeting_pairs` of
     ``maps``, in order: whether the pair's two composites are equal maps.
-    Their comparisons share one table of decided self-comparisons."""
+    A pair that :func:`_commute_by_flanks` settles from the flank shapes,
+    read once per loop, builds no composite; the comparisons of every other
+    pair's composites share one table of decided self-comparisons."""
+    shapes = [_flank_shape(a) for a in maps]
     decided: Decided = {}
     for i, j in meeting_pairs(maps):
         a, b = maps[i], maps[j]
-        yield i, j, compose(a, b).equals(compose(b, a), decided)
+        settled = _commute_by_flanks(shapes[i], shapes[j])
+        yield i, j, settled or compose(a, b).equals(compose(b, a), decided)
 
 
 def verify_commuting(gs: GeneratorSet) -> dict[tuple[int, int], CommutationCertificate]:

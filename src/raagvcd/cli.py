@@ -45,9 +45,10 @@ EXIT_VIOLATION = 3
 # Upper guards on flags whose cost grows without bound: ``psigma 100 1``
 # takes about 0.12 s, ``verify --max-nodes 12`` about 2 s, and ``analyze
 # --witness`` on a 148-node path, 150 generators (the slowest input per
-# generator), about 4 s and 33 MB, which CI holds to 40 MB.  The witness
-# grows about as the cube of the generator count in time, and its
-# certificates as the square.
+# generator), about 0.7 s and 33 MB, which CI holds to 40 MB.  The flank
+# lemmas settle its pairs, so the witness grows about as the square of the
+# generator count in time, as its certificates do: 202 generators (a
+# 200-node path) take about 1.5 s and 46 MB.
 MAX_PSIGMA_RANK = 100
 MAX_WITNESS_GENERATORS = 150
 MAX_VERIFY_NODES = 12
@@ -71,7 +72,8 @@ def _json_text(v: object, pad: str = "\n") -> str:
     CPython serves ``indent`` from its pure-Python encoder; this writes the
     payload types (str, int, bool, None, list, dict with str keys) over its
     C string escaper and leaves any other value to ``json.dumps``, which
-    raises ``TypeError`` on what JSON cannot encode.
+    raises ``TypeError`` on what JSON cannot encode.  A list or dict writes
+    its str and int members in place, without a call of their own.
     """
     t = type(v)
     if t is str:
@@ -82,14 +84,30 @@ def _json_text(v: object, pad: str = "\n") -> str:
         if not v:
             return "[]"
         inner = pad + "  "
-        items = [_json_text(x, inner) for x in v]
+        items = []
+        for x in v:
+            tx = type(x)
+            items.append(
+                _escape(x) if tx is str
+                else int.__repr__(x) if tx is int
+                else _json_text(x, inner)
+            )
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if t is dict:
         if not v:
             return "{}"
         inner = pad + "  "
+        items = []
         try:
-            items = [_escape(k) + ": " + _json_text(v[k], inner) for k in sorted(v)]
+            for k in sorted(v):
+                x = v[k]
+                tx = type(x)
+                # One expression, so no value's text outlives its item.
+                items.append(_escape(k) + ": " + (
+                    _escape(x) if tx is str
+                    else int.__repr__(x) if tx is int
+                    else _json_text(x, inner)
+                ))
         except TypeError:  # a key that is not a string, or a value JSON refuses
             return json.dumps(v, sort_keys=True, indent=2).replace("\n", pad)
         return "{" + inner + ("," + inner).join(items) + pad + "}"

@@ -5,6 +5,9 @@ fixtures) goes through one loop that checks its bound formula and, for
 trees and cycle fixtures, the structural identities.  The pipeline runs
 once per distinct graph value, and the generator-set counts, witness outer
 ranks and commutation certificates on the small trees read those reports.
+Every meeting pair of the certified generator sets and of the partially
+symmetric families that the flank lemmas settle is decided by its
+composites too, and a contradiction raises :class:`StructureAnomalyError`.
 Then come the outer rank of the partially symmetric family against its
 dimension formula for n <= 8, and the blow-up complexes on up to eight
 half-edges: the full ones against the tree-space oracle (homology from the
@@ -19,8 +22,23 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from . import corpus
-from .autos import build_generator_set, inner_lattice, verify_commuting
-from .graph_core import DefiningGraph, GraphError, _codes, _leaf_mask
+from .autos import (
+    RaagAutomorphism,
+    _commute_by_flanks,
+    _flank_shape,
+    build_generator_set,
+    compose,
+    inner_lattice,
+    meeting_pairs,
+    verify_commuting,
+)
+from .graph_core import (
+    DefiningGraph,
+    GraphError,
+    StructureAnomalyError,
+    _codes,
+    _leaf_mask,
+)
 from .homology import reduced_homology_of_chain
 from .ideal_edges import (
     HalfEdgeSet,
@@ -91,6 +109,21 @@ def _structural_checks(report: VcdReport, result: VerificationResult) -> None:
     )
 
 
+def _check_flank_lemmas(maps: list[RaagAutomorphism]) -> None:
+    """Build the composites of every meeting pair of ``maps`` that the
+    flank lemmas settle (the pair loop decides the others by composites)
+    and raise :class:`StructureAnomalyError` where they differ."""
+    shapes = [_flank_shape(a) for a in maps]
+    for i, j in meeting_pairs(maps):
+        if not _commute_by_flanks(shapes[i], shapes[j]):
+            continue
+        a, b = maps[i], maps[j]
+        if not compose(a, b).equals(compose(b, a)):
+            raise StructureAnomalyError(
+                f"the flank lemmas settle maps {i} and {j}, whose composites differ"
+            )
+
+
 def _psigma_checks(result: VerificationResult) -> None:
     # The witness family's outer rank, from the integer solve, against
     # 2n - k - 2 (Collins' n - 2 at k = n).
@@ -99,10 +132,12 @@ def _psigma_checks(result: VerificationResult) -> None:
             label = f"psigma outer rank = dimension [n={n}, k={k}]"
             spec = PsigmaSpec(n, k)
             try:
-                rank = outer_rank(spec, psigma_generators(spec))
+                family = psigma_generators(spec)
+                rank = outer_rank(spec, family)
             except GraphError as exc:
                 result.check(label, False, str(exc))
                 continue
+            _check_flank_lemmas([phi for _, phi in family])
             vcd = psigma_vcd(n, k)
             result.check(label, rank == vcd, f"{rank} != {vcd}")
 
@@ -263,6 +298,7 @@ def run_verification(max_nodes: int = 8) -> VerificationResult:
     )
     certified.append(build_generator_set(c5l, certify=False))
     for gs in certified:
+        _check_flank_lemmas(gs.automorphisms())
         certs = verify_commuting(gs)
         uncertified = [k for k, c in certs.items() if not c.certified]
         result.check(

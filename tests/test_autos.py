@@ -11,6 +11,7 @@ import pytest
 
 from raagvcd import autos as autos_module
 from raagvcd import psigma as psigma_module
+from raagvcd import verify_suite
 from raagvcd import words as words_module
 from raagvcd.graph_core import (
     DefiningGraph,
@@ -667,32 +668,44 @@ class TestCommutation:
     )
     def test_only_pairs_that_meet_build_composites(self, psigma_nk, monkeypatch):
         # A pair in which neither map moves a node the other moves or holds
-        # in an image is decided without a composite; every other pair
-        # builds its two composites, and the results are unchanged.  Both
+        # in an image is decided without a composite, and so is a meeting
+        # pair that the flank lemmas settle: exactly the meeting pairs that
+        # the lemmas leave build their two composites, which on these sets
+        # is none.  With the lemmas refusing every pair, every meeting pair
+        # builds them.  The results are unchanged either way, and both
         # commuting families go through the same pair loop.
-        built = []
-        real = autos_module.compose
-
-        def recording(phi, psi):
-            built.append((phi, psi))
-            return real(phi, psi)
-
         if psigma_nk is None:
             gs = build_generator_set(spider(5, 3), certify=False)
-            monkeypatch.setattr(autos_module, "compose", recording)
-            certs = verify_commuting(gs)
-            monkeypatch.undo()
-            assert certs == dense_verify_commuting(gs)
             autos = gs.automorphisms()
         else:
             n, k = psigma_nk
-            monkeypatch.setattr(autos_module, "compose", recording)
-            family_maps = psigma_generators(PsigmaSpec(n, k))
-            monkeypatch.undo()
-            assert [name for name, _ in family_maps] == [
-                name for name, _ in psigma_generators(PsigmaSpec(n, k))
-            ]
-            autos = [phi for _, phi in family_maps]
+            autos = [phi for _, phi in psigma_generators(PsigmaSpec(n, k))]
+
+        def built_pairs():
+            built = []
+            real = autos_module.compose
+
+            def recording(phi, psi):
+                built.append((phi, psi))
+                return real(phi, psi)
+
+            with monkeypatch.context() as m:
+                m.setattr(autos_module, "compose", recording)
+                if psigma_nk is None:
+                    certs = verify_commuting(gs)
+                else:
+                    family_maps = psigma_generators(PsigmaSpec(n, k))
+            if psigma_nk is None:
+                assert certs == dense_verify_commuting(gs)
+                maps = autos
+            else:
+                assert [name for name, _ in family_maps] == [
+                    name for name, _ in psigma_generators(PsigmaSpec(n, k))
+                ]
+                maps = [phi for _, phi in family_maps]
+            indices = [(maps.index(phi), maps.index(psi)) for phi, psi in built]
+            return sorted(indices), maps
+
         reach = []
         for a in autos:
             moved = set(a.moved_nodes())
@@ -706,8 +719,20 @@ class TestCommutation:
         assert 0 < len(meet) < len(autos) * (len(autos) - 1) // 2
         if psigma_nk is not None:
             assert len(meet) == n - k  # the pairs (lambda_i, rho_i)
-        indices = [(autos.index(phi), autos.index(psi)) for phi, psi in built]
-        assert sorted(indices) == sorted([*meet, *((j, i) for i, j in meet)])
+
+        def both_ways(pairs):
+            return sorted([*pairs, *((j, i) for i, j in pairs)])
+
+        indices, maps = built_pairs()
+        shapes = [autos_module._flank_shape(a) for a in maps]
+        left = {
+            (i, j)
+            for i, j in meet
+            if not autos_module._commute_by_flanks(shapes[i], shapes[j])
+        }
+        assert indices == both_ways(left) == []
+        monkeypatch.setattr(autos_module, "_commute_by_flanks", lambda a, b: False)
+        assert built_pairs()[0] == both_ways(meet)
 
     def test_all_pairs_certified_on_small_trees(self):
         for g in eligible_trees(6):
@@ -847,6 +872,117 @@ class TestMeetingPairs:
         autos = gs.automorphisms()
         assert meeting_pairs(autos) == _brute_force_meeting(autos)
         assert meeting_pairs([]) == []
+
+
+def _graph_on(*nodes, edges=()):
+    return DefiningGraph(nodes, frozenset(frozenset(e) for e in edges))
+
+
+def _pair_moving_a_flank_letter():
+    # x -> t x t^-1 and t -> t s, with s - t the one edge: b moves t, a
+    # flank letter of a and the u of a's conjugation.  Every other
+    # condition holds: a fixes s, the supports are apart, and b touches only
+    # t and s, both in st(t).
+    g = _graph_on("s", "t", "x", edges=[("s", "t")])
+    return partial_conjugation(g, "t", ["x"]), transvection(g, "t", "s", "right")
+
+
+def _pair_with_clashing_flanks(side):
+    # x -> x t and x -> x s (or t x and s x) in F_3: each map fixes the
+    # other's flank letter, but on the shared support x the flanks t and s
+    # do not commute.  Neither map is a conjugation.
+    g = _graph_on("s", "t", "x")
+    return transvection(g, "x", "t", side), transvection(g, "x", "s", side)
+
+
+def _pair_touching_outside_the_star():
+    # x -> t x t^-1 and x -> x y in F_3: b moves no letter of u = t, but it
+    # holds y, which is neither in a's support nor in st(t).  (The flank
+    # lemma fails too, on the flanks t^-1 and y at x.)
+    g = _graph_on("t", "x", "y")
+    return partial_conjugation(g, "t", ["x"]), transvection(g, "x", "y", "right")
+
+
+class TestFlankLemmas:
+    """The two lemmas of ``autos._commute_by_flanks`` settle a meeting pair
+    only where its composites are equal, and settle every meeting pair of
+    the verify corpus."""
+
+    @staticmethod
+    def _settled(maps):
+        """``(settled, meeting)`` pair counts of ``maps``; every settled pair
+        must have equal composites, built and compared node by node by the
+        dense reference."""
+        shapes = [autos_module._flank_shape(a) for a in maps]
+        pairs = meeting_pairs(maps)
+        settled = 0
+        for i, j in pairs:
+            if autos_module._commute_by_flanks(shapes[i], shapes[j]):
+                a, b = maps[i], maps[j]
+                assert _dense_equal(a.graph, _dense_compose(a, b), _dense_compose(b, a))
+                settled += 1
+        return settled, len(pairs)
+
+    @pytest.mark.parametrize(
+        "graph, counts",
+        [("spider_5_3", (46, 46)), ("g_grid", (4, 4)), ("g_c5l", (3, 3))],
+    )
+    def test_fixtures(self, graph, counts, request):
+        g = spider(5, 3) if graph == "spider_5_3" else request.getfixturevalue(graph)
+        autos = build_generator_set(g, certify=False).automorphisms()
+        assert self._settled(autos) == counts
+
+    def test_trees_up_to_eight_nodes(self):
+        totals = [0, 0]
+        for g in eligible_trees(8):
+            for i, n in enumerate(self._settled(
+                build_generator_set(g, certify=False).automorphisms()
+            )):
+                totals[i] += n
+        assert totals == [660, 660]
+
+    def test_psigma_families(self):
+        totals = [0, 0]
+        for n in range(2, 11):
+            for k in range(1, n + 1):
+                maps = [phi for _, phi in psigma_generators(PsigmaSpec(n, k))]
+                for i, count in enumerate(self._settled(maps)):
+                    totals[i] += count
+        assert totals == [165, 165]
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            _pair_moving_a_flank_letter,
+            functools.partial(_pair_with_clashing_flanks, "right"),
+            functools.partial(_pair_with_clashing_flanks, "left"),
+            _pair_touching_outside_the_star,
+        ],
+        ids=["flank-letter-moved", "right-flanks-clash", "left-flanks-clash",
+             "touched-outside-star"],
+    )
+    def test_refuses_pairs_that_do_not_commute(self, pair):
+        # Each pair fails one condition of each lemma that its shapes admit,
+        # so dropping any one condition makes the predicate accept it.
+        a, b = pair()
+        assert meeting_pairs([a, b]) == [(0, 1)]
+        assert not compose(a, b).equals(compose(b, a))
+        sa, sb = autos_module._flank_shape(a), autos_module._flank_shape(b)
+        assert sa is not None and sb is not None
+        assert not autos_module._commute_by_flanks(sa, sb)
+        assert not autos_module._commute_by_flanks(sb, sa)
+        assert list(autos_module.pairwise_commutation([a, b])) == [(0, 1, False)]
+
+    def test_maps_without_a_shape_are_left_to_composites(self, g_f3):
+        # Conjugation by x y^-1 x sends x to x y^-1 x y x^-1 and y to
+        # x y^-1 x y x^-1 y x^-1: no one pair of flanks.
+        uneven = inner_automorphism(g_f3, parse_word(g_f3, "x y^-1 x"))
+        assert autos_module._flank_shape(uneven) is None
+        assert autos_module._flank_shape(identity_automorphism(g_f3)) is None
+        even = autos_module._flank_shape(transvection(g_f3, "x", "y"))
+        assert even is not None
+        assert not autos_module._commute_by_flanks(None, even)
+        assert not autos_module._commute_by_flanks(even, None)
 
 
 _LABEL = re.compile(r"conj\[([^]]+)\]\(([^)]+)\)|transv_(right|left)\((\S+) by (\S+)\)")
@@ -1147,6 +1283,11 @@ class TestDecidedSelfComparisons:
 
         monkeypatch.setattr(autos_module, "_equal_codes", counting)
         monkeypatch.setattr(RaagAutomorphism, "equals", keeping_tables)
+        # The flank lemmas settle every meeting pair, so the loop compares
+        # nothing; with them refusing every pair, it compares composites.
+        assert all(c.exact for c in verify_commuting(gs).values())
+        assert calls == [] and tables == []
+        monkeypatch.setattr(autos_module, "_commute_by_flanks", lambda a, b: False)
         certs = verify_commuting(gs)
         monkeypatch.undo()
         assert all(c.exact for c in certs.values())
@@ -1177,6 +1318,11 @@ class TestDecidedSelfComparisons:
 
         monkeypatch.setattr(autos_module, "_equal_codes", counting)
         monkeypatch.setattr(RaagAutomorphism, "equals", keeping_tables)
+        # The flank lemmas settle the meeting pairs; with them refusing every
+        # pair, the loop compares composites.
+        psigma_generators(PsigmaSpec(8, 3))
+        assert calls == [] and tables == [] and pairs == []
+        monkeypatch.setattr(autos_module, "_commute_by_flanks", lambda a, b: False)
         psigma_generators(PsigmaSpec(8, 3))
         (table,) = tables
         assert len(calls) <= len(set(calls))
@@ -1256,7 +1402,10 @@ class TestReducedEqualityInputs:
     def test_witness_build(self, graph, request, monkeypatch):
         g = request.getfixturevalue(graph)
         callers = _equality_callers(monkeypatch)
-        build_generator_set(g)
+        gs = build_generator_set(g)
+        # The pair loop settles these sets by the flank lemmas; verify's
+        # cross-check still compares the composites of every settled pair.
+        verify_suite._check_flank_lemmas(gs.automorphisms())
         x, y = sorted(g.nodes)[:2]
         inner = inner_automorphism(g, parse_word(g, f"{x} {y}^-1 {x}"))
         assert inner_conjugator(inner) is not None

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import raagvcd
 from raagvcd.cli import main
+from raagvcd.words import generator
 
 P5_TEXT = "edge a b\nedge b c\nedge c d\nedge d e\n"
 
@@ -506,6 +508,32 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "VIOLATION: witness outer rank = lower bound [6-node tree]" in out
 
+    def test_lying_flank_lemmas_exit_3(self, capsys, monkeypatch):
+        from raagvcd import autos, verify_suite
+
+        # Every meeting pair of the verify corpus commutes, so a lie shows
+        # only on a pair that does not: C5L's set gets conjugation by u as
+        # one more map, which fails to commute with u's transvections (their
+        # commutators are inner, so the honest run still passes).
+        real = verify_suite.build_generator_set
+
+        def with_inner_map(g, *args, **kwargs):
+            gs = real(g, *args, **kwargs)
+            if g.num_edges < g.num_nodes:  # a tree
+                return gs
+            inner = autos.inner_automorphism(g, generator(g, "u"))
+            extra = dataclasses.replace(gs.entries[0], automorphism=inner)
+            return dataclasses.replace(gs, entries=(*gs.entries, extra))
+
+        monkeypatch.setattr(verify_suite, "build_generator_set", with_inner_map)
+        assert main(["verify", "--max-nodes", "6"]) == 0
+        capsys.readouterr()
+        for module in (autos, verify_suite):
+            monkeypatch.setattr(module, "_commute_by_flanks", lambda a, b: True)
+        assert main(["verify", "--max-nodes", "6"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant broken: the flank lemmas settle maps ")
+        assert err.endswith(", whose composites differ\n")
 
     def test_blowup_family_checked(self, capsys, monkeypatch):
         from raagvcd import verify_suite
